@@ -22,6 +22,27 @@ std::string num(double v) {
   return buf;
 }
 
+std::string quote(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  out += '"';
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  out += '"';
+  return out;
+}
+
 bool raw_field(const std::string& line, const std::string& field,
                std::string& out) {
   const std::string needle = "\"" + field + "\":";

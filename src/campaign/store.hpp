@@ -15,6 +15,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/tech/operating_point.hpp"
@@ -136,13 +137,19 @@ MergeStats merge_stores(const std::vector<std::string>& inputs,
                         bool strip_timing = false);
 
 /// Minimal JSONL field accessors shared by the store, the merge tool
-/// and the serve daemon's wire format (src/serve). Only handles the
-/// flat object lines this codebase writes — identifiers and numbers,
-/// no escapes or nesting.
+/// and the serve daemon's wire format (src/serve). The readers only
+/// handle the flat object lines this codebase writes — identifiers and
+/// numbers, no escapes or nesting; quote() escapes free text on the
+/// way out.
 namespace jsonl {
 
 /// Shortest round-trippable decimal form of a double.
 std::string num(double v);
+/// `text` as a JSON string literal, quotes included: `"` and `\` are
+/// backslash-escaped and control characters become \u00XX, so any
+/// byte string (an exception message, an echoed client token) splices
+/// into a line as valid JSON.
+std::string quote(std::string_view text);
 /// Extracts the raw token after `"field":` — a number, or the body of
 /// a quoted string. Returns false when the field is absent.
 bool raw_field(const std::string& line, const std::string& field,

@@ -22,6 +22,8 @@ inline constexpr int kStoreVersion = 9;
 struct RunManifest {
   std::string tool;              ///< CLI subcommand or "serve"
   std::string engine = "event";  ///< backend engine token
+  /// Levelized lanes per pass. Always 64 since the engine has one
+  /// lane width; kept so store headers and old stores stay unchanged.
   std::uint64_t lane_width = 64;
   std::string shard = "0/1";     ///< "index/count"
   /// Canonical launch configuration (hashed, never serialized).

@@ -10,7 +10,6 @@
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/util/lanes.hpp"
 
 namespace vosim {
 
@@ -109,7 +108,6 @@ CampaignServer::CampaignServer(const CellLibrary& lib, ServeConfig config)
       store_(config_.store_path) {
   manifest_.tool = "serve";
   manifest_.engine = "levelized";
-  manifest_.lane_width = lanes::resolve_lane_width(0);
   manifest_.config = "socket=" + config_.socket_path +
                      "|store=" + config_.store_path +
                      "|jobs=" + std::to_string(config_.jobs);
@@ -263,15 +261,15 @@ bool CampaignServer::dispatch(int fd, std::uint64_t& bytes) {
       return send_line(footer.str());
     } catch (const std::exception& e) {
       obs::metrics().counter("serve.errors").add();
-      return send_line(std::string("{\"error\":\"") + e.what() + "\"}");
+      return send_line("{\"error\":" + jsonl::quote(e.what()) + "}");
     }
   }
   // Unknown verbs get a structured, self-diagnosing error line (verb
   // echoed back plus the supported set) instead of a bare message.
   obs::metrics().counter("serve.errors").add();
   return send_line(
-      "{\"error\":\"unknown cmd\",\"cmd\":\"" + cmd +
-      "\",\"known\":[\"campaign\",\"ping\",\"shutdown\",\"stats\","
+      "{\"error\":\"unknown cmd\",\"cmd\":" + jsonl::quote(cmd) +
+      ",\"known\":[\"campaign\",\"ping\",\"shutdown\",\"stats\","
       "\"watch\"]}");
 }
 

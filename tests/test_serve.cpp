@@ -287,6 +287,40 @@ TEST(CampaignServer, UnknownVerbReturnsStructuredError) {
   server.stop();
 }
 
+// Client text echoed into an error line is escaped, so every reply is
+// one valid JSON object whatever the client sent. Whitespace after the
+// colon is not parsed (the verb keeps its quotes), but it is still
+// echoed as a well-formed string.
+TEST(CampaignServer, ErrorLinesEscapeClientText) {
+  EXPECT_EQ(jsonl::quote("a\"b\\c\n\x01" "d"),
+            "\"a\\\"b\\\\c\\u000a\\u0001d\"");
+
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("escape");
+  CampaignServer server(lib(), cfg);
+  server.start();
+  const std::string known =
+      ",\"known\":[\"campaign\",\"ping\",\"shutdown\",\"stats\","
+      "\"watch\"]}";
+  const auto spaced = send_request(cfg.socket_path, "{\"cmd\": \"ping\"}");
+  ASSERT_EQ(spaced.size(), 1u);
+  EXPECT_EQ(spaced[0], "{\"error\":\"unknown cmd\",\"cmd\":"
+                       "\" \\\"ping\\\"\"" + known);
+  // The verb scan stops at the escaped quote, leaving `x\`.
+  const auto quoted = send_request(cfg.socket_path, "{\"cmd\":\"x\\\"y\"}");
+  ASSERT_EQ(quoted.size(), 1u);
+  EXPECT_EQ(quoted[0],
+            "{\"error\":\"unknown cmd\",\"cmd\":\"x\\\\\"" + known);
+  // An exception message carrying client text is escaped the same way.
+  const auto backend = send_request(
+      cfg.socket_path, "{\"cmd\":\"campaign\",\"backends\":\"x\\\"y\"}");
+  ASSERT_EQ(backend.size(), 1u);
+  EXPECT_EQ(backend[0],
+            "{\"error\":\"unknown backend 'x\\\\' (expected exact | model | "
+            "sim-event | sim-levelized | sim-seq)\"}");
+  server.stop();
+}
+
 TEST(CampaignServer, WatchVerbStreamsComputedCellsWithBacklog) {
   ServeConfig cfg;
   cfg.socket_path = socket_path("watch");

@@ -13,6 +13,7 @@
 #include "src/netlist/adders.hpp"
 #include "src/netlist/approx_adders.hpp"
 #include "src/netlist/eval.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/event_sim.hpp"
 #include "src/sim/levelized_sim.hpp"
 #include "src/sim/sim_engine.hpp"
@@ -43,23 +44,9 @@ TEST(SimEngine, FactoryBuildsSelectedBackend) {
   const AdderNetlist rca = build_rca(4);
   TimingSimConfig cfg;
   cfg.engine = EngineKind::kLevelized;
-  // An explicit lane_width beats the --lane-width override and the
-  // VOSIM_LANE_WIDTH environment variable (dispatch precedence), so
-  // the concrete instantiation is deterministic here.
-  cfg.lane_width = 64;
   const auto lev = make_engine(rca.netlist, lib(), {1.0, 1.0, 0.0}, cfg);
   EXPECT_EQ(lev->kind(), EngineKind::kLevelized);
   EXPECT_NE(dynamic_cast<LevelizedSimulator*>(lev.get()), nullptr);
-  EXPECT_EQ(lev->lanes_per_pass(), 64u);
-  cfg.lane_width = 256;
-  const auto lev256 = make_engine(rca.netlist, lib(), {1.0, 1.0, 0.0}, cfg);
-  EXPECT_NE(dynamic_cast<LevelizedSimulator256*>(lev256.get()), nullptr);
-  EXPECT_EQ(lev256->lanes_per_pass(), 256u);
-  cfg.lane_width = 512;
-  const auto lev512 = make_engine(rca.netlist, lib(), {1.0, 1.0, 0.0}, cfg);
-  EXPECT_NE(dynamic_cast<LevelizedSimulator512*>(lev512.get()), nullptr);
-  EXPECT_EQ(lev512->lanes_per_pass(), 512u);
-  cfg.lane_width = 0;
   cfg.engine = EngineKind::kEvent;
   const auto ev = make_engine(rca.netlist, lib(), {1.0, 1.0, 0.0}, cfg);
   EXPECT_EQ(ev->kind(), EngineKind::kEvent);
@@ -175,30 +162,93 @@ TEST(SimEngine, LevelizedBatchMatchesStep) {
   TimingSimConfig cfg;
   cfg.engine = EngineKind::kLevelized;
 
-  VosDutSim stepper(rca, lib(), stressed, cfg);
-  VosDutSim batcher(rca, lib(), stressed, cfg);
-  stepper.reset(1, 2);
-  batcher.reset(1, 2);
+  // Ragged counts around the 64-lane word: a single lane, one short of
+  // a word, exactly one, one over, and several passes with a partial
+  // tail. Two back-to-back batches per count also pin the lane-0 carry
+  // across calls.
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u, 200u}) {
+    VosDutSim stepper(rca, lib(), stressed, cfg);
+    VosDutSim batcher(rca, lib(), stressed, cfg);
+    stepper.reset(1, 2);
+    batcher.reset(1, 2);
+    PatternStream patterns(PatternPolicy::kCarryBalanced, 8, 5 + n);
+    for (int call = 0; call < 2; ++call) {
+      std::vector<std::uint64_t> a(n);
+      std::vector<std::uint64_t> b(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const OperandPair p = patterns.next();
+        a[i] = p.a;
+        b[i] = p.b;
+      }
+      std::vector<VosOpResult> batched(n);
+      batcher.apply_batch(a, b, batched);
+      for (std::size_t i = 0; i < n; ++i) {
+        const VosOpResult r = stepper.apply(a[i], b[i]);
+        EXPECT_EQ(batched[i].sampled, r.sampled)
+            << "count " << n << " call " << call << " pattern " << i;
+        EXPECT_EQ(batched[i].settled, r.settled)
+            << "count " << n << " call " << call << " pattern " << i;
+        EXPECT_DOUBLE_EQ(batched[i].energy_fj, r.energy_fj)
+            << "count " << n << " call " << call << " pattern " << i;
+        EXPECT_DOUBLE_EQ(batched[i].settle_time_ps, r.settle_time_ps)
+            << "count " << n << " call " << call << " pattern " << i;
+      }
+    }
+  }
+}
 
-  constexpr std::size_t n = 200;  // exercises several 64-lane passes
-  PatternStream patterns(PatternPolicy::kCarryBalanced, 8, 5);
-  std::vector<std::uint64_t> a(n);
-  std::vector<std::uint64_t> b(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const OperandPair p = patterns.next();
-    a[i] = p.a;
-    b[i] = p.b;
-  }
-  std::vector<VosOpResult> batched(n);
-  batcher.apply_batch(a, b, batched);
-  for (std::size_t i = 0; i < n; ++i) {
-    const VosOpResult r = stepper.apply(a[i], b[i]);
-    EXPECT_EQ(batched[i].sampled, r.sampled) << "pattern " << i;
-    EXPECT_EQ(batched[i].settled, r.settled) << "pattern " << i;
-    EXPECT_DOUBLE_EQ(batched[i].energy_fj, r.energy_fj) << "pattern " << i;
-    EXPECT_DOUBLE_EQ(batched[i].settle_time_ps, r.settle_time_ps)
-        << "pattern " << i;
-  }
+// Every levelized entry point reports its work to the metrics
+// registry: scalar steps count as one-lane passes, so the pattern and
+// cycle counters cover scalar, batched and sweep traffic alike.
+TEST(SimEngine, LevelizedCountersCoverEveryPath) {
+  const DutNetlist rca = to_dut(build_rca(8));
+  const double cp = critical_path_ns(rca.netlist, {1.0, 0.7, 0.0});
+  const OperatingTriad stressed{0.6 * cp, 0.7, 0.0};
+  TimingSimConfig cfg;
+  cfg.engine = EngineKind::kLevelized;
+  obs::Counter& patterns = obs::metrics().counter("sim.levelized.patterns");
+  obs::Counter& cycles = obs::metrics().counter("sim.levelized.cycles");
+  obs::Counter& words = obs::metrics().counter("sim.levelized.lane_words");
+  const std::uint64_t patterns0 = patterns.value();
+  const std::uint64_t cycles0 = cycles.value();
+  const std::uint64_t words0 = words.value();
+
+  VosDutSim sim(rca, lib(), stressed, cfg);
+  sim.reset(0, 0);
+  constexpr std::size_t kScalar = 37;
+  for (std::size_t i = 0; i < kScalar; ++i) sim.apply(i, 3 * i);
+  constexpr std::size_t kBatch = 100;  // two words, the second partial
+  std::vector<std::uint64_t> a(kBatch, 5);
+  std::vector<std::uint64_t> b(kBatch, 9);
+  std::vector<VosOpResult> res(kBatch);
+  sim.apply_batch(a, b, res);
+  // One lane word per scalar call, ceil(count / 64) per batch.
+  EXPECT_EQ(words.value() - words0, kScalar + 2);
+
+  CharacterizeConfig ccfg;
+  ccfg.num_patterns = 300;
+  ccfg.engine = EngineKind::kLevelized;
+  ccfg.threads = 2;
+  const std::vector<OperatingTriad> triads{stressed, {cp, 1.0, 0.0}};
+  characterize_dut(rca, lib(), triads, ccfg);
+  EXPECT_EQ(patterns.value() - patterns0,
+            kScalar + kBatch + ccfg.num_patterns);
+
+  const std::vector<std::uint8_t> zeros(
+      rca.netlist.primary_inputs().size(), 0);
+  const auto eng = make_engine(rca.netlist, lib(), stressed, cfg);
+  eng->reset(zeros);
+  constexpr std::size_t kCycles = 70;
+  for (std::size_t i = 0; i < 5; ++i) eng->step_cycle(zeros);
+  std::vector<std::uint8_t> cycle_in(kCycles * zeros.size(), 1);
+  std::vector<StepResult> cycle_res(kCycles);
+  const std::uint64_t words1 = words.value();
+  eng->step_cycle_batch(cycle_in, kCycles, cycle_res);
+  EXPECT_EQ(words.value() - words1, 2u);
+  EXPECT_EQ(cycles.value() - cycles0, 5 + kCycles);
+  // Clocked traffic counts as cycles, never as patterns.
+  EXPECT_EQ(patterns.value() - patterns0,
+            kScalar + kBatch + ccfg.num_patterns);
 }
 
 // Deep over-scaling: when every path misses the clock, each operation
@@ -342,7 +392,6 @@ TEST(SimEngine, StaArrivalBoundsSettleTimes) {
   cfg.variation_sigma = 0.05;
   cfg.variation_seed = 11;
   cfg.engine = EngineKind::kLevelized;
-  cfg.lane_width = 64;  // pin the instantiation for the cast below
   VosDutSim sim(rca, lib(), op, cfg);
   const LevelizedSimulator& eng =
       dynamic_cast<const LevelizedSimulator&>(sim.engine());
