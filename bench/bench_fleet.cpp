@@ -8,7 +8,7 @@
 //   FLEET_CHIPS                population size
 //   FLEET_THROUGHPUT           chips/sec of the serving phase (shared
 //                              pool, default jobs) — gated in
-//                              run_benches.sh via VOSIM_MIN_FLEET_TPS
+//                              run_benches.sh's gate table
 //   FLEET_PARALLEL_EFFICIENCY  serial-serve time / (threads x parallel
 //                              serve time): the in-process analogue of
 //                              the multi-process shard efficiency

@@ -15,10 +15,10 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/tech/operating_point.hpp"
+#include "src/util/jsonl.hpp"
 
 namespace vosim {
 
@@ -135,31 +135,6 @@ struct MergeStats {
 MergeStats merge_stores(const std::vector<std::string>& inputs,
                         const std::string& out_path,
                         bool strip_timing = false);
-
-/// Minimal JSONL field accessors shared by the store, the merge tool
-/// and the serve daemon's wire format (src/serve). The readers only
-/// handle the flat object lines this codebase writes — identifiers and
-/// numbers, no escapes or nesting; quote() escapes free text on the
-/// way out.
-namespace jsonl {
-
-/// Shortest round-trippable decimal form of a double.
-std::string num(double v);
-/// `text` as a JSON string literal, quotes included: `"` and `\` are
-/// backslash-escaped and control characters become \u00XX, so any
-/// byte string (an exception message, an echoed client token) splices
-/// into a line as valid JSON.
-std::string quote(std::string_view text);
-/// Extracts the raw token after `"field":` — a number, or the body of
-/// a quoted string. Returns false when the field is absent.
-bool raw_field(const std::string& line, const std::string& field,
-               std::string& out);
-bool num_field(const std::string& line, const std::string& field,
-               double& out);
-bool u64_field(const std::string& line, const std::string& field,
-               std::uint64_t& out);
-
-}  // namespace jsonl
 
 }  // namespace vosim
 

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "src/campaign/store.hpp"  // jsonl::num — shortest decimal form
+#include "src/util/jsonl.hpp"
 
 namespace vosim::obs {
 namespace {

@@ -1,13 +1,12 @@
 #include "src/obs/trace.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
 
-#include "src/campaign/store.hpp"  // jsonl::num
+#include "src/util/jsonl.hpp"
 
 namespace vosim::obs {
 
@@ -71,31 +70,6 @@ ThreadBuf& thread_buf() {
   return *buf;
 }
 
-/// JSON string escaping for arg values (names/cats are literals and
-/// assumed clean).
-std::string escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void start_trace() {
@@ -132,8 +106,8 @@ std::string stop_trace_json() {
         out << ",\"args\":{";
         bool afirst = true;
         for (const auto& [k, v] : e.args) {
-          out << (afirst ? "" : ",") << '"' << escape(k) << "\":\""
-              << escape(v) << '"';
+          out << (afirst ? "" : ",") << jsonl::quote(k) << ':'
+              << jsonl::quote(v);
           afirst = false;
         }
         out << '}';

@@ -10,6 +10,7 @@
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/util/jsonl.hpp"
 
 namespace vosim {
 

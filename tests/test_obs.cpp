@@ -100,7 +100,8 @@ TEST(Trace, SessionRecordsChromeCompleteEvents) {
   {
     obs::ScopedSpan outer("test.outer", "test");
     outer.arg("label", std::string("quoted \"value\""))
-        .arg("n", std::uint64_t{42});
+        .arg("n", std::uint64_t{42})
+        .arg("text", std::string("a\nb\tc\\"));
     obs::ScopedSpan inner("test.inner", "test");
   }
   std::thread worker([] { obs::ScopedSpan span("test.worker", "test"); });
@@ -114,7 +115,7 @@ TEST(Trace, SessionRecordsChromeCompleteEvents) {
   EXPECT_NE(doc.find("\"name\":\"test.worker\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(doc.find("\"args\":{\"label\":\"quoted \\\"value\\\"\","
-                     "\"n\":\"42\"}"),
+                     "\"n\":\"42\",\"text\":\"a\\u000ab\\u0009c\\\\\"}"),
             std::string::npos);
   // The worker thread got its own track (tid 2 after the main thread).
   EXPECT_NE(doc.find("\"tid\":2"), std::string::npos);

@@ -1,98 +1,39 @@
 #!/usr/bin/env bash
 # Runs the vosim benchmark binaries and emits one machine-readable
-# BENCH_<name>.json per bench with wall-clock time, pattern budget and
-# exit status — the start of the repo's perf trajectory.
+# BENCH_<name>.json per bench with wall-clock time, pattern budget, exit
+# status and the readings of the gate table below.
 #
 # Usage:
 #   tools/run_benches.sh [BUILD_DIR] [BENCH_NAME...]
 #
 #   BUILD_DIR     directory containing the bench_* binaries (default: build)
-#   BENCH_NAME    optional subset, e.g. "bench_fig5_ber_bitpos"; default is
-#                 every bench_* binary found in BUILD_DIR.
+#   BENCH_NAME    optional subset, e.g. "bench_fig5_ber_bitpos" or a
+#                 pseudo-bench below; default is every bench_* binary
+#                 found in BUILD_DIR plus every pseudo-bench.
 #
 # Environment:
 #   VOSIM_PATTERNS   patterns per triad (default 200 here; the binaries
 #                    themselves default to the paper's 20000).
 #   VOSIM_BENCH_OUT  output directory for BENCH_*.json and bench CSVs
 #                    (default: BUILD_DIR).
-#   VOSIM_MIN_ENGINE_SPEEDUP
-#                    floor for the levelized-vs-event speedup printed by
-#                    bench_fig8_ber_energy (adders) and
-#                    bench_table3_multiplier (mul8 array/Wallace)
-#                    (default 5; the run fails if a measured
-#                    LEVELIZED_SPEEDUP drops below it).
-#   VOSIM_MAX_BER_DEV_PP
-#                    ceiling for the BER deviation between engines
-#                    (RCA8 for fig8, mul8 for table3_multiplier), in
-#                    percentage points (default 2.0).
-#   VOSIM_MAX_MODEL_QUALITY_DEV_PP
-#                    ceiling for the model-vs-gate-level application
-#                    quality deviation printed by bench_ext_app_pareto
-#                    (normalized quality percentage points, default 35).
-#   VOSIM_MIN_CLOSED_LOOP_SAVINGS_PCT
-#                    floor for the closed-loop-vs-safest-rung energy
-#                    saving printed by bench_pipeline (default 10; the
-#                    run fails if CLOSED_LOOP_SAVINGS_PCT drops below
-#                    it). bench_pipeline's SEQ_BER_DEV_PP (cross-engine
-#                    step_cycle BER deviation over the error-onset
-#                    band) is gated by VOSIM_MAX_BER_DEV_PP too.
-#   VOSIM_MIN_FLEET_TPS
-#                    floor for FLEET_THROUGHPUT (chips/sec of the fleet
-#                    serving phase) printed by bench_fleet (default 20
-#                    at the default 200-pattern budget — a regression
-#                    tripwire for the per-chip closed-loop path).
-#   VOSIM_MIN_SHARD_EFFICIENCY
-#                    floor for the 4-shard parallel efficiency measured
-#                    by the fleet_shard pseudo-bench (default 0.7).
-#                    Enforced only when nproc >= 4: on fewer cores the
-#                    four concurrent shard processes time-share one
-#                    machine, so the figure is reported, not gated.
-#   VOSIM_MIN_CACHE_HIT_RATE
-#                    floor for CACHE_HIT_RATE (resumed/total cells of
-#                    the campaign_smoke second pass, default 0 — the
-#                    line and the BENCH field are the tripwire; the
-#                    resume check above it already demands 1.0).
-#   VOSIM_MAX_PROVENANCE_OVERHEAD_PCT
-#                    ceiling for PROVENANCE_OVERHEAD_PCT printed by
-#                    bench_perf_speedup (event engine) and
-#                    bench_pipeline (clocked levelized path): the
-#                    relative deviation of two interleaved observers-off
-#                    sweep legs (default 2 — the SimObserver dispatch
-#                    guard is one branch; anything a real regression
-#                    adds to the observers-off path must climb above
-#                    this noise floor; DESIGN.md §13).
-#   VOSIM_MAX_FIG5_PROV_DEV_PP
-#                    ceiling for FIG5_PROV_DEV_PP printed by
-#                    bench_fig5_ber_bitpos: max per-bit deviation
-#                    between attribution-derived BER (ErrorProvenance)
-#                    and the output-diff BER table, in percentage
-#                    points (default 0.5; attribution is bit-exact by
-#                    construction, so this is effectively an equality
-#                    gate with float-print slack).
 #
 # Every bench binary prints one BENCH_METRICS_JSON line at exit (the
 # process-wide telemetry snapshot, src/obs); it is folded into the
-# bench's BENCH_*.json as a "metrics" object. The campaign_smoke
-# second pass also runs with --trace/--metrics-json and both files are
-# validated as JSON (python3, when available) and kept for CI upload.
+# bench's BENCH_*.json as a "metrics" object.
 #
-# After the bench set, a tiny smoke campaign (2 workloads x 1 circuit x
-# 4 triads on the model backend) runs twice through vosim_cli: the
-# second pass must resume every cell from the JSONL store. Emits
-# BENCH_campaign_smoke.json; the store is kept as campaign_smoke.jsonl
-# for CI artifact upload.
-#
-# Two more pseudo-benches ride along (DESIGN.md §11):
-#   fleet_shard  runs a 1000-chip fleet campaign once single-process
-#                and once as 4 concurrent shard processes, merges the
-#                shard stores (content-keyed, last-write-wins) and
-#                fails unless the merged store is bit-identical to the
-#                canonicalized single-process one. The merged store is
-#                kept as fleet_shard_merged.jsonl for CI upload.
-#   serve_smoke  starts the vosim_cli daemon on a Unix socket, issues
-#                two concurrent campaign requests, and fails unless the
-#                streamed cells are bit-identical to the same grids run
-#                offline.
+# Three pseudo-benches drive vosim_cli instead of a bench_* binary:
+#   campaign_smoke  a tiny store-backed campaign run twice; the second
+#                   pass must resume every cell from the JSONL store and
+#                   its --trace/--metrics-json files must be valid JSON;
+#                   a gate-level --provenance pass must publish its
+#                   counters (DESIGN.md §9, §12, §13).
+#   fleet_shard     a 1000-chip fleet campaign run single-process and as
+#                   4 concurrent shard processes; the merged shard stores
+#                   must be bit-identical to the canonicalized
+#                   single-process store (DESIGN.md §11).
+#   serve_smoke     the vosim_cli daemon on a Unix socket answers two
+#                   concurrent campaign requests; the streamed cells must
+#                   be bit-identical to the same grids run offline.
 #
 # Finally the BENCH_*.json set is copied to the repo root so the perf
 # trajectory is tracked in-tree.
@@ -111,11 +52,128 @@ export VOSIM_PATTERNS="${VOSIM_PATTERNS:-200}"
 out_dir="${VOSIM_BENCH_OUT:-${build_dir}}"
 mkdir -p "${out_dir}"
 out_dir="$(cd "${out_dir}" && pwd)"
+cli="${build_dir}/vosim_cli"
 
-# "campaign_smoke", "fleet_shard" and "serve_smoke" are pseudo-benches:
-# they select the vosim_cli-driven checks below instead of a bench_*
-# binary. With no arguments the full bench set and every pseudo-bench
-# run.
+# The 4 shard processes time-share a machine with fewer cores, so there
+# the shard efficiency is recorded, not gated.
+fs_shards=4
+cores=$(nproc 2>/dev/null || echo 1)
+shard_op=">="
+[ "${cores}" -ge "${fs_shards}" ] || shard_op=record
+
+# ---- the gate table: the one place bounds live ----
+# bench | log key | BENCH json field | op | bound. A bench's rows write
+# their fields in table order from the last "KEY value" line of its log.
+# ">=" is a floor, "<=" a ceiling, "record" a reading without a bound,
+# "text" a string. A missing line or a reading that is not a finite
+# decimal fails the bench on every row and is recorded as null.
+gates=(
+  # Levelized-vs-event speedup and RCA8 BER deviation of the Fig. 8
+  # adder sweep on both engines.
+  "bench_fig8_ber_energy|LEVELIZED_SPEEDUP|levelized_speedup|>=|5"
+  "bench_fig8_ber_energy|LEVELIZED_BER_DEV_PP|levelized_ber_dev_pp|<=|2.0"
+  # The same two for the mul8 array/Wallace Table III sweep.
+  "bench_table3_multiplier|LEVELIZED_SPEEDUP|levelized_speedup|>=|5"
+  "bench_table3_multiplier|LEVELIZED_BER_DEV_PP|levelized_ber_dev_pp|<=|2.0"
+  # Batched levelized clocked sweep over the event engine.
+  "bench_pipeline|SEQ_LEVELIZED_SPEEDUP|seq_levelized_speedup|>=|10"
+  # Cross-engine step_cycle BER deviation over the error-onset band.
+  "bench_pipeline|SEQ_BER_DEV_PP|seq_ber_dev_pp|<=|2.0"
+  # Closed-loop energy saving against the guard-banded safest rung.
+  "bench_pipeline|CLOSED_LOOP_SAVINGS_PCT|closed_loop_savings_pct|>=|10"
+  # Observers-off noise floor of the clocked batched path (DESIGN.md §13).
+  "bench_pipeline|PROVENANCE_OVERHEAD_PCT|provenance_overhead_pct|<=|2"
+  # Attribution-derived vs output-diff per-bit BER; exact by
+  # construction, so 0.5 pp is float-print slack (DESIGN.md §13).
+  "bench_fig5_ber_bitpos|FIG5_PROV_DEV_PP|fig5_prov_dev_pp|<=|0.5"
+  # Model-vs-gate-level application quality deviation, max and mean,
+  # in normalized quality pp.
+  "bench_ext_app_pareto|MODEL_QUALITY_DEV|model_quality_dev_pp|<=|35"
+  "bench_ext_app_pareto|MODEL_QUALITY_DEV_MEAN|model_quality_dev_mean_pp|record|"
+  # SIMD tier the build compiled for: a host fingerprint.
+  "bench_perf_speedup|SIMD_COMPILED|simd_compiled|text|"
+  # Observers-off noise floor of the event engine sweep.
+  "bench_perf_speedup|PROVENANCE_OVERHEAD_PCT|provenance_overhead_pct|<=|2"
+  # Fleet serving-phase chips/s: the per-chip closed-loop path.
+  "bench_fleet|FLEET_THROUGHPUT|fleet_throughput_cps|>=|20"
+  # In-process parallel efficiency and fleet-wide energy spread.
+  "bench_fleet|FLEET_PARALLEL_EFFICIENCY|fleet_parallel_efficiency|record|"
+  "bench_fleet|FLEET_ENERGY_SPREAD_PCT|fleet_energy_spread_pct|record|"
+  # Resumed share of the second campaign pass; the resume check is the
+  # gate.
+  "campaign_smoke|CACHE_HIT_RATE|cache_hit_rate|record|"
+  # 4-shard parallel efficiency, gated on >= 4 cores only.
+  "fleet_shard|SHARD_EFFICIENCY|shard_efficiency|${shard_op}|0.7"
+)
+num_re='^-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?$'
+
+# Seconds between two `date +%s%N` stamps.
+secs() { awk -v a="$1" -v b="$2" 'BEGIN{printf "%.3f", (b-a)/1e9}'; }
+# One ',\n  "KEY": VALUE' record fragment.
+kv() { printf ',\n  "%s": %s' "$1" "$2"; }
+
+# check NAME KEY VALUE OP BOUND: succeeds when VALUE is present, a finite
+# decimal (any string for "text") and within OP BOUND; else says why.
+check() {
+  local name="$1" key="$2" v="$3" op="$4" bound="$5"
+  if [ -z "${v}" ]; then
+    echo "FAIL ${name}: missing ${key} in log" >&2
+  elif [ "${op}" = text ]; then
+    return 0
+  elif ! [[ "${v}" =~ ${num_re} ]]; then
+    echo "FAIL ${name}: ${key} '${v}' is not a finite number" >&2
+  elif [ "${op}" = record ] || awk -v v="${v}" -v b="${bound}" -v op="${op}" \
+      'BEGIN{exit !(op == ">=" ? v + 0 >= b + 0 : op == "<=" && v + 0 <= b + 0)}'; then
+    return 0
+  else
+    echo "FAIL ${name}: ${key} ${v} violates ${op} ${bound}" >&2
+  fi
+  return 1
+}
+
+# gate NAME LOG: checks NAME's table rows against LOG and sets `fields`
+# to their record fragments. Fails if any row fails.
+gate() {
+  local name="$1" log="$2" row bench key field op bound v rc=0
+  fields=""
+  for row in "${gates[@]}"; do
+    IFS='|' read -r bench key field op bound <<<"${row}"
+    [ "${bench}" = "${name}" ] || continue
+    v=$(sed -n "s/^${key} //p" "${log}" 2>/dev/null | tail -n 1)
+    check "${name}" "${key}" "${v}" "${op}" "${bound}" || rc=1
+    if [ "${op}" = text ] && [ -n "${v}" ]; then
+      v="\"${v}\""
+    elif ! [[ "${v}" =~ ${num_re} ]]; then
+      v=null
+    fi
+    fields+=$(kv "${field}" "${v}")
+  done
+  return "${rc}"
+}
+
+# write_record NAME STATUS HEAD TAIL [NOTE]: BENCH_<NAME>.json holds
+# "bench", the HEAD fragments, the keys every record shares (the
+# caller's wall_s, STATUS, a timestamp, the caller's log), then the TAIL
+# fragments. Prints the ok/FAIL line and counts a failure.
+write_record() {
+  local name="$1" status="$2" json="BENCH_${1#bench_}.json"
+  cat >"${out_dir}/${json}" <<EOF
+{
+  "bench": "${name}"$3,
+  "wall_seconds": ${wall_s},
+  "exit_code": ${status},
+  "timestamp_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
+  "log": "$(basename "${log}")"$4
+}
+EOF
+  if [ "${status}" -ne 0 ]; then
+    echo "FAIL ${name} (exit ${status}, ${wall_s}s) -> ${json}"
+    failures=$((failures + 1))
+  else
+    echo "ok   ${name} (${wall_s}s${5:-}) -> ${json}"
+  fi
+}
+
 run_smoke=0
 run_fleet_shard=0
 run_serve=0
@@ -138,9 +196,9 @@ else
     [ -x "$f" ] && [ ! -d "$f" ] && benches+=("$(basename "$f")")
   done
 fi
+total=$((${#benches[@]} + run_smoke + run_fleet_shard + run_serve))
 
-if [ "${#benches[@]}" -eq 0 ] && [ "${run_smoke}" -eq 0 ] && \
-   [ "${run_fleet_shard}" -eq 0 ] && [ "${run_serve}" -eq 0 ]; then
+if [ "${total}" -eq 0 ]; then
   echo "error: no bench_* binaries in '${build_dir}'" >&2
   exit 2
 fi
@@ -156,223 +214,20 @@ for name in ${benches[@]+"${benches[@]}"}; do
   fi
   log="${out_dir}/${name}.log"
   start_ns=$(date +%s%N)
-  (cd "${out_dir}" && "${build_dir}/${name}" >"${name}.log" 2>&1)
+  (cd "${out_dir}" && "${bin}" >"${log}" 2>&1)
   status=$?
-  end_ns=$(date +%s%N)
-  wall_s=$(awk -v a="${start_ns}" -v b="${end_ns}" 'BEGIN{printf "%.3f", (b-a)/1e9}')
-  json="${out_dir}/BENCH_${name#bench_}.json"
-  # bench_fig8_ber_energy (adders) and bench_table3_multiplier (mul8)
-  # run their sweeps on both engines and print machine-readable
-  # comparison lines; carry them into the JSON and enforce the speedup
-  # floor / BER-deviation ceiling.
-  engine_fields=""
-  if { [ "${name}" = "bench_fig8_ber_energy" ] || \
-       [ "${name}" = "bench_table3_multiplier" ]; } && \
-     [ "${status}" -eq 0 ]; then
-    speedup=$(sed -n 's/^LEVELIZED_SPEEDUP //p' "${log}" | tail -n 1)
-    ber_dev=$(sed -n 's/^LEVELIZED_BER_DEV_PP //p' "${log}" | tail -n 1)
-    if [ -n "${speedup}" ] && [ -n "${ber_dev}" ]; then
-      engine_fields=",
-  \"levelized_speedup\": ${speedup},
-  \"levelized_ber_dev_pp\": ${ber_dev}"
-      min_speedup="${VOSIM_MIN_ENGINE_SPEEDUP:-5}"
-      max_dev="${VOSIM_MAX_BER_DEV_PP:-2.0}"
-      if ! awk -v s="${speedup}" -v m="${min_speedup}" \
-           'BEGIN{exit !(s >= m)}'; then
-        echo "FAIL ${name}: levelized speedup ${speedup}x < ${min_speedup}x floor" >&2
-        status=1
-      fi
-      if ! awk -v d="${ber_dev}" -v m="${max_dev}" \
-           'BEGIN{exit !(d <= m)}'; then
-        echo "FAIL ${name}: BER deviation ${ber_dev}pp > ${max_dev}pp ceiling" >&2
-        status=1
-      fi
-    else
-      echo "FAIL ${name}: missing LEVELIZED_SPEEDUP/LEVELIZED_BER_DEV_PP in log" >&2
-      status=1
-    fi
-  fi
-  # bench_pipeline sweeps the pipelined circuits on both engines'
-  # clocked step_cycle paths and runs the closed-loop controller; gate
-  # the cross-engine BER deviation (error-onset band), the closed-loop
-  # energy saving vs the safest rung, and the batched levelized
-  # clocked sweep's speedup over the event engine.
-  if [ "${name}" = "bench_pipeline" ] && [ "${status}" -eq 0 ]; then
-    seq_dev=$(sed -n 's/^SEQ_BER_DEV_PP //p' "${log}" | tail -n 1)
-    cl_savings=$(sed -n 's/^CLOSED_LOOP_SAVINGS_PCT //p' "${log}" | tail -n 1)
-    seq_speedup=$(sed -n 's/^SEQ_LEVELIZED_SPEEDUP //p' "${log}" | tail -n 1)
-    if [ -n "${seq_dev}" ] && [ -n "${cl_savings}" ] && \
-       [ -n "${seq_speedup}" ]; then
-      engine_fields=",
-  \"seq_levelized_speedup\": ${seq_speedup},
-  \"seq_ber_dev_pp\": ${seq_dev},
-  \"closed_loop_savings_pct\": ${cl_savings}"
-      max_dev="${VOSIM_MAX_BER_DEV_PP:-2.0}"
-      min_savings="${VOSIM_MIN_CLOSED_LOOP_SAVINGS_PCT:-10}"
-      min_seq_speedup="${VOSIM_MIN_SEQ_ENGINE_SPEEDUP:-10}"
-      if ! awk -v d="${seq_dev}" -v m="${max_dev}" \
-           'BEGIN{exit !(d <= m)}'; then
-        echo "FAIL ${name}: sequential BER deviation ${seq_dev}pp > ${max_dev}pp ceiling" >&2
-        status=1
-      fi
-      if ! awk -v s="${cl_savings}" -v m="${min_savings}" \
-           'BEGIN{exit !(s >= m)}'; then
-        echo "FAIL ${name}: closed-loop savings ${cl_savings}% < ${min_savings}% floor" >&2
-        status=1
-      fi
-      if ! awk -v s="${seq_speedup}" -v m="${min_seq_speedup}" \
-           'BEGIN{exit !(s >= m)}'; then
-        echo "FAIL ${name}: sequential levelized speedup ${seq_speedup}x < ${min_seq_speedup}x floor" >&2
-        status=1
-      fi
-    else
-      echo "FAIL ${name}: missing SEQ_BER_DEV_PP/CLOSED_LOOP_SAVINGS_PCT/SEQ_LEVELIZED_SPEEDUP in log" >&2
-      status=1
-    fi
-    # Same observers-off noise-floor gate on the clocked batched path.
-    prov_oh=$(sed -n 's/^PROVENANCE_OVERHEAD_PCT //p' "${log}" | tail -n 1)
-    if [ -n "${prov_oh}" ]; then
-      engine_fields="${engine_fields},
-  \"provenance_overhead_pct\": ${prov_oh}"
-      max_oh="${VOSIM_MAX_PROVENANCE_OVERHEAD_PCT:-2}"
-      if ! awk -v o="${prov_oh}" -v m="${max_oh}" \
-           'BEGIN{exit !(o <= m)}'; then
-        echo "FAIL ${name}: observers-off overhead ${prov_oh}% > ${max_oh}% ceiling" >&2
-        status=1
-      fi
-    else
-      echo "FAIL ${name}: missing PROVENANCE_OVERHEAD_PCT in log" >&2
-      status=1
-    fi
-  fi
-  # bench_fig5_ber_bitpos reruns its VOS sweep with ErrorProvenance
-  # observers attached and derives the per-bit BER from culprit
-  # attribution; the attributed table must reproduce the output-diff
-  # table (the PO net is in its own fan-in cone, so attribution is
-  # exact by construction — DESIGN.md §13).
-  if [ "${name}" = "bench_fig5_ber_bitpos" ] && [ "${status}" -eq 0 ]; then
-    prov_dev=$(sed -n 's/^FIG5_PROV_DEV_PP //p' "${log}" | tail -n 1)
-    if [ -n "${prov_dev}" ]; then
-      engine_fields=",
-  \"fig5_prov_dev_pp\": ${prov_dev}"
-      max_prov_dev="${VOSIM_MAX_FIG5_PROV_DEV_PP:-0.5}"
-      if ! awk -v d="${prov_dev}" -v m="${max_prov_dev}" \
-           'BEGIN{exit !(d <= m)}'; then
-        echo "FAIL ${name}: provenance per-bit BER deviation ${prov_dev}pp > ${max_prov_dev}pp ceiling" >&2
-        status=1
-      fi
-    else
-      echo "FAIL ${name}: missing FIG5_PROV_DEV_PP in log" >&2
-      status=1
-    fi
-  fi
-  # bench_ext_app_pareto replays workloads through the statistical
-  # model and the gate-level simulator; gate the application-level
-  # quality deviation between the two.
-  if [ "${name}" = "bench_ext_app_pareto" ] && [ "${status}" -eq 0 ]; then
-    q_dev=$(sed -n 's/^MODEL_QUALITY_DEV //p' "${log}" | tail -n 1)
-    q_dev_mean=$(sed -n 's/^MODEL_QUALITY_DEV_MEAN //p' "${log}" | tail -n 1)
-    if [ -n "${q_dev}" ] && [ -n "${q_dev_mean}" ]; then
-      engine_fields=",
-  \"model_quality_dev_pp\": ${q_dev},
-  \"model_quality_dev_mean_pp\": ${q_dev_mean}"
-      max_q_dev="${VOSIM_MAX_MODEL_QUALITY_DEV_PP:-35}"
-      if ! awk -v d="${q_dev}" -v m="${max_q_dev}" \
-           'BEGIN{exit !(d <= m)}'; then
-        echo "FAIL ${name}: model quality deviation ${q_dev}pp > ${max_q_dev}pp ceiling" >&2
-        status=1
-      fi
-    else
-      echo "FAIL ${name}: missing MODEL_QUALITY_DEV in log" >&2
-      status=1
-    fi
-  fi
-  # bench_perf_speedup ends with the SIMD tier the build compiled for
-  # (a host fingerprint for the record, not a gate) and the
-  # observers-off noise-floor probe.
-  if [ "${name}" = "bench_perf_speedup" ] && [ "${status}" -eq 0 ]; then
-    simd_compiled=$(sed -n 's/^SIMD_COMPILED //p' "${log}" | tail -n 1)
-    if [ -n "${simd_compiled}" ]; then
-      engine_fields=",
-  \"simd_compiled\": \"${simd_compiled}\""
-    else
-      echo "FAIL ${name}: missing SIMD_COMPILED in log" >&2
-      status=1
-    fi
-    # Observers-off noise-floor gate: the SimObserver dispatch guard
-    # must stay a single branch (DESIGN.md §13).
-    prov_oh=$(sed -n 's/^PROVENANCE_OVERHEAD_PCT //p' "${log}" | tail -n 1)
-    if [ -n "${prov_oh}" ]; then
-      engine_fields="${engine_fields},
-  \"provenance_overhead_pct\": ${prov_oh}"
-      max_oh="${VOSIM_MAX_PROVENANCE_OVERHEAD_PCT:-2}"
-      if ! awk -v o="${prov_oh}" -v m="${max_oh}" \
-           'BEGIN{exit !(o <= m)}'; then
-        echo "FAIL ${name}: observers-off overhead ${prov_oh}% > ${max_oh}% ceiling" >&2
-        status=1
-      fi
-    else
-      echo "FAIL ${name}: missing PROVENANCE_OVERHEAD_PCT in log" >&2
-      status=1
-    fi
-  fi
-  # bench_fleet characterizes the pipe2-mul8 ladder once and serves it
-  # to a chip-instance Monte-Carlo population; gate the serving-phase
-  # throughput (chips/sec — a regression tripwire for the per-chip
-  # closed-loop path) and carry the in-process parallel efficiency and
-  # fleet-wide energy spread into the JSON.
-  if [ "${name}" = "bench_fleet" ] && [ "${status}" -eq 0 ]; then
-    fleet_tps=$(sed -n 's/^FLEET_THROUGHPUT //p' "${log}" | tail -n 1)
-    fleet_eff=$(sed -n 's/^FLEET_PARALLEL_EFFICIENCY //p' "${log}" | tail -n 1)
-    fleet_spread=$(sed -n 's/^FLEET_ENERGY_SPREAD_PCT //p' "${log}" | tail -n 1)
-    if [ -n "${fleet_tps}" ]; then
-      engine_fields=",
-  \"fleet_throughput_cps\": ${fleet_tps},
-  \"fleet_parallel_efficiency\": ${fleet_eff:-0},
-  \"fleet_energy_spread_pct\": ${fleet_spread:-0}"
-      min_tps="${VOSIM_MIN_FLEET_TPS:-20}"
-      if ! awk -v s="${fleet_tps}" -v m="${min_tps}" \
-           'BEGIN{exit !(s >= m)}'; then
-        echo "FAIL ${name}: fleet throughput ${fleet_tps} chips/s < ${min_tps} floor" >&2
-        status=1
-      fi
-    else
-      echo "FAIL ${name}: missing FLEET_THROUGHPUT in log" >&2
-      status=1
-    fi
-  fi
-  # The exit-time telemetry snapshot every bench prints (src/obs):
-  # carried into the JSON so a perf regression comes with its own
-  # counters (patterns simulated, lane words, cache traffic).
-  metrics_field=""
+  wall_s=$(secs "${start_ns}" "$(date +%s%N)")
+  # A bench that exited nonzero has failed; its readings are not gated.
+  fields=""
+  [ "${status}" -ne 0 ] || gate "${name}" "${log}" || status=1
   metrics_json=$(sed -n 's/^BENCH_METRICS_JSON //p' "${log}" | tail -n 1)
-  if [ -n "${metrics_json}" ]; then
-    metrics_field=",
-  \"metrics\": ${metrics_json}"
-  fi
-  cat >"${json}" <<EOF
-{
-  "bench": "${name}",
-  "patterns_per_triad": ${VOSIM_PATTERNS},
-  "wall_seconds": ${wall_s},
-  "exit_code": ${status},
-  "timestamp_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "log": "$(basename "${log}")"${engine_fields}${metrics_field}
-}
-EOF
-  if [ "${status}" -ne 0 ]; then
-    echo "FAIL ${name} (exit ${status}, ${wall_s}s) -> ${json}"
-    failures=$((failures + 1))
-  else
-    echo "ok   ${name} (${wall_s}s) -> ${json}"
-  fi
+  [ -z "${metrics_json}" ] || fields+=$(kv metrics "${metrics_json}")
+  write_record "${name}" "${status}" \
+    "$(kv patterns_per_triad "${VOSIM_PATTERNS}")" "${fields}"
 done
 
 # ---- smoke campaign: tiny grid + resume check through vosim_cli ----
-total="${#benches[@]}"
 if [ "${run_smoke}" -eq 1 ]; then
-  total=$((total + 1))
-  cli="${build_dir}/vosim_cli"
   smoke_status=0
   store="${out_dir}/campaign_smoke.jsonl"
   log="${out_dir}/campaign_smoke.log"
@@ -383,7 +238,9 @@ if [ "${run_smoke}" -eq 1 ]; then
   trace_file="${out_dir}/campaign_smoke_trace.json"
   metrics_file="${out_dir}/campaign_smoke_metrics.json"
   rm -f "${store}" "${trace_file}" "${metrics_file}"
-  hit_rate=0
+  : >"${log}"
+  cells=0
+  reused=0
   start_ns=$(date +%s%N)
   if [ -x "${cli}" ]; then
     # Pass 1 computes the 2x1x4 grid; pass 2 must answer every cell
@@ -429,52 +286,26 @@ if [ "${run_smoke}" -eq 1 ]; then
         fi
       fi
     done
-    hit_rate=$(awk -v r="${reused:-0}" -v c="${cells:-0}" \
-               'BEGIN{printf "%.3f", (c > 0) ? r / c : 0}')
-    echo "CACHE_HIT_RATE ${hit_rate}"
-    min_hit="${VOSIM_MIN_CACHE_HIT_RATE:-0}"
-    if ! awk -v h="${hit_rate}" -v m="${min_hit}" 'BEGIN{exit !(h >= m)}'; then
-      echo "FAIL campaign_smoke: cache hit rate ${hit_rate} < ${min_hit} floor" >&2
-      smoke_status=1
-    fi
   else
     echo "FAIL campaign_smoke: missing ${cli}" >&2
     smoke_status=1
-    cells=0
-    reused=0
   fi
-  end_ns=$(date +%s%N)
-  wall_s=$(awk -v a="${start_ns}" -v b="${end_ns}" 'BEGIN{printf "%.3f", (b-a)/1e9}')
+  wall_s=$(secs "${start_ns}" "$(date +%s%N)")
+  hit_rate=$(awk -v r="${reused:-0}" -v c="${cells:-0}" \
+             'BEGIN{printf "%.3f", (c > 0) ? r / c : 0}')
+  echo "CACHE_HIT_RATE ${hit_rate}" | tee -a "${log}"
+  gate campaign_smoke "${log}" || smoke_status=1
   # The pass-2 snapshot file is one JSON object per line; embed it so
   # the committed BENCH json carries the campaign's own counters.
-  telemetry_field=""
-  if [ -s "${metrics_file}" ]; then
-    telemetry_field=",
-  \"telemetry\": $(tail -n 1 "${metrics_file}")"
-  fi
-  cat >"${out_dir}/BENCH_campaign_smoke.json" <<EOF
-{
-  "bench": "campaign_smoke",
-  "patterns_per_triad": ${smoke_patterns},
-  "wall_seconds": ${wall_s},
-  "exit_code": ${smoke_status},
-  "timestamp_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "log": "campaign_smoke.log",
-  "grid_cells": ${cells:-0},
-  "resumed_cells": ${reused:-0},
-  "cache_hit_rate": ${hit_rate},
-  "trace": "campaign_smoke_trace.json",
-  "store": "campaign_smoke.jsonl",
-  "provenance_store": "campaign_smoke_prov.jsonl",
-  "provenance_metrics": "campaign_smoke_prov_metrics.json"${telemetry_field}
-}
-EOF
-  if [ "${smoke_status}" -ne 0 ]; then
-    echo "FAIL campaign_smoke (${wall_s}s) -> BENCH_campaign_smoke.json"
-    failures=$((failures + 1))
-  else
-    echo "ok   campaign_smoke (${wall_s}s, ${reused}/${cells} cells resumed, hit rate ${hit_rate}) -> BENCH_campaign_smoke.json"
-  fi
+  telemetry=""
+  [ ! -s "${metrics_file}" ] || telemetry=$(kv telemetry "$(tail -n 1 "${metrics_file}")")
+  write_record campaign_smoke "${smoke_status}" \
+    "$(kv patterns_per_triad "${smoke_patterns}")" \
+    "$(kv grid_cells "${cells:-0}")$(kv resumed_cells "${reused:-0}")${fields}$(
+      kv trace '"campaign_smoke_trace.json"')$(kv store '"campaign_smoke.jsonl"')$(
+      kv provenance_store '"campaign_smoke_prov.jsonl"')$(
+      kv provenance_metrics '"campaign_smoke_prov_metrics.json"')${telemetry}" \
+    ", ${reused}/${cells} cells resumed, hit rate ${hit_rate}"
 fi
 
 # ---- fleet_shard: sharded fleet campaign, merge bit-identity ----
@@ -485,13 +316,10 @@ fi
 # the canonicalized single-process store; elapsed_s is the only
 # legitimately differing field and --strip-timing zeroes it.
 if [ "${run_fleet_shard}" -eq 1 ]; then
-  total=$((total + 1))
-  cli="${build_dir}/vosim_cli"
   fs_status=0
   fs_dir="${out_dir}/fleet_shard"
   log="${out_dir}/fleet_shard.log"
   fs_chips=1000
-  fs_shards=4
   fs_args=(campaign --workloads fir --circuits rca16
            --backends sim-levelized --max-triads 1
            --chips "${fs_chips}" --patterns 300 --jobs 1)
@@ -501,7 +329,6 @@ if [ "${run_fleet_shard}" -eq 1 ]; then
   cells=0
   single_s=0
   shard_s=0
-  eff=0
   start_ns=$(date +%s%N)
   if [ -x "${cli}" ]; then
     t0=$(date +%s%N)
@@ -511,22 +338,20 @@ if [ "${run_fleet_shard}" -eq 1 ]; then
     # The shard processes run concurrently: shard wall time vs the
     # single-process time is the parallel-efficiency measurement.
     pids=()
+    shard_files=()
     for i in $(seq 0 $((fs_shards - 1))); do
       (cd "${fs_dir}" && "${cli}" "${fs_args[@]}" \
          --shard "${i}/${fs_shards}" --store "shard${i}.jsonl" \
          >>"${log}" 2>&1) &
       pids+=($!)
+      shard_files+=("shard${i}.jsonl")
     done
     for pid in "${pids[@]}"; do
       wait "${pid}" || fs_status=1
     done
     t2=$(date +%s%N)
-    single_s=$(awk -v a="${t0}" -v b="${t1}" 'BEGIN{printf "%.3f", (b-a)/1e9}')
-    shard_s=$(awk -v a="${t1}" -v b="${t2}" 'BEGIN{printf "%.3f", (b-a)/1e9}')
-    shard_files=()
-    for i in $(seq 0 $((fs_shards - 1))); do
-      shard_files+=("shard${i}.jsonl")
-    done
+    single_s=$(secs "${t0}" "${t1}")
+    shard_s=$(secs "${t1}" "${t2}")
     (cd "${fs_dir}" && "${cli}" merge-store merged.jsonl \
        "${shard_files[@]}" --strip-timing >>"${log}" 2>&1) || fs_status=1
     (cd "${fs_dir}" && "${cli}" merge-store canonical.jsonl single.jsonl \
@@ -540,47 +365,24 @@ if [ "${run_fleet_shard}" -eq 1 ]; then
       echo "FAIL fleet_shard: ${cells} cells < ${fs_chips} chip instances" >&2
       fs_status=1
     fi
-    eff=$(awk -v s="${single_s}" -v p="${shard_s}" -v n="${fs_shards}" \
-          'BEGIN{printf "%.3f", (p > 0) ? s / (n * p) : 0}')
-    min_eff="${VOSIM_MIN_SHARD_EFFICIENCY:-0.7}"
-    cores=$(nproc 2>/dev/null || echo 1)
-    if [ "${cores}" -ge "${fs_shards}" ]; then
-      if ! awk -v e="${eff}" -v m="${min_eff}" 'BEGIN{exit !(e >= m)}'; then
-        echo "FAIL fleet_shard: shard efficiency ${eff} < ${min_eff} floor on ${cores} cores" >&2
-        fs_status=1
-      fi
-    else
-      echo "note fleet_shard: efficiency ${eff} reported, gate skipped (${cores} < ${fs_shards} cores)"
-    fi
     cp -f "${fs_dir}/merged.jsonl" "${out_dir}/fleet_shard_merged.jsonl"
   else
     echo "FAIL fleet_shard: missing ${cli}" >&2
     fs_status=1
   fi
-  end_ns=$(date +%s%N)
-  wall_s=$(awk -v a="${start_ns}" -v b="${end_ns}" 'BEGIN{printf "%.3f", (b-a)/1e9}')
-  cat >"${out_dir}/BENCH_fleet_shard.json" <<EOF
-{
-  "bench": "fleet_shard",
-  "chips": ${fs_chips},
-  "shards": ${fs_shards},
-  "grid_cells": ${cells:-0},
-  "single_process_seconds": ${single_s},
-  "sharded_wall_seconds": ${shard_s},
-  "shard_efficiency": ${eff},
-  "wall_seconds": ${wall_s},
-  "exit_code": ${fs_status},
-  "timestamp_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "log": "fleet_shard.log",
-  "store": "fleet_shard_merged.jsonl"
-}
-EOF
-  if [ "${fs_status}" -ne 0 ]; then
-    echo "FAIL fleet_shard (${wall_s}s) -> BENCH_fleet_shard.json"
-    failures=$((failures + 1))
-  else
-    echo "ok   fleet_shard (${wall_s}s, ${cells} cells, efficiency ${eff}) -> BENCH_fleet_shard.json"
-  fi
+  wall_s=$(secs "${start_ns}" "$(date +%s%N)")
+  eff=$(awk -v s="${single_s}" -v p="${shard_s}" -v n="${fs_shards}" \
+        'BEGIN{printf "%.3f", (p > 0) ? s / (n * p) : 0}')
+  echo "SHARD_EFFICIENCY ${eff}" >>"${log}"
+  gate fleet_shard "${log}" || fs_status=1
+  [ "${shard_op}" != record ] || \
+    echo "note fleet_shard: efficiency ${eff} reported, gate skipped (${cores} < ${fs_shards} cores)"
+  write_record fleet_shard "${fs_status}" \
+    "$(kv chips "${fs_chips}")$(kv shards "${fs_shards}")$(
+      kv grid_cells "${cells:-0}")$(kv single_process_seconds "${single_s}")$(
+      kv sharded_wall_seconds "${shard_s}")${fields}" \
+    "$(kv store '"fleet_shard_merged.jsonl"')" \
+    ", ${cells} cells, efficiency ${eff}"
 fi
 
 # ---- serve_smoke: the daemon answers concurrent requests exactly ----
@@ -589,8 +391,6 @@ fi
 # bit-identical to the same grids run offline (after canonicalization;
 # elapsed_s is wall clock and gets stripped on both sides).
 if [ "${run_serve}" -eq 1 ]; then
-  total=$((total + 1))
-  cli="${build_dir}/vosim_cli"
   sv_status=0
   sv_dir="${out_dir}/serve_smoke"
   log="${out_dir}/serve_smoke.log"
@@ -651,25 +451,10 @@ if [ "${run_serve}" -eq 1 ]; then
     echo "FAIL serve_smoke: missing ${cli}" >&2
     sv_status=1
   fi
-  end_ns=$(date +%s%N)
-  wall_s=$(awk -v a="${start_ns}" -v b="${end_ns}" 'BEGIN{printf "%.3f", (b-a)/1e9}')
+  wall_s=$(secs "${start_ns}" "$(date +%s%N)")
   served=$(wc -l <"${sv_dir}/served_cells.jsonl" 2>/dev/null || echo 0)
-  cat >"${out_dir}/BENCH_serve_smoke.json" <<EOF
-{
-  "bench": "serve_smoke",
-  "served_cells": ${served:-0},
-  "wall_seconds": ${wall_s},
-  "exit_code": ${sv_status},
-  "timestamp_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "log": "serve_smoke.log"
-}
-EOF
-  if [ "${sv_status}" -ne 0 ]; then
-    echo "FAIL serve_smoke (${wall_s}s) -> BENCH_serve_smoke.json"
-    failures=$((failures + 1))
-  else
-    echo "ok   serve_smoke (${wall_s}s, ${served} cells served) -> BENCH_serve_smoke.json"
-  fi
+  write_record serve_smoke "${sv_status}" "$(kv served_cells "${served:-0}")" "" \
+    ", ${served} cells served"
 fi
 
 # Track the perf trajectory in-tree: whatever BENCH_*.json this run
