@@ -13,6 +13,9 @@
 //   BM_Table3Sweep/0|1 — the full 43-triad grid, event|levelized
 //   BM_DispatchSpawnThreads / BM_DispatchThreadPool — fork-join overhead
 //     of spawning threads per sweep vs the shared persistent pool
+// After the google-benchmark groups it prints the readings
+// tools/run_benches.sh records: SIMD_COMPILED, PROVENANCE_OVERHEAD_PCT
+// and LEVELIZED_SCALAR_VS_EVENT (levelized / event scalar apply cost).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -21,6 +24,7 @@
 #include <cmath>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_common.hpp"
 #include "src/model/vos_model.hpp"
@@ -263,6 +267,62 @@ void report_provenance_overhead() {
   std::printf("PROVENANCE_OVERHEAD_PCT %.2f\n", overhead);
 }
 
+/// The engine-step rung for program-order campaign cells: scalar
+/// apply() cost of the levelized engine (its one-lane pass) over the
+/// event engine's, on rca16 at the campaign ladder's deepest corner
+/// (0.5·CP, 0.5 V), one fixed operand stream. Each rep times both
+/// engines back to back (interleaved, after a warm-up pass), and the
+/// reported figure is the median per-rep ratio — a reading, not a gate
+/// (single-process timing ratios drift with the host).
+void report_levelized_scalar_vs_event() {
+  const DutNetlist rca16 = to_dut(build_rca(16));
+  const double cp = synthesize_report(rca16.netlist, lib()).critical_path_ns;
+  const OperatingTriad deep{0.5 * cp, 0.5, 0.0};
+  constexpr std::size_t kAdds = 4000;
+  constexpr int kReps = 9;
+  std::vector<std::uint64_t> a(kAdds);
+  std::vector<std::uint64_t> b(kAdds);
+  Rng rng(7);
+  for (std::size_t i = 0; i < kAdds; ++i) {
+    a[i] = rng.bits(16);
+    b[i] = rng.bits(16);
+  }
+  TimingSimConfig ev_cfg;
+  ev_cfg.engine = EngineKind::kEvent;
+  TimingSimConfig lev_cfg;
+  lev_cfg.engine = EngineKind::kLevelized;
+  VosDutSim ev(rca16, lib(), deep, ev_cfg);
+  VosDutSim lev(rca16, lib(), deep, lev_cfg);
+  using clock = std::chrono::steady_clock;
+  std::uint64_t acc = 0;
+  const auto ns_per_add = [&](VosDutSim& sim) {
+    sim.reset();
+    const auto t0 = clock::now();
+    for (std::size_t i = 0; i < kAdds; ++i) acc ^= sim.apply(a[i], b[i]).sampled;
+    return std::chrono::duration<double, std::nano>(clock::now() - t0)
+               .count() /
+           static_cast<double>(kAdds);
+  };
+  ns_per_add(ev);  // warm-up
+  ns_per_add(lev);
+  std::vector<double> ev_ns;
+  std::vector<double> lev_ns;
+  std::vector<double> ratio;
+  for (int r = 0; r < kReps; ++r) {
+    ev_ns.push_back(ns_per_add(ev));
+    lev_ns.push_back(ns_per_add(lev));
+    ratio.push_back(lev_ns.back() / ev_ns.back());
+  }
+  benchmark::DoNotOptimize(acc);
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  std::printf("EVENT_SCALAR_APPLY_NS %.1f\nLEVELIZED_SCALAR_APPLY_NS %.1f\n",
+              median(ev_ns), median(lev_ns));
+  std::printf("LEVELIZED_SCALAR_VS_EVENT %.3f\n", median(ratio));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -275,5 +335,6 @@ int main(int argc, char** argv) {
   // compiled for (the word-commit kernels use AVX2 when present).
   std::printf("SIMD_COMPILED %s\n", lanes::simd_compiled_name());
   report_provenance_overhead();
+  report_levelized_scalar_vs_event();
   return 0;
 }

@@ -162,15 +162,11 @@ void prepare_context(const CellLibrary& lib, const CampaignConfig& config,
         TimingSimConfig sim_cfg;
         sim_cfg.engine = EngineKind::kLevelized;
         VosDutSim sim(ctx_ref.dut, lib, ctx_ref.triads[t], sim_cfg);
-        const HardwareOracle oracle = [&sim](std::uint64_t a,
-                                             std::uint64_t b) {
-          return sim.apply(a, b).sampled;
-        };
         TrainerConfig tcfg;
         tcfg.num_patterns = config.train_patterns;
         ctx_ref.models[t] = train_vos_model(
-            ctx_ref.dut.operand_width(0), ctx_ref.triads[t], oracle,
-            tcfg);
+            ctx_ref.dut.operand_width(0), ctx_ref.triads[t],
+            sampled_batch_oracle(sim), tcfg);
       },
       config.jobs);
 }

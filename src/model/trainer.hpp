@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 
 #include "src/characterize/patterns.hpp"
 #include "src/model/distance.hpp"
@@ -20,6 +21,20 @@ namespace vosim {
 using HardwareOracle =
     std::function<std::uint64_t(std::uint64_t a, std::uint64_t b)>;
 
+/// Batched hardware adder: fills observed[k] with the sampled output for
+/// (a[k], b[k]), with the state semantics of consecutive HardwareOracle
+/// calls (e.g. VosDutSim::apply_batch). The three spans have one length.
+using BatchHardwareOracle =
+    std::function<void(std::span<const std::uint64_t> a,
+                       std::span<const std::uint64_t> b,
+                       std::span<std::uint64_t> observed)>;
+
+/// Longest batch train_carry_table hands a BatchHardwareOracle: one
+/// levelized lane word, which already fills every lane of a packed pass
+/// while keeping the oracle's per-call buffers (one set per training
+/// thread) to a few KB.
+inline constexpr std::size_t kTrainBatch = 64;
+
 /// Training knobs.
 struct TrainerConfig {
   std::size_t num_patterns = 20000;
@@ -28,7 +43,14 @@ struct TrainerConfig {
   std::uint64_t pattern_seed = 42;
 };
 
-/// Runs Algorithm 1 and returns the normalized probability table.
+/// Runs Algorithm 1 and returns the normalized probability table. The
+/// training stream never depends on the observed outputs, so it is
+/// handed to the oracle in batches of at most kTrainBatch patterns.
+CarryChainProbTable train_carry_table(int width,
+                                      const BatchHardwareOracle& oracle,
+                                      const TrainerConfig& config = {});
+/// Same table from a one-pair oracle (called once per pattern, in
+/// stream order).
 CarryChainProbTable train_carry_table(int width, const HardwareOracle& oracle,
                                       const TrainerConfig& config = {});
 

@@ -61,6 +61,25 @@ VosAdderModel train_vos_model(int width, const OperatingTriad& triad,
                        train_carry_table(width, oracle, config));
 }
 
+VosAdderModel train_vos_model(int width, const OperatingTriad& triad,
+                              const BatchHardwareOracle& oracle,
+                              const TrainerConfig& config) {
+  return VosAdderModel(width, triad, config.metric,
+                       train_carry_table(width, oracle, config));
+}
+
+BatchHardwareOracle sampled_batch_oracle(VosDutSim& sim) {
+  return [&sim, results = std::vector<VosOpResult>()](
+             std::span<const std::uint64_t> a,
+             std::span<const std::uint64_t> b,
+             std::span<std::uint64_t> observed) mutable {
+    results.resize(a.size());
+    sim.apply_batch(a, b, results);
+    for (std::size_t k = 0; k < a.size(); ++k)
+      observed[k] = results[k].sampled;
+  };
+}
+
 void ModelLibrary::insert(VosAdderModel model) {
   models_.push_back(std::move(model));
 }
@@ -101,11 +120,8 @@ ModelLibrary train_model_library(const AdderNetlist& adder,
       [&](std::size_t t) {
         const DutNetlist dut = to_dut(adder);
         VosDutSim sim(dut, lib, triads[t], sim_config);
-        const HardwareOracle oracle = [&sim](std::uint64_t a,
-                                             std::uint64_t b) {
-          return sim.apply(a, b).sampled;
-        };
-        slots[t] = train_vos_model(adder.width, triads[t], oracle, config);
+        slots[t] = train_vos_model(adder.width, triads[t],
+                                   sampled_batch_oracle(sim), config);
       },
       threads);
 

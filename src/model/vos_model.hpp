@@ -52,6 +52,14 @@ class VosAdderModel {
 VosAdderModel train_vos_model(int width, const OperatingTriad& triad,
                               const HardwareOracle& oracle,
                               const TrainerConfig& config = {});
+VosAdderModel train_vos_model(int width, const OperatingTriad& triad,
+                              const BatchHardwareOracle& oracle,
+                              const TrainerConfig& config = {});
+
+class VosDutSim;
+/// Batch oracle over a two-operand simulator: the sampled outputs of
+/// VosDutSim::apply_batch. `sim` must outlive the oracle.
+BatchHardwareOracle sampled_batch_oracle(VosDutSim& sim);
 
 /// A family of models for one adder across a triad sweep.
 class ModelLibrary {

@@ -153,8 +153,16 @@ void CampaignServer::accept_loop() {
       continue;  // EINTR and friends
     }
     std::lock_guard<std::mutex> lock(conn_m_);
-    connections_.emplace_back(
-        [this, fd] { handle_connection(fd); });
+    connections_.remove_if([](Connection& c) {
+      if (!c.done.load()) return false;
+      c.thread.join();
+      return true;
+    });
+    Connection& c = connections_.emplace_back();
+    c.thread = std::thread([this, fd, &c] {
+      handle_connection(fd);
+      c.done.store(true);
+    });
   }
 }
 
@@ -357,13 +365,13 @@ void CampaignServer::stop() {
   ::shutdown(listen_fd_, SHUT_RDWR);
   ::close(listen_fd_);
   if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> conns;
+  std::list<Connection> conns;
   {
     std::lock_guard<std::mutex> lock(conn_m_);
     conns.swap(connections_);
   }
-  for (std::thread& t : conns)
-    if (t.joinable()) t.join();
+  for (Connection& c : conns)
+    if (c.thread.joinable()) c.thread.join();
   listen_fd_ = -1;
   ::unlink(config_.socket_path.c_str());
   shutdown_requested_.store(true);  // release any wait()er

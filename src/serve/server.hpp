@@ -51,6 +51,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -142,8 +143,16 @@ class CampaignServer {
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<std::uint64_t> requests_{0};
   std::thread acceptor_;
+  /// One connection thread. It sets `done` as its last act, so the
+  /// acceptor joins finished threads (releasing their stacks) before it
+  /// starts the next one and a long-running daemon holds at most its
+  /// live connections. List nodes keep `done` at a stable address.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
   std::mutex conn_m_;
-  std::vector<std::thread> connections_;
+  std::list<Connection> connections_;
   std::mutex wait_m_;
   std::condition_variable wait_cv_;
   /// Watch machinery: a bounded event log (deque semantics on a

@@ -1,6 +1,7 @@
 #include "src/sim/levelized_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 
@@ -12,6 +13,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/probe.hpp"
 #include "src/sta/sta.hpp"
+#include "src/tech/cell.hpp"
 #include "src/tech/gate_timing.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/rng.hpp"
@@ -225,6 +227,306 @@ struct MultiThresholdAcct {
     return false;  // no single sampled word is maintained in sweep mode
   }
 };
+
+/// cell_truth(kind) from a table built once: the passes look a gate's
+/// truth table up per gate, and cell_truth rebuilds it on every call.
+std::uint16_t cell_truth_of(CellKind kind) {
+  static const auto table = [] {
+    std::array<std::uint16_t, cell_kind_count> t{};
+    for (int k = 0; k < cell_kind_count; ++k)
+      t[static_cast<std::size_t>(k)] = cell_truth(static_cast<CellKind>(k));
+    return t;
+  }();
+  return table[static_cast<std::size_t>(kind)];
+}
+
+/// One gate of a pass as the per-lane walk bodies below see it. Both
+/// dispatchers fill it — the packed one (run_lanes_impl) with whole
+/// lane words, the one-lane one (run_one_lane) with lane-0 bits — so a
+/// lane's commit sequence is the same code whichever dispatcher
+/// reached it. Input timing rows are read only in lanes whose
+/// current-pass bit (changed / pulsing) is set: the rows are
+/// deliberately uninitialized storage (see time_ps_).
+struct GateLanes {
+  int n;                ///< gate inputs
+  unsigned full;        ///< (1 << n) - 1: every input still stale
+  std::uint16_t truth;  ///< cell_truth of the gate
+  NetId out;
+  double delay;
+  double energy;  ///< toggle energy of the output net
+  Word in_stale[3];
+  Word in_changed[3];
+  Word in_pulsing[3];
+  Word in_pulsing2[3];
+  const double* in_time[3];
+  const double* in_ps[3];
+  const double* in_pe[3];
+  const double* in_ps2[3];
+  const double* in_pe2[3];
+  /// W[s]: the gate value with the inputs in subset s still stale;
+  /// W[0] is the settled word.
+  Word W[8];
+  /// Output lanes whose settled value differs from their stale value.
+  Word changed;
+  // Built by the walks: sampled value at the edge, lanes that
+  // committed a flip, and lanes forwarding one or two glitch pulses.
+  Word sampled;
+  Word committed;
+  Word pulsing;
+  Word pulsing2;
+  double* tout;
+  double* pout_s;
+  double* pout_e;
+  double* pout2_s;
+  double* pout2_e;
+};
+
+/// Sensitized single flip at tc (one-changed lanes and the
+/// single-commit branch of two-changed lanes).
+template <class Acct>
+void commit_flip(GateLanes& g, Acct& acct, std::size_t k, double tc) {
+  if (acct.commit(g.out, k, tc, g.energy)) lanes::toggle_lane(g.sampled, k);
+  lanes::set_lane(g.committed, k);
+  g.tout[k] = tc;
+}
+
+/// Exactly two changed inputs i and j (i < j), no pulse: the
+/// trajectory is stale → mid → settled with mid = the gate with only
+/// the later input still old.
+template <class Acct>
+void two_changed_lane(GateLanes& g, Acct& acct, std::size_t k, int i,
+                      int j) {
+  double tf = g.in_time[i][k];
+  double ts = g.in_time[j][k];
+  unsigned mid = 1u << j;
+  if (ts < tf) {
+    std::swap(tf, ts);
+    mid = 1u << i;
+  }
+  const std::uint8_t mid_diff =
+      lanes::lane_bit(g.W[mid], k) ^ lanes::lane_bit(g.W[0], k);
+  if (lanes::lane_bit(g.changed, k) != 0) {
+    // Single commit: at the first flip when it already produces the
+    // final value, else at the second.
+    const double tc = (mid_diff == 0 ? tf : ts) + g.delay;
+    commit_flip(g, acct, k, tc);
+  } else if (mid_diff != 0 && tf + g.delay <= ts) {
+    // Surviving glitch pulse [tf+delay, ts+delay) on an unchanged
+    // output: two commits, forwarded downstream; a capture edge inside
+    // it samples the transient.
+    const double t1 = tf + g.delay;
+    const double t2 = ts + g.delay;
+    if (acct.commit(g.out, k, t1, g.energy)) lanes::toggle_lane(g.sampled, k);
+    if (acct.commit(g.out, k, t2, g.energy)) lanes::toggle_lane(g.sampled, k);
+    lanes::set_lane(g.pulsing, k);
+    g.pout_s[k] = t1;
+    g.pout_e[k] = t2;
+  }
+}
+
+/// Three changed inputs, no pulse: walk the four subset states in
+/// transition order with the inertial rule, starting from `cur0` (the
+/// lane's stale output value — in cycle mode the truncated launch
+/// value, which need not equal the gate function of the stale inputs).
+template <class Acct>
+void three_changed_lane(GateLanes& g, Acct& acct, std::size_t k,
+                        unsigned cur0) {
+  const double* const* in_time = g.in_time;
+  int order[3] = {0, 1, 2};
+  if (in_time[order[1]][k] < in_time[order[0]][k])
+    std::swap(order[0], order[1]);
+  if (in_time[order[2]][k] < in_time[order[1]][k])
+    std::swap(order[1], order[2]);
+  if (in_time[order[1]][k] < in_time[order[0]][k])
+    std::swap(order[0], order[1]);
+  unsigned s = g.full;
+  unsigned cur = cur0;
+  bool pending = false;
+  double commit_t = 0.0;
+  // At most three commits here (three input events), so first /
+  // second / last capture the whole trajectory exactly.
+  double cts[3] = {0.0, 0.0, 0.0};
+  double last_c = 0.0;
+  int ncommits = 0;
+  const auto do_commit = [&](double tc) {
+    cur ^= 1u;
+    if (ncommits < 3) cts[ncommits] = tc;
+    ++ncommits;
+    last_c = tc;
+    if (acct.commit(g.out, k, tc, g.energy)) lanes::toggle_lane(g.sampled, k);
+    lanes::set_lane(g.committed, k);
+  };
+  for (int j = 0; j < 3; ++j) {
+    const double t = in_time[order[j]][k];
+    if (pending && commit_t <= t) {
+      do_commit(commit_t);
+      pending = false;
+    }
+    s &= ~(1u << order[j]);
+    const auto v = static_cast<unsigned>(lanes::lane_bit(g.W[s], k));
+    if (v != cur && !pending) {
+      pending = true;
+      commit_t = t + g.delay;
+    } else if (v == cur && pending) {
+      pending = false;  // inertial cancellation
+    }
+  }
+  if (pending) do_commit(commit_t);
+  if (lanes::lane_bit(g.changed, k) != 0) {
+    if (ncommits >= 3) {
+      // The output bounced on its way to the settled value (stale →
+      // settled → stale → settled). Forward the full trajectory — first
+      // flip plus a return pulse — instead of one late flip: collapsing
+      // it to the final commit time systematically over-ages downstream
+      // transitions on reconvergent structures (array multipliers) and
+      // inflates deep-VOS BER versus the event engine.
+      g.tout[k] = cts[0];
+      lanes::set_lane(g.pulsing, k);
+      g.pout_s[k] = cts[1];
+      g.pout_e[k] = last_c;
+    } else {
+      g.tout[k] = last_c;
+    }
+  } else if (ncommits >= 2) {
+    lanes::set_lane(g.pulsing, k);
+    g.pout_s[k] = cts[0];
+    g.pout_e[k] = cts[1];
+  }
+}
+
+/// Lane fed by a glitch pulse: the generic event walk over the ≤15
+/// input events (flip per changed input, flip-and-return pair per
+/// forwarded pulse). It starts from the gate function of the stale
+/// inputs; every packed pulse class of run_lanes_impl is an exact
+/// shortcut of this walk on its lanes.
+template <class Acct>
+void pulse_lane(GateLanes& g, Acct& acct, std::size_t k) {
+  // Up to five events per input: a changed input that bounced twice
+  // carries its first flip plus two return pulses.
+  double ev_t[15];
+  std::uint8_t ev_i[15];
+  std::uint8_t ev_bit[15];
+  int ne = 0;
+  unsigned idx = 0;
+  for (int i = 0; i < g.n; ++i) {
+    const std::uint8_t sbit = lanes::lane_bit(g.in_stale[i], k);
+    idx |= static_cast<unsigned>(sbit) << i;
+    const auto push = [&](double t, std::uint8_t v) {
+      ev_t[ne] = t;
+      ev_i[ne] = static_cast<std::uint8_t>(i);
+      ev_bit[ne] = v;
+      ++ne;
+    };
+    const auto nbit = static_cast<std::uint8_t>(sbit ^ 1u);
+    if (lanes::lane_bit(g.in_changed[i], k) != 0) {
+      // First flip to the settled value; each forwarded pulse is a late
+      // return trip back to the stale value and out again.
+      push(g.in_time[i][k], nbit);
+      if (lanes::lane_bit(g.in_pulsing[i], k) != 0) {
+        push(g.in_ps[i][k], sbit);
+        push(g.in_pe[i][k], nbit);
+      }
+      if (lanes::lane_bit(g.in_pulsing2[i], k) != 0) {
+        push(g.in_ps2[i][k], sbit);
+        push(g.in_pe2[i][k], nbit);
+      }
+    } else {
+      // Unchanged input: each pulse is an excursion to the complement
+      // of the settled value and back.
+      if (lanes::lane_bit(g.in_pulsing[i], k) != 0) {
+        push(g.in_ps[i][k], nbit);
+        push(g.in_pe[i][k], sbit);
+      }
+      if (lanes::lane_bit(g.in_pulsing2[i], k) != 0) {
+        push(g.in_ps2[i][k], nbit);
+        push(g.in_pe2[i][k], sbit);
+      }
+    }
+  }
+  if (ne == 0) return;
+  for (int x = 1; x < ne; ++x)  // insertion sort, ascending time
+    for (int y = x; y > 0 && ev_t[y] < ev_t[y - 1]; --y) {
+      std::swap(ev_t[y], ev_t[y - 1]);
+      std::swap(ev_i[y], ev_i[y - 1]);
+      std::swap(ev_bit[y], ev_bit[y - 1]);
+    }
+  unsigned cur = (g.truth >> idx) & 1u;
+  bool pending = false;
+  double commit_t = 0.0;
+  double cts[4] = {0.0, 0.0, 0.0, 0.0};
+  double last_c = 0.0;
+  int ncommits = 0;
+  const auto do_commit = [&](double tc) {
+    cur ^= 1u;
+    if (ncommits < 4) cts[ncommits] = tc;
+    ++ncommits;
+    last_c = tc;
+    if (acct.commit(g.out, k, tc, g.energy)) lanes::toggle_lane(g.sampled, k);
+    lanes::set_lane(g.committed, k);
+  };
+  for (int j = 0; j < ne; ++j) {
+    if (pending && commit_t <= ev_t[j]) {
+      do_commit(commit_t);
+      pending = false;
+    }
+    idx = (idx & ~(1u << ev_i[j])) |
+          (static_cast<unsigned>(ev_bit[j]) << ev_i[j]);
+    const unsigned v = (g.truth >> idx) & 1u;
+    if (v != cur && !pending) {
+      pending = true;
+      commit_t = ev_t[j] + g.delay;
+    } else if (v == cur && pending) {
+      pending = false;  // inertial cancellation
+    }
+  }
+  if (pending) do_commit(commit_t);
+  if (lanes::lane_bit(g.changed, k) != 0) {
+    if (ncommits >= 3) {
+      // Bouncing changed output: first flip + return pulses (see
+      // three_changed_lane). Five or more commits merge the tail
+      // bounces into the second pulse.
+      g.tout[k] = cts[0];
+      lanes::set_lane(g.pulsing, k);
+      g.pout_s[k] = cts[1];
+      g.pout_e[k] = ncommits == 3 ? last_c : cts[2];
+      if (ncommits >= 5) {
+        lanes::set_lane(g.pulsing2, k);
+        g.pout2_s[k] = cts[3];
+        g.pout2_e[k] = last_c;
+      }
+    } else {
+      g.tout[k] = last_c;
+    }
+  } else if (ncommits >= 2) {
+    lanes::set_lane(g.pulsing, k);
+    g.pout_s[k] = cts[0];
+    g.pout_e[k] = ncommits == 2 ? last_c : cts[1];
+    if (ncommits >= 4) {
+      lanes::set_lane(g.pulsing2, k);
+      g.pout2_s[k] = cts[2];
+      g.pout2_e[k] = last_c;
+    }
+  }
+}
+
+/// Catch-up commit for a lane whose output changed but committed
+/// nothing (a truncated cycle-mode launch value, or a state left by an
+/// unreset step_cycle): the lane would stay wrong for every following
+/// cycle, while the event engine's in-flight transition lands within
+/// one gate delay of the edge. Commit the final value at the gate's
+/// own delay (the upper bound on the in-flight remainder), clamped
+/// inside the capture window — a gate slower than the whole clock
+/// period must still resolve, or the repair would re-fail every cycle
+/// and the net stay wrong forever. The catch-up commit always lands
+/// inside the window, so the lane samples its settled value.
+template <class Acct>
+void catch_up_lane(GateLanes& g, Acct& acct, std::size_t k,
+                   double tclk_ps) {
+  const double tc = std::min(g.delay, 0.999 * tclk_ps);
+  if (acct.commit(g.out, k, tc, g.energy))
+    lanes::assign_lane(g.sampled, k, lanes::lane_bit(g.W[0], k) != 0);
+  g.tout[k] = tc;
+}
 
 }  // namespace
 
@@ -479,6 +781,16 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
   // dispatch loops, which keeps the commit sequence (and therefore
   // the floating-point energy accumulation) of any one lane identical
   // whether it was reached by streaming masks or by the cycle scan.
+  //
+  // One gate view for the whole pass. Each gate refills its input words
+  // (zero past the gate's inputs: the pulse classes read all three)
+  // and, past the quiet-gate exit, the rest, with the output words
+  // reset.
+  GateLanes gl{};
+  auto& in_stale = gl.in_stale;
+  auto& in_changed = gl.in_changed;
+  auto& in_pulsing = gl.in_pulsing;
+  auto& in_pulsing2 = gl.in_pulsing2;
   for (const GateId gid : netlist_.topo_order()) {
     const Gate& g = netlist_.gate(gid);
     const NetId out = g.out;
@@ -486,13 +798,13 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     const unsigned full = (1u << n) - 1u;
 
     Word in_settled[3] = {};
-    Word in_stale[3] = {};
-    Word in_changed[3] = {};
-    Word in_pulsing[3] = {};
-    Word in_pulsing2[3] = {};
     Word any_pulse{};
     Word any_changed{};
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i < 3; ++i) {
+      if (i >= n) {
+        in_stale[i] = in_changed[i] = in_pulsing[i] = in_pulsing2[i] = Word{};
+        continue;
+      }
       const NetId in = g.in[i];
       in_settled[i] = settled_w_[in];
       in_stale[i] = stale_w_[in];
@@ -551,22 +863,26 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
       continue;
     }
 
-    const double* in_time[3] = {nullptr, nullptr, nullptr};
-    const double* in_ps[3] = {nullptr, nullptr, nullptr};
-    const double* in_pe[3] = {nullptr, nullptr, nullptr};
-    const double* in_ps2[3] = {nullptr, nullptr, nullptr};
-    const double* in_pe2[3] = {nullptr, nullptr, nullptr};
+    gl.n = n;
+    gl.full = full;
+    gl.truth = cell_truth_of(g.kind);
+    gl.out = out;
+    gl.delay = gate_delay_ps_[gid];
+    gl.energy = net_energy_fj_[out];
     for (int i = 0; i < n; ++i) {
       const auto base = static_cast<std::size_t>(g.in[i]) * kLanes;
-      in_time[i] = &time_ps_[base];
-      in_ps[i] = &pulse_start_ps_[base];
-      in_pe[i] = &pulse_end_ps_[base];
-      in_ps2[i] = &pulse2_start_ps_[base];
-      in_pe2[i] = &pulse2_end_ps_[base];
+      gl.in_time[i] = &time_ps_[base];
+      gl.in_ps[i] = &pulse_start_ps_[base];
+      gl.in_pe[i] = &pulse_end_ps_[base];
+      gl.in_ps2[i] = &pulse2_start_ps_[base];
+      gl.in_pe2[i] = &pulse2_end_ps_[base];
     }
+    const auto& in_time = gl.in_time;
+    const auto& in_ps = gl.in_ps;
+    const auto& in_pe = gl.in_pe;
 
     // W[s]: packed gate value with the inputs in subset s still stale.
-    Word W[8];
+    Word* const W = gl.W;
     for (unsigned s = 0; s <= full; ++s) {
       const Word wa =
           n > 0 ? ((s & 1u) ? in_stale[0] : in_settled[0]) : Word{};
@@ -589,8 +905,8 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     // pay the serial ascending lane scan.
     const bool word_recurrence = !kCycleMode || cycle_safe_[gid] != 0;
     Word stale;
-    Word changed;
-    Word sampled;
+    Word& changed = gl.changed;
+    Word& sampled = gl.sampled;
     if (word_recurrence) {
       stale = lanes::shift1_in(settled, state0) & used;
       stale_w_[out] = stale;
@@ -605,18 +921,18 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
       sampled = settled;
     }
 
-    Word pulsing{};
-    Word pulsing2{};
-    Word committed{};  // lanes whose output committed a flip
-    const double delay = gate_delay_ps_[gid];
-    const double energy = net_energy_fj_[out];
-    const std::uint16_t truth = cell_truth(g.kind);
+    Word& pulsing = gl.pulsing;
+    Word& pulsing2 = gl.pulsing2;
+    Word& committed = gl.committed;  // lanes whose output committed a flip
+    pulsing = pulsing2 = committed = Word{};
+    const double delay = gl.delay;
+    const double energy = gl.energy;
     const auto base_out = static_cast<std::size_t>(out) * kLanes;
-    double* tout = &time_ps_[base_out];
-    double* pout_s = &pulse_start_ps_[base_out];
-    double* pout_e = &pulse_end_ps_[base_out];
-    double* pout2_s = &pulse2_start_ps_[base_out];
-    double* pout2_e = &pulse2_end_ps_[base_out];
+    double* const tout = gl.tout = &time_ps_[base_out];
+    double* const pout_s = gl.pout_s = &pulse_start_ps_[base_out];
+    double* const pout_e = gl.pout_e = &pulse_end_ps_[base_out];
+    double* const pout2_s = gl.pout2_s = &pulse2_start_ps_[base_out];
+    double* const pout2_e = gl.pout2_e = &pulse2_end_ps_[base_out];
 
     const Word ch0 = in_changed[0];
     const Word ch1 = in_changed[1];
@@ -739,227 +1055,7 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     }
     const Word thru_all = thru[0] | thru[1] | thru[2];
 
-    // -- shared per-lane bodies -------------------------------------------
-
-    // Sensitized single flip at tc (one-changed lanes and the
-    // single-commit branch of two-changed lanes).
-    const auto commit_flip = [&](std::size_t k, double tc) {
-      if (acct.commit(out, k, tc, energy)) lanes::toggle_lane(sampled, k);
-      lanes::set_lane(committed, k);
-      tout[k] = tc;
-    };
-
-    // Exactly two changed inputs i and j (i < j): the trajectory is
-    // stale → mid → settled with mid = the gate with only the later
-    // input still old.
-    const auto two_changed_lane = [&](std::size_t k, int i, int j) {
-      double tf = in_time[i][k];
-      double ts = in_time[j][k];
-      unsigned mid = 1u << j;
-      if (ts < tf) {
-        std::swap(tf, ts);
-        mid = 1u << i;
-      }
-      const std::uint8_t mid_diff =
-          lanes::lane_bit(W[mid], k) ^ lanes::lane_bit(settled, k);
-      if (lanes::lane_bit(changed, k) != 0) {
-        // Single commit: at the first flip when it already produces
-        // the final value, else at the second.
-        const double tc = (mid_diff == 0 ? tf : ts) + delay;
-        commit_flip(k, tc);
-      } else if (mid_diff != 0 && tf + delay <= ts) {
-        // Surviving glitch pulse [tf+delay, ts+delay) on an unchanged
-        // output: two commits, forwarded downstream; a capture edge
-        // inside it samples the transient.
-        const double t1 = tf + delay;
-        const double t2 = ts + delay;
-        if (acct.commit(out, k, t1, energy)) lanes::toggle_lane(sampled, k);
-        if (acct.commit(out, k, t2, energy)) lanes::toggle_lane(sampled, k);
-        lanes::set_lane(pulsing, k);
-        pout_s[k] = t1;
-        pout_e[k] = t2;
-      }
-    };
-
-    // Three changed inputs: walk the four subset states in transition
-    // order with the inertial rule.
-    const auto three_changed_lane = [&](std::size_t k, unsigned cur0) {
-      int order[3] = {0, 1, 2};
-      if (in_time[order[1]][k] < in_time[order[0]][k])
-        std::swap(order[0], order[1]);
-      if (in_time[order[2]][k] < in_time[order[1]][k])
-        std::swap(order[1], order[2]);
-      if (in_time[order[1]][k] < in_time[order[0]][k])
-        std::swap(order[0], order[1]);
-      unsigned s = full;
-      unsigned cur = cur0;
-      bool pending = false;
-      double commit_t = 0.0;
-      // At most three commits here (three input events), so first /
-      // second / last capture the whole trajectory exactly.
-      double cts[3] = {0.0, 0.0, 0.0};
-      double last_c = 0.0;
-      int ncommits = 0;
-      const auto do_commit = [&](double tc) {
-        cur ^= 1u;
-        if (ncommits < 3) cts[ncommits] = tc;
-        ++ncommits;
-        last_c = tc;
-        if (acct.commit(out, k, tc, energy))
-          lanes::toggle_lane(sampled, k);
-        lanes::set_lane(committed, k);
-      };
-      for (int j = 0; j < 3; ++j) {
-        const double t = in_time[order[j]][k];
-        if (pending && commit_t <= t) {
-          do_commit(commit_t);
-          pending = false;
-        }
-        s &= ~(1u << order[j]);
-        const auto v = static_cast<unsigned>(lanes::lane_bit(W[s], k));
-        if (v != cur && !pending) {
-          pending = true;
-          commit_t = t + delay;
-        } else if (v == cur && pending) {
-          pending = false;  // inertial cancellation
-        }
-      }
-      if (pending) do_commit(commit_t);
-      if (lanes::lane_bit(changed, k) != 0) {
-        if (ncommits >= 3) {
-          // The output bounced on its way to the settled value
-          // (stale → settled → stale → settled). Forward the full
-          // trajectory — first flip plus a return pulse — instead of
-          // one late flip: collapsing it to the final commit time
-          // systematically over-ages downstream transitions on
-          // reconvergent structures (array multipliers) and inflates
-          // deep-VOS BER versus the event engine.
-          tout[k] = cts[0];
-          lanes::set_lane(pulsing, k);
-          pout_s[k] = cts[1];
-          pout_e[k] = last_c;
-        } else {
-          tout[k] = last_c;
-        }
-      } else if (ncommits >= 2) {
-        lanes::set_lane(pulsing, k);
-        pout_s[k] = cts[0];
-        pout_e[k] = cts[1];
-      }
-    };
-
-    // Lane fed by a glitch pulse: generic event walk over the ≤9 input
-    // events (flip per changed input, flip-and-return pair per pulsing
-    // input, all three for a bouncing changed input).
-    const auto pulse_lane = [&](std::size_t k) {
-      // Up to five events per input: a changed input that bounced
-      // twice carries its first flip plus two return pulses.
-      double ev_t[15];
-      std::uint8_t ev_i[15];
-      std::uint8_t ev_bit[15];
-      int ne = 0;
-      unsigned idx = 0;
-      for (int i = 0; i < n; ++i) {
-        const std::uint8_t sbit = lanes::lane_bit(in_stale[i], k);
-        idx |= static_cast<unsigned>(sbit) << i;
-        const auto push = [&](double t, std::uint8_t v) {
-          ev_t[ne] = t;
-          ev_i[ne] = static_cast<std::uint8_t>(i);
-          ev_bit[ne] = v;
-          ++ne;
-        };
-        const auto nbit = static_cast<std::uint8_t>(sbit ^ 1u);
-        if (lanes::lane_bit(in_changed[i], k) != 0) {
-          // First flip to the settled value; each forwarded pulse is
-          // a late return trip back to the stale value and out again.
-          push(in_time[i][k], nbit);
-          if (lanes::lane_bit(in_pulsing[i], k) != 0) {
-            push(in_ps[i][k], sbit);
-            push(in_pe[i][k], nbit);
-          }
-          if (lanes::lane_bit(in_pulsing2[i], k) != 0) {
-            push(in_ps2[i][k], sbit);
-            push(in_pe2[i][k], nbit);
-          }
-        } else {
-          // Unchanged input: each pulse is an excursion to the
-          // complement of the settled value and back.
-          if (lanes::lane_bit(in_pulsing[i], k) != 0) {
-            push(in_ps[i][k], nbit);
-            push(in_pe[i][k], sbit);
-          }
-          if (lanes::lane_bit(in_pulsing2[i], k) != 0) {
-            push(in_ps2[i][k], nbit);
-            push(in_pe2[i][k], sbit);
-          }
-        }
-      }
-      if (ne == 0) return;
-      for (int x = 1; x < ne; ++x)  // insertion sort, ascending time
-        for (int y = x; y > 0 && ev_t[y] < ev_t[y - 1]; --y) {
-          std::swap(ev_t[y], ev_t[y - 1]);
-          std::swap(ev_i[y], ev_i[y - 1]);
-          std::swap(ev_bit[y], ev_bit[y - 1]);
-        }
-      unsigned cur = (truth >> idx) & 1u;
-      bool pending = false;
-      double commit_t = 0.0;
-      double cts[4] = {0.0, 0.0, 0.0, 0.0};
-      double last_c = 0.0;
-      int ncommits = 0;
-      const auto do_commit = [&](double tc) {
-        cur ^= 1u;
-        if (ncommits < 4) cts[ncommits] = tc;
-        ++ncommits;
-        last_c = tc;
-        if (acct.commit(out, k, tc, energy))
-          lanes::toggle_lane(sampled, k);
-        lanes::set_lane(committed, k);
-      };
-      for (int j = 0; j < ne; ++j) {
-        if (pending && commit_t <= ev_t[j]) {
-          do_commit(commit_t);
-          pending = false;
-        }
-        idx = (idx & ~(1u << ev_i[j])) |
-              (static_cast<unsigned>(ev_bit[j]) << ev_i[j]);
-        const unsigned v = (truth >> idx) & 1u;
-        if (v != cur && !pending) {
-          pending = true;
-          commit_t = ev_t[j] + delay;
-        } else if (v == cur && pending) {
-          pending = false;  // inertial cancellation
-        }
-      }
-      if (pending) do_commit(commit_t);
-      if (lanes::lane_bit(changed, k) != 0) {
-        if (ncommits >= 3) {
-          // Bouncing changed output: first flip + return pulses (see
-          // the three-changed walk above). Five or more commits
-          // merge the tail bounces into the second pulse.
-          tout[k] = cts[0];
-          lanes::set_lane(pulsing, k);
-          pout_s[k] = cts[1];
-          pout_e[k] = ncommits == 3 ? last_c : cts[2];
-          if (ncommits >= 5) {
-            lanes::set_lane(pulsing2, k);
-            pout2_s[k] = cts[3];
-            pout2_e[k] = last_c;
-          }
-        } else {
-          tout[k] = last_c;
-        }
-      } else if (ncommits >= 2) {
-        lanes::set_lane(pulsing, k);
-        pout_s[k] = cts[0];
-        pout_e[k] = ncommits == 2 ? last_c : cts[1];
-        if (ncommits >= 4) {
-          lanes::set_lane(pulsing2, k);
-          pout2_s[k] = cts[2];
-          pout2_e[k] = last_c;
-        }
-      }
-    };
+    // -- packed pulse classes: exact shortcuts of pulse_lane --------------
 
     // Quiet lane fed by exactly one surviving pulse on input i, with
     // the gate sensitized to i (thru[i]): the generic walk reduces to
@@ -1217,23 +1313,6 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
       }
     };
 
-    // Cycle-mode catch-up: a lane whose truncated launch value differs
-    // from its settled function but committed nothing above would stay
-    // wrong for every following cycle, while the event engine's
-    // in-flight transition lands within one gate delay of the edge.
-    // Commit the final value at the gate's own delay (the upper bound
-    // on the in-flight remainder), clamped inside the capture window —
-    // a gate slower than the whole clock period must still resolve, or
-    // the repair would re-fail every cycle and the net stay wrong
-    // forever. The catch-up commit always lands inside the window, so
-    // the lane samples its settled value.
-    const auto catch_up_lane = [&](std::size_t k) {
-      const double tc = std::min(delay, 0.999 * tclk_ps_);
-      if (acct.commit(out, k, tc, energy))
-        lanes::assign_lane(sampled, k, lanes::lane_bit(settled, k) != 0);
-      tout[k] = tc;
-    };
-
     // -- dispatch ---------------------------------------------------------
 
     if (word_recurrence) {
@@ -1275,7 +1354,7 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
         }
 #endif
         lanes::for_each_lane(m, [&](std::size_t k) {
-          commit_flip(k, in_time[i][k] + delay);
+          commit_flip(gl, acct, k, in_time[i][k] + delay);
         });
       }
 
@@ -1304,14 +1383,14 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
           }
 #endif
           lanes::for_each_lane(m, [&](std::size_t k) {
-            two_changed_lane(k, i, j);
+            two_changed_lane(gl, acct, k, i, j);
           });
         }
       }
 
       lanes::for_each_lane(three, [&](std::size_t k) {
         three_changed_lane(
-            k, static_cast<unsigned>(lanes::lane_bit(stale, k)));
+            gl, acct, k, static_cast<unsigned>(lanes::lane_bit(stale, k)));
       });
 
       for (int i = 0; i < n; ++i)
@@ -1334,7 +1413,7 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
       lanes::for_each_lane(
           any_pulse & used & ~thru_all & ~pulse_skip & ~cp_all & ~bn_all &
               ~bc_all,
-          [&](std::size_t k) { pulse_lane(k); });
+          [&](std::size_t k) { pulse_lane(gl, acct, k); });
 
       // Under the streaming invariant (stale = settled function of
       // stale inputs) nothing is ever changed-but-uncommitted, so this
@@ -1344,7 +1423,7 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
       // whole fan-in cone is cycle-safe, so every stale input equals
       // its settled value of the previous lane.
       lanes::for_each_lane(changed & ~committed & used,
-                           [&](std::size_t k) { catch_up_lane(k); });
+                           [&](std::size_t k) { catch_up_lane(gl, acct, k, tclk_ps_); });
     } else {
       // Cycle mode: lane k launches from lane k-1's sampled value, so
       // lanes with input activity resolve serially in ascending lane
@@ -1390,7 +1469,7 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
                 break;
               }
           } else {
-            pulse_lane(k);
+            pulse_lane(gl, acct, k);
           }
         } else {
           const int c0 = lanes::lane_bit(ch0, k);
@@ -1401,22 +1480,22 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
             const int i = c0 ? 0 : (c1 ? 1 : 2);
             if ((lanes::lane_bit(W[1u << i], k) ^
                  lanes::lane_bit(settled, k)) != 0)
-              commit_flip(k, in_time[i][k] + delay);
+              commit_flip(gl, acct, k, in_time[i][k] + delay);
           } else if (cnt == 2) {
-            two_changed_lane(k, c0 ? 0 : 1, c2 ? 2 : 1);
+            two_changed_lane(gl, acct, k, c0 ? 0 : 1, c2 ? 2 : 1);
           } else if (cnt == 3) {
-            three_changed_lane(k, static_cast<unsigned>(sb));
+            three_changed_lane(gl, acct, k, static_cast<unsigned>(sb));
           }
         }
         if (lanes::lane_bit(changed, k) != 0 &&
             lanes::lane_bit(committed, k) == 0)
-          catch_up_lane(k);
+          catch_up_lane(gl, acct, k, tclk_ps_);
       });
       // Inactive lanes: stale(k) = sampled(k-1) is final now; the
       // changed ones take their catch-up commit (sampled stays settled).
       const Word stale_word = lanes::shift1_in(sampled, state0) & used;
       lanes::for_each_lane((settled ^ stale_word) & ~active & used,
-                           [&](std::size_t k) { catch_up_lane(k); });
+                           [&](std::size_t k) { catch_up_lane(gl, acct, k, tclk_ps_); });
       stale_w_[out] = stale_word;
     }
 
@@ -1426,37 +1505,162 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
   }
 }
 
+template <class Acct>
+void LevelizedSimulator::run_one_lane(Acct& acct) {
+  // Every word written below holds lane 0 only, and every net is
+  // written before it is read, so the input words read here are 0/1.
+  for (const NetId pi : netlist_.primary_inputs()) {
+    const Word settled = settled_w_[pi] & Word{1};
+    const Word stale = state_[pi] & 1u;
+    settled_w_[pi] = settled;
+    stale_w_[pi] = stale;
+    sampled_w_[pi] = settled;
+    pulsing_w_[pi] = Word{};
+    pulsing2_w_[pi] = Word{};
+    if (settled != stale) {
+      time_ps_[static_cast<std::size_t>(pi) * kLanes] = 0.0;
+      acct.commit(pi, 0, 0.0, net_energy_fj_[pi]);
+    }
+  }
+
+  // One gate view for the whole pass: each gate sets the fields its
+  // walk reads (below), the rest keep an earlier gate's values.
+  GateLanes gl{};
+  for (const GateId gid : netlist_.topo_order()) {
+    const Gate& g = netlist_.gate(gid);
+    const NetId out = g.out;
+    const int n = g.num_inputs;
+    const std::uint16_t truth = cell_truth_of(g.kind);
+    unsigned settled_idx = 0;
+    unsigned stale_idx = 0;
+    Word pulsed{};
+    for (int i = 0; i < n; ++i) {
+      const NetId in = g.in[i];
+      settled_idx |= static_cast<unsigned>(settled_w_[in]) << i;
+      stale_idx |= static_cast<unsigned>(stale_w_[in]) << i;
+      pulsed |= pulsing_w_[in] | pulsing2_w_[in];
+    }
+    const Word settled = (truth >> settled_idx) & 1u;
+    // Lane 0 launches from the carried state in both modes (the PI
+    // block above serves both for the same reason).
+    const Word stale = state_[out] & 1u;
+    settled_w_[out] = settled;
+    stale_w_[out] = stale;
+
+    // The output side every walk reads. A quiet gate (no changed or
+    // pulsing input) only ever takes the catch-up commit; the others
+    // fill just the input side their walk reads.
+    gl.out = out;
+    gl.delay = gate_delay_ps_[gid];
+    gl.energy = net_energy_fj_[out];
+    gl.W[0] = settled;
+    gl.changed = settled ^ stale;
+    gl.sampled = stale;
+    gl.committed = Word{};
+    gl.pulsing = Word{};
+    gl.pulsing2 = Word{};
+    const auto base_out = static_cast<std::size_t>(out) * kLanes;
+    gl.tout = &time_ps_[base_out];
+
+    const unsigned changed_in = settled_idx ^ stale_idx;
+    const auto subset = [&](unsigned s) -> Word {
+      return (truth >> ((stale_idx & s) | (settled_idx & ~s))) & 1u;
+    };
+    if (pulsed != 0) {
+      gl.n = n;
+      gl.truth = truth;
+      gl.pout_s = &pulse_start_ps_[base_out];
+      gl.pout_e = &pulse_end_ps_[base_out];
+      gl.pout2_s = &pulse2_start_ps_[base_out];
+      gl.pout2_e = &pulse2_end_ps_[base_out];
+      for (int i = 0; i < n; ++i) {
+        const NetId in = g.in[i];
+        gl.in_stale[i] = stale_w_[in];
+        gl.in_changed[i] = (changed_in >> i) & 1u;
+        gl.in_pulsing[i] = pulsing_w_[in];
+        gl.in_pulsing2[i] = pulsing2_w_[in];
+        const auto base = static_cast<std::size_t>(in) * kLanes;
+        gl.in_time[i] = &time_ps_[base];
+        gl.in_ps[i] = &pulse_start_ps_[base];
+        gl.in_pe[i] = &pulse_end_ps_[base];
+        gl.in_ps2[i] = &pulse2_start_ps_[base];
+        gl.in_pe2[i] = &pulse2_end_ps_[base];
+      }
+      pulse_lane(gl, acct, 0);
+    } else if (changed_in != 0) {
+      gl.pout_s = &pulse_start_ps_[base_out];
+      gl.pout_e = &pulse_end_ps_[base_out];
+      for (int i = 0; i < n; ++i)
+        gl.in_time[i] =
+            &time_ps_[static_cast<std::size_t>(g.in[i]) * kLanes];
+      const int i = std::countr_zero(changed_in);
+      switch (std::popcount(changed_in)) {
+        case 1:
+          // A non-sensitized single change commits nothing.
+          if (subset(1u << i) != settled)
+            commit_flip(gl, acct, 0, gl.in_time[i][0] + gl.delay);
+          break;
+        case 2: {
+          const int j = std::bit_width(changed_in) - 1;
+          gl.W[1u << i] = subset(1u << i);
+          gl.W[1u << j] = subset(1u << j);
+          two_changed_lane(gl, acct, 0, i, j);
+          break;
+        }
+        default:
+          gl.full = 7u;
+          for (unsigned s = 1; s <= gl.full; ++s) gl.W[s] = subset(s);
+          three_changed_lane(gl, acct, 0, static_cast<unsigned>(stale));
+          break;
+      }
+    }
+    if (gl.changed != 0 && gl.committed == 0)
+      catch_up_lane(gl, acct, 0, tclk_ps_);
+
+    sampled_w_[out] = gl.sampled;
+    pulsing_w_[out] = gl.pulsing;
+    pulsing2_w_[out] = gl.pulsing2;
+  }
+}
+
 void LevelizedSimulator::carry_state(std::size_t lanes, bool truncate) {
   const std::size_t last = lanes - 1;
+  const Word* carried = truncate ? sampled_w_.data() : settled_w_.data();
   for (NetId n = 0; n < static_cast<NetId>(netlist_.num_nets()); ++n) {
-    const std::uint8_t settled = lanes::lane_bit(settled_w_[n], last);
-    const std::uint8_t sampled = lanes::lane_bit(sampled_w_[n], last);
-    state_[n] = truncate ? sampled : settled;
-    sampled_state_[n] = sampled;
+    state_[n] = lanes::lane_bit(carried[n], last);
+    sampled_state_[n] = lanes::lane_bit(sampled_w_[n], last);
   }
 }
 
 void LevelizedSimulator::run_lanes(std::size_t lanes,
                                    std::span<StepResult> results,
                                    bool cycle_mode) {
-  acc_win_e_.assign(kLanes, 0.0);
-  acc_settle_.assign(kLanes, 0.0);
-  acc_win_t_.assign(kLanes, 0);
+  // A one-lane pass touches lane 0 of the accumulators only.
+  const std::size_t width = lanes == 1 ? 1 : kLanes;
+  acc_win_e_.assign(width, 0.0);
+  acc_settle_.assign(width, 0.0);
+  acc_win_t_.assign(width, 0);
   if (cycle_mode) {
     // Window-only accounting: cycle mode reports totals == window.
     SingleThresholdAcct<true> acct{tclk_ps_,          lanes,
                                    acc_win_e_.data(), acc_settle_.data(),
                                    acc_win_t_.data(), nullptr,
                                    nullptr};
-    run_lanes_impl<true>(lanes, acct);
+    if (lanes == 1)
+      run_one_lane(acct);
+    else
+      run_lanes_impl<true>(lanes, acct);
   } else {
-    acc_tot_e_.assign(kLanes, 0.0);
-    acc_tot_t_.assign(kLanes, 0);
+    acc_tot_e_.assign(width, 0.0);
+    acc_tot_t_.assign(width, 0);
     SingleThresholdAcct<false> acct{tclk_ps_,          lanes,
                                     acc_win_e_.data(), acc_settle_.data(),
                                     acc_win_t_.data(), acc_tot_e_.data(),
                                     acc_tot_t_.data()};
-    run_lanes_impl<false>(lanes, acct);
+    if (lanes == 1)
+      run_one_lane(acct);
+    else
+      run_lanes_impl<false>(lanes, acct);
   }
   for (std::size_t k = 0; k < lanes; ++k) {
     StepResult& r = results[k];

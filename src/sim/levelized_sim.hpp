@@ -3,9 +3,16 @@
 // The netlist is levelized once (the topological order computed by
 // Netlist::finalize) and every pass evaluates up to kLanes = 64
 // patterns at a time, one pattern per bit of a uint64_t lane word per
-// net (src/util/lanes.hpp, DESIGN.md §7). Every entry point — scalar
-// step/step_cycle included — packs its patterns through one helper, so
-// a scalar call is a one-lane pass of the same code.
+// net (src/util/lanes.hpp, DESIGN.md §7). Every entry point packs its
+// patterns through one helper. A pass of more than one lane takes the
+// packed dispatcher (subset words, pulse-class masks, mask sweeps); a
+// one-lane pass — scalar step/step_cycle, or a one-pattern batch tail —
+// takes the one-lane dispatcher, which sends lane 0 of each gate
+// straight to its walk with scalar accumulators. Both call the same
+// per-lane walks, and each packed pulse class is an exact shortcut of
+// the generic pulse walk the one-lane dispatcher runs, so a lane
+// commits the same transitions in the same order either way: scalar
+// and batched calls are bit-identical.
 // Timing errors are modeled without an event queue: each gate runs a
 // per-lane miniature event simulation over its own input transitions
 // (data-dependent times bounded by the STA arrival model,
@@ -146,6 +153,19 @@ class LevelizedSimulator final : public SimEngine {
   /// are independent streamed patterns.
   template <bool kCycleMode, class Acct>
   void run_lanes_impl(std::size_t lanes, Acct& acct);
+
+  /// The one-lane dispatcher behind scalar step/step_cycle (and any
+  /// one-pattern tail of a batch): the pass of run_lanes_impl on lane
+  /// 0 alone, with lane-0 bits in the same per-net words and no
+  /// subset-word or pulse-class setup. Each gate dispatches its lane
+  /// straight to the walk the packed path would reach — a pulse-fed
+  /// lane to the generic walk, of which the packed pulse classes are
+  /// exact shortcuts — so it commits exactly what the packed pass
+  /// commits on that lane, in the same order. Lane 0 launches from the
+  /// carried state in both modes, so the pass is mode-agnostic; `acct`
+  /// decides what is accounted.
+  template <class Acct>
+  void run_one_lane(Acct& acct);
 
   /// Single-threshold pass at this simulator's Tclk, filling `results`.
   /// `cycle_mode` selects the cross-cycle lane semantics and carries

@@ -35,6 +35,7 @@ rows=(
   "bench_ext_app_pareto MODEL_QUALITY_DEV_MEAN record 2.673 -"
   "bench_perf_speedup SIMD_COMPILED text avx2 -"
   "bench_perf_speedup PROVENANCE_OVERHEAD_PCT <= 2 2.01"
+  "bench_perf_speedup LEVELIZED_SCALAR_VS_EVENT record 0.62 -"
   "bench_fleet FLEET_THROUGHPUT >= 20 19.99"
   "bench_fleet FLEET_PARALLEL_EFFICIENCY record 0.72 -"
   "bench_fleet FLEET_ENERGY_SPREAD_PCT record 1.9 -"
@@ -46,7 +47,7 @@ declare -A fields=(
   [bench_pipeline]="seq_levelized_speedup seq_ber_dev_pp closed_loop_savings_pct provenance_overhead_pct"
   [bench_fig5_ber_bitpos]="fig5_prov_dev_pp"
   [bench_ext_app_pareto]="model_quality_dev_pp model_quality_dev_mean_pp"
-  [bench_perf_speedup]="simd_compiled provenance_overhead_pct"
+  [bench_perf_speedup]="simd_compiled provenance_overhead_pct levelized_scalar_vs_event"
   [bench_fleet]="fleet_throughput_cps fleet_parallel_efficiency fleet_energy_spread_pct"
   [bench_table1_prob_table]=""
 )

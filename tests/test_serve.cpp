@@ -3,6 +3,7 @@
 // an offline run of the same grid, malformed-request and mid-stream
 // disconnect survival, and the stats introspection verb.
 #include <gtest/gtest.h>
+#include <malloc.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -10,6 +11,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,6 +57,56 @@ TEST(CampaignServer, PingAndShutdownRoundTrip) {
   server.wait();  // returns because shutdown was served
   server.stop();
   EXPECT_EQ(server.requests_served(), 3u);
+}
+
+/// Threads of this process (entries of /proc/self/task).
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+/// VmSize of this process in MB (/proc/self/status), 0 if unreadable.
+double vm_size_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmSize:", 0) == 0)
+      return std::stod(line.substr(7)) / 1024.0;  // kB
+  return 0.0;
+}
+
+// Long uptime: every connection runs on its own thread, and a finished
+// one must be joined (its stack released) long before stop() — else
+// each sequential ping leaks a thread and its ~8 MB stack mapping.
+TEST(CampaignServer, SequentialPingsKeepThreadsAndMemoryFlat) {
+#ifdef M_ARENA_MAX
+  // glibc reserves a 64 MB malloc arena whenever a starting thread finds
+  // every arena attached — with sequential connections that happens a
+  // few times, at random pings, then never again. Capping the arena
+  // count keeps those bounded one-offs out of the VmSize reading, which
+  // is meant to see thread stacks.
+  mallopt(M_ARENA_MAX, 1);
+#endif
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("uptime");
+  CampaignServer server(lib(), cfg);
+  server.start();
+  const auto ping = [&] {
+    const auto pong = send_request(cfg.socket_path, "{\"cmd\":\"ping\"}");
+    ASSERT_EQ(pong.size(), 1u);
+  };
+  for (int i = 0; i < 20; ++i) ping();  // warm-up
+  const std::size_t threads0 = thread_count();
+  const double vm0 = vm_size_mb();
+  for (int i = 0; i < 2000; ++i) ping();
+  // At most the last connection's thread is still awaiting its join.
+  EXPECT_LE(thread_count(), threads0 + 1);
+  EXPECT_LT(vm_size_mb() - vm0, 64.0);
+  server.stop();
+  EXPECT_EQ(server.requests_served(), 2020u);
 }
 
 TEST(CampaignServer, ConcurrentRequestsMatchOfflineExecution) {

@@ -4,24 +4,30 @@
 // BER tolerance when over-scaled (DESIGN.md §7).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/characterize/characterizer.hpp"
 #include "src/characterize/patterns.hpp"
+#include "src/fleet/fleet.hpp"
 #include "src/netlist/adders.hpp"
 #include "src/netlist/approx_adders.hpp"
 #include "src/netlist/eval.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/obs/probe.hpp"
 #include "src/sim/event_sim.hpp"
 #include "src/sim/levelized_sim.hpp"
 #include "src/sim/sim_engine.hpp"
 #include "src/netlist/dut.hpp"
 #include "src/sim/vos_dut.hpp"
 #include "src/sta/sta.hpp"
+#include "src/sta/synthesis_report.hpp"
 #include "src/tech/library.hpp"
 #include "src/util/bits.hpp"
+#include "src/util/rng.hpp"
 
 namespace vosim {
 namespace {
@@ -155,6 +161,59 @@ TEST(SimEngine, GenerousTclkApproxAdderAgreesAcrossEngines) {
 
 // Batched evaluation must reproduce the per-step streaming semantics of
 // the levelized engine exactly (values, energy and settle times).
+/// Bit-identity of two operation results: every field, doubles
+/// compared exactly (the scalar one-lane pass and the packed pass must
+/// agree bit for bit, not within ULPs).
+void expect_same_op(const VosOpResult& want, const VosOpResult& got,
+                    const std::string& where) {
+  EXPECT_EQ(got.sampled, want.sampled) << where;
+  EXPECT_EQ(got.settled, want.settled) << where;
+  EXPECT_EQ(got.energy_fj, want.energy_fj) << where;
+  EXPECT_EQ(got.settle_time_ps, want.settle_time_ps) << where;
+}
+
+void expect_same_step(const StepResult& want, const StepResult& got,
+                      const std::string& where) {
+  EXPECT_EQ(got.sampled_outputs, want.sampled_outputs) << where;
+  EXPECT_EQ(got.settled_outputs, want.settled_outputs) << where;
+  EXPECT_EQ(got.settle_time_ps, want.settle_time_ps) << where;
+  EXPECT_EQ(got.window_energy_fj, want.window_energy_fj) << where;
+  EXPECT_EQ(got.total_energy_fj, want.total_energy_fj) << where;
+  EXPECT_EQ(got.toggles_in_window, want.toggles_in_window) << where;
+  EXPECT_EQ(got.toggles_total, want.toggles_total) << where;
+}
+
+/// Scalar apply() (the one-lane pass) against apply_batch (packed
+/// passes) from the same state: `n` patterns per call, two calls, so
+/// the lane-0 carry across calls is pinned too.
+void expect_batch_matches_step(const DutNetlist& dut,
+                               const OperatingTriad& op,
+                               const TimingSimConfig& cfg, std::size_t n,
+                               const std::string& tag) {
+  VosDutSim stepper(dut, lib(), op, cfg);
+  VosDutSim batcher(dut, lib(), op, cfg);
+  stepper.reset(1, 2);
+  batcher.reset(1, 2);
+  const int width = dut.operand_width(0);
+  PatternStream patterns(PatternPolicy::kCarryBalanced, width, 5 + n);
+  for (int call = 0; call < 2; ++call) {
+    std::vector<std::uint64_t> a(n);
+    std::vector<std::uint64_t> b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const OperandPair p = patterns.next();
+      a[i] = p.a;
+      b[i] = p.b;
+    }
+    std::vector<VosOpResult> batched(n);
+    batcher.apply_batch(a, b, batched);
+    for (std::size_t i = 0; i < n; ++i)
+      expect_same_op(stepper.apply(a[i], b[i]), batched[i],
+                     tag + " count " + std::to_string(n) + " call " +
+                         std::to_string(call) + " pattern " +
+                         std::to_string(i));
+  }
+}
+
 TEST(SimEngine, LevelizedBatchMatchesStep) {
   const DutNetlist rca = to_dut(build_rca(8));
   const double cp = critical_path_ns(rca.netlist, {1.0, 0.7, 0.0});
@@ -163,36 +222,125 @@ TEST(SimEngine, LevelizedBatchMatchesStep) {
   cfg.engine = EngineKind::kLevelized;
 
   // Ragged counts around the 64-lane word: a single lane, one short of
-  // a word, exactly one, one over, and several passes with a partial
-  // tail. Two back-to-back batches per count also pin the lane-0 carry
-  // across calls.
-  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u, 200u}) {
-    VosDutSim stepper(rca, lib(), stressed, cfg);
-    VosDutSim batcher(rca, lib(), stressed, cfg);
-    stepper.reset(1, 2);
-    batcher.reset(1, 2);
-    PatternStream patterns(PatternPolicy::kCarryBalanced, 8, 5 + n);
-    for (int call = 0; call < 2; ++call) {
-      std::vector<std::uint64_t> a(n);
-      std::vector<std::uint64_t> b(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const OperandPair p = patterns.next();
-        a[i] = p.a;
-        b[i] = p.b;
+  // a word, exactly one, one over (a one-lane tail), and several passes
+  // with a partial tail.
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u, 200u})
+    expect_batch_matches_step(rca, stressed, cfg, n, "rca8");
+
+  // The campaign ladder's deepest corners (0.5·CP at 0.5 V and 0.7 V)
+  // on a fleet chip with within-die variation: many commits land past
+  // the capture edge, and pulse-fed gates (about 4–7% of gates per add
+  // on these adders) take the generic walk in the scalar pass but the
+  // packed pulse classes in the batch, which must commit the same.
+  const FleetConfig fleet{.num_chips = 3, .seed = 11};
+  const TimingSimConfig chip_cfg =
+      apply_chip(cfg, draw_chip_instance(fleet, 2), fleet.within_die_sigma);
+  ASSERT_GT(chip_cfg.variation_sigma, 0.0);
+  for (const DutNetlist& dut :
+       {to_dut(build_rca(16)), to_dut(build_kogge_stone(16)),
+        to_dut(build_brent_kung(16))}) {
+    const double dcp =
+        synthesize_report(dut.netlist, lib()).critical_path_ns;
+    for (const double vdd : {0.5, 0.7})
+      expect_batch_matches_step(dut, {0.5 * dcp, vdd, 0.0}, chip_cfg, 200,
+                                dut.display_name + " vdd " +
+                                    std::to_string(vdd));
+  }
+}
+
+// A step_cycle stream leaves every net at its truncated (sampled)
+// value, so the first step() after it launches from a state that is not
+// the settled function of its inputs: changed-but-uncommitted outputs
+// take the catch-up commit. The scalar steps must match step_batch
+// from the same state, and an attached ErrorProvenance must see the
+// same per-operation stream on both sides.
+TEST(SimEngine, LevelizedStepAfterStepCycleMatchesBatch) {
+  const DutNetlist dut = to_dut(build_kogge_stone(16));
+  const double cp = synthesize_report(dut.netlist, lib()).critical_path_ns;
+  const FleetConfig fleet{.num_chips = 3, .seed = 11};
+  TimingSimConfig cfg;
+  cfg.engine = EngineKind::kLevelized;
+  cfg = apply_chip(cfg, draw_chip_instance(fleet, 1),
+                   fleet.within_die_sigma);
+  const std::size_t npis = dut.netlist.primary_inputs().size();
+  constexpr std::size_t kCycles = 40;
+  constexpr std::size_t kSteps = 100;
+  Rng rng(23);
+  std::vector<std::uint8_t> cycles(kCycles * npis);
+  std::vector<std::uint8_t> steps(kSteps * npis);
+  for (auto& v : cycles) v = static_cast<std::uint8_t>(rng.bits(1));
+  for (auto& v : steps) v = static_cast<std::uint8_t>(rng.bits(1));
+
+  for (const bool observed : {false, true}) {
+    for (const double vdd : {0.5, 0.7}) {
+      const OperatingTriad op{0.5 * cp, vdd, 0.0};
+      const std::string tag = "vdd " + std::to_string(vdd) +
+                              (observed ? " observed" : "");
+      LevelizedSimulator scalar(dut.netlist, lib(), op, cfg);
+      LevelizedSimulator packed(dut.netlist, lib(), op, cfg);
+      ErrorProvenance scalar_prov(dut);
+      ErrorProvenance packed_prov(dut);
+      if (observed) {
+        scalar.attach_observer(&scalar_prov);
+        packed.attach_observer(&packed_prov);
       }
-      std::vector<VosOpResult> batched(n);
-      batcher.apply_batch(a, b, batched);
-      for (std::size_t i = 0; i < n; ++i) {
-        const VosOpResult r = stepper.apply(a[i], b[i]);
-        EXPECT_EQ(batched[i].sampled, r.sampled)
-            << "count " << n << " call " << call << " pattern " << i;
-        EXPECT_EQ(batched[i].settled, r.settled)
-            << "count " << n << " call " << call << " pattern " << i;
-        EXPECT_DOUBLE_EQ(batched[i].energy_fj, r.energy_fj)
-            << "count " << n << " call " << call << " pattern " << i;
-        EXPECT_DOUBLE_EQ(batched[i].settle_time_ps, r.settle_time_ps)
-            << "count " << n << " call " << call << " pattern " << i;
+      // Same cycle stream, scalar and packed: cycle-mode lanes too.
+      std::vector<StepResult> want(kCycles);
+      std::vector<StepResult> got(kCycles);
+      for (std::size_t c = 0; c < kCycles; ++c)
+        want[c] = scalar.step_cycle(
+            std::span(cycles).subspan(c * npis, npis));
+      packed.step_cycle_batch(cycles, kCycles, got);
+      for (std::size_t c = 0; c < kCycles; ++c)
+        expect_same_step(want[c], got[c], tag + " cycle " +
+                                              std::to_string(c));
+      ASSERT_TRUE(std::ranges::equal(scalar.settled_values(),
+                                     packed.settled_values()));
+      ASSERT_TRUE(std::ranges::equal(scalar.sampled_values(),
+                                     packed.sampled_values()));
+      // The carried (truncated) state must differ from the logic
+      // function of the last inputs somewhere at the deep corner, or
+      // the catch-up path is not reached.
+      if (vdd == 0.5) {
+        const auto last =
+            std::span(cycles).subspan((kCycles - 1) * npis, npis);
+        EXPECT_FALSE(std::ranges::equal(scalar.settled_values(),
+                                        evaluate_logic(dut.netlist, last)))
+            << tag << ": the cycle stream left no truncated net";
       }
+
+      want.resize(kSteps);
+      got.resize(kSteps);
+      for (std::size_t i = 0; i < kSteps; ++i)
+        want[i] = scalar.step(std::span(steps).subspan(i * npis, npis));
+      packed.step_batch(steps, kSteps, got);
+      for (std::size_t i = 0; i < kSteps; ++i)
+        expect_same_step(want[i], got[i], tag + " step " +
+                                              std::to_string(i));
+      EXPECT_TRUE(std::ranges::equal(scalar.settled_values(),
+                                     packed.settled_values()));
+      EXPECT_TRUE(std::ranges::equal(scalar.sampled_values(),
+                                     packed.sampled_values()));
+
+      if (!observed) continue;
+      const ProvenanceSummary ws = scalar_prov.summary();
+      const ProvenanceSummary gs = packed_prov.summary();
+      EXPECT_EQ(gs.ops, kCycles + kSteps) << tag;
+      EXPECT_GT(ws.erroneous_ops, 0u) << tag;
+      EXPECT_EQ(gs.erroneous_ops, ws.erroneous_ops) << tag;
+      EXPECT_EQ(gs.attributed_bits, ws.attributed_bits) << tag;
+      EXPECT_EQ(gs.bitwise_ber, ws.bitwise_ber) << tag;
+      ASSERT_EQ(gs.culprits.size(), ws.culprits.size()) << tag;
+      for (std::size_t c = 0; c < ws.culprits.size(); ++c) {
+        EXPECT_EQ(gs.culprits[c].net, ws.culprits[c].net) << tag;
+        EXPECT_EQ(gs.culprits[c].bits, ws.culprits[c].bits) << tag;
+      }
+      EXPECT_EQ(gs.slack_p50_ps, ws.slack_p50_ps) << tag;
+      EXPECT_EQ(gs.slack_p95_ps, ws.slack_p95_ps) << tag;
+      EXPECT_EQ(gs.slack_max_ps, ws.slack_max_ps) << tag;
+      // One pass per scalar call; ceil(count / 64) per packed call.
+      EXPECT_EQ(ws.lane_words, kCycles + kSteps) << tag;
+      EXPECT_EQ(gs.lane_words, 1u + 2u) << tag;
     }
   }
 }

@@ -56,6 +56,35 @@ TEST(VosModel, TrainedModelTracksSimulatorClosely) {
   EXPECT_LT(fr.model_ber, 5.0 * fr.oracle_ber);
 }
 
+// The batched oracle (VosDutSim::apply_batch in kTrainBatch chunks)
+// trains the very table the one-pair oracle does: the training stream
+// never depends on the observations, and apply_batch is bit-identical
+// to consecutive apply calls. A deep corner, so the table is far from
+// identity; 1000 patterns leave a partial last chunk.
+TEST(VosModel, BatchedOracleTrainsTheScalarTable) {
+  const DutNetlist rca = to_dut(build_rca(16));
+  const double cp =
+      analyze_timing(rca.netlist, lib(), {1, 1.0, 0.0}).critical_path_ps *
+      1e-3;
+  const OperatingTriad deep{0.5 * cp, 0.5, 0.0};
+  TrainerConfig cfg;
+  cfg.num_patterns = 1000;
+  for (const EngineKind engine : {EngineKind::kLevelized, EngineKind::kEvent}) {
+    TimingSimConfig sim_cfg;
+    sim_cfg.engine = engine;
+    VosDutSim scalar_sim(rca, lib(), deep, sim_cfg);
+    const HardwareOracle scalar = [&](std::uint64_t a, std::uint64_t b) {
+      return scalar_sim.apply(a, b).sampled;
+    };
+    VosDutSim batch_sim(rca, lib(), deep, sim_cfg);
+    const CarryChainProbTable want = train_carry_table(16, scalar, cfg);
+    const CarryChainProbTable got =
+        train_carry_table(16, sampled_batch_oracle(batch_sim), cfg);
+    EXPECT_FALSE(want.is_identity()) << engine_kind_name(engine);
+    EXPECT_TRUE(got == want) << engine_kind_name(engine);
+  }
+}
+
 TEST(VosModel, RelaxedTriadYieldsExactModel) {
   const DutNetlist rca = to_dut(build_rca(8));
   const OperatingTriad relaxed{rca8_cp_ns() * 2.0, 1.0, 0.0};

@@ -94,6 +94,9 @@ gates=(
   "bench_perf_speedup|SIMD_COMPILED|simd_compiled|text|"
   # Observers-off noise floor of the event engine sweep.
   "bench_perf_speedup|PROVENANCE_OVERHEAD_PCT|provenance_overhead_pct|<=|2"
+  # Engine-step rung: levelized over event scalar apply cost, rca16 at
+  # the deepest ladder corner (median of interleaved reps).
+  "bench_perf_speedup|LEVELIZED_SCALAR_VS_EVENT|levelized_scalar_vs_event|record|"
   # Fleet serving-phase chips/s: the per-chip closed-loop path.
   "bench_fleet|FLEET_THROUGHPUT|fleet_throughput_cps|>=|20"
   # In-process parallel efficiency and fleet-wide energy spread.
