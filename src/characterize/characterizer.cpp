@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <string>
 
+#include "src/obs/trace.hpp"
 #include "src/seq/seq_dut.hpp"
 #include "src/seq/seq_sim.hpp"
 #include "src/sim/levelized_sim.hpp"
@@ -30,6 +32,20 @@ std::vector<std::uint64_t> generate_patterns(
   for (std::size_t p = 0; p <= config.num_patterns; ++p)
     stream.next({pats.data() + p * nops, nops});
   return pats;
+}
+
+/// Shortest stream a segmented pass hands one pool task: long enough to
+/// amortize the segment's simulator construction (and, for a clocked
+/// segment, its latency_cycles() warm-up).
+constexpr std::size_t kMinSegment = 256;
+
+/// Segments for a stream of `n` patterns (or cycles): one per worker,
+/// none shorter than kMinSegment, at most 64.
+std::size_t segment_count(const CharacterizeConfig& config, std::size_t n) {
+  const unsigned workers =
+      config.threads == 0 ? hardware_parallelism() : config.threads;
+  return std::clamp<std::size_t>(
+      std::min<std::size_t>(workers, n / kMinSegment), 1, 64);
 }
 
 /// Reference output for one pattern: the user-provided golden function,
@@ -128,16 +144,11 @@ std::vector<TriadResult> characterize_levelized_sweep(
   const int out_bits = pins.output_width();
   const std::size_t npis = dut.netlist.primary_inputs().size();
 
-  // Segment the stream across the pool; each segment is large enough
-  // to amortize its simulator construction. The segment count fixes
-  // the order in which per-segment energy sums merge, so min_seg is
-  // part of every result bit.
+  // Segment the stream across the pool. The segment count fixes the
+  // order in which per-segment energy sums merge, so kMinSegment and
+  // the thread count are part of every result bit.
   constexpr std::size_t kChunk = LevelizedSimulator::kLanes;
-  constexpr std::size_t min_seg = 256;
-  const unsigned workers =
-      config.threads == 0 ? hardware_parallelism() : config.threads;
-  const std::size_t nseg = std::clamp<std::size_t>(
-      std::min<std::size_t>(workers, num_patterns / min_seg), 1, 64);
+  const std::size_t nseg = segment_count(config, num_patterns);
 
   struct Partial {
     ErrorAccumulator acc;
@@ -249,9 +260,12 @@ std::vector<TriadResult> characterize_levelized_sweep(
 /// truncates (by induction over cycles its trajectory IS the reference
 /// one), so its result is synthesized from the reference aggregates —
 /// BER exactly 0, dynamic energy and settle rescaled. The remaining
-/// (error-onset and beyond) triads replay on per-worker normalized
-/// pipelines via SeqSim::retarget_capture_ps, skipping the per-triad
-/// die rebuild. Error counts match the per-triad path up to
+/// (error-onset and beyond) triads replay longest-first, one pool task
+/// and one normalized pipeline each, via SeqSim::retarget_capture_ps.
+/// The reference run itself is split into warm-started segments when
+/// its threshold is cycle-safe (DESIGN.md §10); no segment or task
+/// boundary enters a sum, so results are bit-identical at every thread
+/// count. Error counts match the per-triad path up to
 /// delay-product rounding at the window boundary and energies to FP
 /// rescaling — the same caveats the combinational fast path carries.
 std::vector<TriadResult> characterize_seq_levelized_norm(
@@ -309,37 +323,41 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
                              probe_cycles < cycles &&
                              probe_cycles >= latency;
 
-  // One normalized replay at threshold tau[t]; aggregates are in the
-  // ref time/energy base and rescaled into the triad's own units.
-  // allow_probe lets a replay stop at the probe word when saturated;
-  // the reference run always spends the full budget (its trajectory
-  // and worst commit bound seed every synthesized triad).
-  const auto run_at = [&](SeqSim& sim, std::vector<SeqCycleResult>& rs,
-                          std::size_t t, double* worst_out,
-                          bool allow_probe) {
+  // Starts a normalized pipeline from reset at threshold tau[t].
+  const auto start_at = [&](SeqSim& sim, std::size_t t) {
     sim.reset();
     sim.retarget_capture_ps(tau[t]);
-    std::size_t n_cycles = cycles;
-    if (allow_probe && probe_enabled) {
+  };
+
+  // Steps one replay at threshold tau[t] into rs and returns the
+  // cycles it spent: a replay whose first probe word is saturated
+  // stops there.
+  const auto replay = [&](SeqSim& sim, std::span<SeqCycleResult> rs,
+                          std::size_t t) {
+    start_at(sim, t);
+    if (probe_enabled) {
       sim.step_cycle_batch({ops.data(), probe_cycles * nops},
-                           probe_cycles,
-                           {rs.data(), probe_cycles});
-      ErrorAccumulator probe_acc(sim.output_width());
+                           probe_cycles, rs.first(probe_cycles));
+      ErrorAccumulator probe_acc(seq.output_width());
       for (std::size_t c = 0; c < probe_cycles; ++c)
         if (rs[c].output_valid)
           probe_acc.add(rs[c].expected, rs[c].captured);
-      if (probe_acc.op_error_rate() >= config.seq_saturation_threshold) {
-        n_cycles = probe_cycles;  // saturated: the probe IS the sample
-      } else {
-        sim.reset();
-        sim.retarget_capture_ps(tau[t]);
-      }
+      if (probe_acc.op_error_rate() >= config.seq_saturation_threshold)
+        return probe_cycles;  // saturated: the probe IS the sample
+      start_at(sim, t);
     }
-    if (n_cycles == cycles)
-      sim.step_cycle_batch(ops, cycles, rs);
-    const double const_fj = sim.leakage_energy_fj_per_cycle() +
-                            sim.clock_energy_fj_per_cycle();
-    ErrorAccumulator acc(sim.output_width());
+    sim.step_cycle_batch(ops, cycles, rs);
+    return cycles;
+  };
+
+  // Scores the first n_cycles of rs into results[t] and returns the
+  // worst normalized settle time. Aggregates are in the ref time/energy
+  // base and rescaled into the triad's own units; const_fj is the
+  // normalized pipeline's per-cycle leakage + clock energy at tau[t].
+  const auto score = [&](std::span<const SeqCycleResult> rs,
+                         std::size_t n_cycles, std::size_t t,
+                         double const_fj) {
+    ErrorAccumulator acc(seq.output_width());
     double dyn = 0.0;
     double settle = 0.0;
     double worst = 0.0;
@@ -350,7 +368,6 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
       worst = std::max(worst, r.max_settle_ps);
       if (r.output_valid) acc.add(r.expected, r.captured);
     }
-    if (worst_out != nullptr) *worst_out = worst;
 
     TriadResult& res = results[t];
     res.triad = triads[t];
@@ -366,21 +383,61 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
     res.leakage_energy_fj = leak_fj[t];
     res.mean_settle_ps = settle * sscale[t] / n;
     res.patterns = n_cycles - latency + 1;
+    return worst;
+  };
+  const auto const_fj_of = [](const SeqSim& sim) {
+    return sim.leakage_energy_fj_per_cycle() +
+           sim.clock_energy_fj_per_cycle();
   };
 
-  // Phase 1: the reference (largest-threshold) run bounds every commit.
+  // Phase 1: the reference (largest-threshold) run bounds every commit
+  // and always spends the full budget (its trajectory seeds every
+  // synthesized triad). At a cycle-safe reference (SeqSim::cycle_safe:
+  // every commit of every stage lands before the edge) a segment that
+  // warm-starts latency cycles early reaches the serial run's exact
+  // state, so the run splits into segments on the pool, each stepping
+  // its own cycles into one shared buffer; the buffer is scored once,
+  // in cycle order, whatever the segment count. Otherwise one segment
+  // runs the whole stream.
   double worst_norm = 0.0;
   {
-    SeqSim sim(seq, lib, norm, sim_cfg);
+    obs::ScopedSpan span("characterize.seq.reference", "characterize");
+    bool safe = false;
+    double const_fj = 0.0;
+    {
+      SeqSim sim(seq, lib, norm, sim_cfg);
+      start_at(sim, ref_t);
+      safe = sim.cycle_safe();
+      const_fj = const_fj_of(sim);
+    }
+    const std::size_t nseg = safe ? segment_count(config, cycles) : 1;
     std::vector<SeqCycleResult> rs(cycles);
-    run_at(sim, rs, ref_t, &worst_norm, false);
+    shared_thread_pool().parallel(
+        nseg,
+        [&](std::size_t s) {
+          const std::size_t b = s * cycles / nseg;
+          const std::size_t e = (s + 1) * cycles / nseg;
+          const std::size_t warm = std::min(b, latency);
+          SeqSim sim(seq, lib, norm, sim_cfg);
+          start_at(sim, ref_t);
+          std::vector<SeqCycleResult> scratch(warm);
+          sim.step_cycle_batch(
+              {ops.data() + (b - warm) * nops, warm * nops}, warm, scratch);
+          sim.step_cycle_batch({ops.data() + b * nops, (e - b) * nops},
+                               e - b, std::span(rs).subspan(b, e - b));
+        },
+        config.threads);
+    worst_norm = score(rs, cycles, ref_t, const_fj);
+    span.arg("segments", static_cast<std::uint64_t>(nseg))
+        .arg("cycles", static_cast<std::uint64_t>(cycles))
+        .arg("cycle_safe", std::string(safe ? "true" : "false"));
   }
   const TriadResult& ref_res = results[ref_t];
 
   // Phase 2: classify. Provably truncation-free triads reuse the
   // reference trajectory's aggregates (their own run would retrace it
-  // commit for commit); the rest replay, sharded across the pool with
-  // one normalized pipeline per worker.
+  // commit for commit); the rest replay on the pool, one task and one
+  // normalized pipeline per triad.
   std::vector<std::size_t> active;
   for (std::size_t t = 0; t < nthr; ++t) {
     if (t == ref_t) continue;
@@ -403,21 +460,29 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
     }
   }
 
-  if (!active.empty()) {
-    const unsigned workers =
-        config.threads == 0 ? hardware_parallelism() : config.threads;
-    const std::size_t nshard = std::clamp<std::size_t>(
-        std::min<std::size_t>(workers, active.size()), 1, 64);
-    shared_thread_pool().parallel(
-        nshard,
-        [&](std::size_t s) {
-          SeqSim sim(seq, lib, norm, sim_cfg);
-          std::vector<SeqCycleResult> rs(cycles);
-          for (std::size_t i = s; i < active.size(); i += nshard)
-            run_at(sim, rs, active[i], nullptr, true);
-        },
-        config.threads);
-  }
+  // Longest first: the high-tau triads sit at the error onset and run
+  // the full budget, the low-tau ones saturate at the probe — so the
+  // pool, which claims one index at a time, ends on short tasks. Every
+  // replay resets and retargets its own pipeline, so the order cannot
+  // change a result.
+  std::stable_sort(active.begin(), active.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return tau[x] > tau[y];
+                   });
+  shared_thread_pool().parallel(
+      active.size(),
+      [&](std::size_t i) {
+        const std::size_t t = active[i];
+        obs::ScopedSpan span("characterize.seq.replay", "characterize");
+        SeqSim sim(seq, lib, norm, sim_cfg);
+        std::vector<SeqCycleResult> rs(cycles);
+        const std::size_t n = replay(sim, rs, t);
+        score(rs, n, t, const_fj_of(sim));
+        span.arg("triad", static_cast<std::uint64_t>(t))
+            .arg("cycles", static_cast<std::uint64_t>(n))
+            .arg("saturated", std::string(n < cycles ? "true" : "false"));
+      },
+      config.threads);
   return results;
 }
 

@@ -119,6 +119,10 @@ struct SeqDut;
 /// register clock/latch energy. config.golden is ignored (the reference
 /// is always the pipeline's own settled composition);
 /// config.streaming_state is inherent (registers carry state).
+/// Results are bit-identical at every config.threads: the levelized
+/// fast path splits its reference run into warm-started segments only
+/// where that provably reproduces the serial run, and no segment or
+/// replay-task boundary enters a sum (DESIGN.md §10).
 std::vector<TriadResult> characterize_seq_dut(
     const SeqDut& seq, const CellLibrary& lib,
     const std::vector<OperatingTriad>& triads,

@@ -124,6 +124,11 @@ bool SeqSim::retarget_capture_ps(double capture_ps) {
   return true;
 }
 
+bool SeqSim::cycle_safe() const {
+  return std::all_of(engines_.begin(), engines_.end(),
+                     [](const auto& e) { return e->cycle_safe(); });
+}
+
 double SeqSim::leakage_energy_fj_per_cycle() const noexcept {
   double leak = 0.0;
   for (const auto& e : engines_) leak += e->leakage_energy_fj_per_op();

@@ -144,6 +144,16 @@ class SeqSim {
   /// Call reset() before the next stream.
   bool retarget_capture_ps(double capture_ps);
 
+  /// True when every stage engine is cycle_safe() at the current
+  /// capture threshold. Each stage's carried state after a cycle is
+  /// then the settled function of that cycle's bank, and stage k's
+  /// bank at cycle c depends only on cycle c − k's operands — so a run
+  /// that starts latency_cycles() cycles before cycle b from reset()
+  /// reaches the state (and golden queue) a run from cycle 0 has at b,
+  /// and every cycle from b on is bit-identical to that run's. The
+  /// characterizer's segmented reference run rests on this.
+  bool cycle_safe() const;
+
   /// Stage k's Razor monitor (shadow-vs-main statistics from the
   /// simulator, the closed-loop controller's sensor).
   const DoubleSamplingMonitor& stage_monitor(std::size_t k) const {

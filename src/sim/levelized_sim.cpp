@@ -630,6 +630,11 @@ bool LevelizedSimulator::retarget_tclk_ps(double tclk_ps) {
   return true;
 }
 
+bool LevelizedSimulator::cycle_safe() const noexcept {
+  return std::all_of(cycle_safe_.begin(), cycle_safe_.end(),
+                     [](std::uint8_t s) { return s != 0; });
+}
+
 void LevelizedSimulator::reset(std::span<const std::uint8_t> inputs) {
   VOSIM_EXPECTS(inputs.size() == netlist_.primary_inputs().size());
   state_ = evaluate_logic(netlist_, inputs);

@@ -112,6 +112,10 @@ class LevelizedSimulator final : public SimEngine {
   /// period would produce. O(gates), no RNG redraw.
   bool retarget_tclk_ps(double tclk_ps) override;
 
+  /// Every gate is cycle-safe (STA arrival < Tclk): see
+  /// SimEngine::cycle_safe.
+  bool cycle_safe() const noexcept override;
+
   double leakage_energy_fj_per_op() const noexcept override {
     return leakage_energy_fj_;
   }

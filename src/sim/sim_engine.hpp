@@ -180,6 +180,15 @@ class SimEngine {
   /// unchanged. Call reset() afterwards before reading state.
   virtual bool retarget_tclk_ps(double) { return false; }
 
+  /// True when every commit of every gate provably lands inside the
+  /// capture window at the current threshold, in every cycle of any
+  /// clocked stream: the at-edge state a step_cycle carries forward is
+  /// then the settled function of that cycle's inputs, whatever state
+  /// it launched from. The levelized backend proves this from its STA
+  /// arrivals (every gate's arrival < Tclk); backends that cannot
+  /// prove it return false.
+  virtual bool cycle_safe() const noexcept { return false; }
+
   /// Per-operation leakage energy at this triad (fJ): leakage power
   /// integrated over one clock period.
   virtual double leakage_energy_fj_per_op() const noexcept = 0;

@@ -12,9 +12,13 @@
 
 #include "src/campaign/runner.hpp"
 #include "src/campaign/store.hpp"
+#include "src/characterize/characterizer.hpp"
+#include "src/characterize/triads.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/seq/seq_dut.hpp"
+#include "src/seq/seq_report.hpp"
 #include "src/tech/library.hpp"
 
 namespace vosim {
@@ -131,6 +135,47 @@ TEST(Trace, RestartDropsThePreviousSession) {
   const std::string doc = obs::stop_trace_json();
   EXPECT_EQ(doc.find("test.stale"), std::string::npos);
   EXPECT_NE(doc.find("test.fresh"), std::string::npos);
+}
+
+/// Occurrences of `needle` in `doc`.
+std::size_t count_of(const std::string& doc, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = doc.find(needle); at != std::string::npos;
+       at = doc.find(needle, at + needle.size()))
+    ++n;
+  return n;
+}
+
+TEST(Trace, SeqSweepRecordsReferenceAndReplaySpans) {
+  // A traced pipeline sweep shows its critical path: one reference
+  // span (the full grid's reference is cycle-safe, so its 601 cycles
+  // split into one segment per thread) and one span per replayed triad.
+  const CellLibrary& lib = make_fdsoi28_lvt();
+  const SeqDut seq = build_seq_circuit("pipe2-mul8");
+  CharacterizeConfig cfg;
+  cfg.num_patterns = 600;
+  cfg.engine = EngineKind::kLevelized;
+  cfg.threads = 2;
+  const std::vector<OperatingTriad> triads =
+      make_dut_triads(seq_critical_path_ns(seq, lib));
+
+  obs::start_trace();
+  const std::vector<TriadResult> results =
+      characterize_seq_dut(seq, lib, triads, cfg);
+  const std::string doc = obs::stop_trace_json();
+  EXPECT_EQ(count_of(doc, "\"name\":\"characterize.seq.reference\""), 1u);
+  EXPECT_NE(doc.find("\"args\":{\"segments\":\"2\",\"cycles\":\"601\","
+                     "\"cycle_safe\":\"true\"}"),
+            std::string::npos);
+  std::size_t saturated = 0;
+  for (const TriadResult& r : results) saturated += r.patterns < 600;
+  const std::size_t replays =
+      count_of(doc, "\"name\":\"characterize.seq.replay\"");
+  EXPECT_GT(saturated, 0u);
+  EXPECT_GT(replays, saturated);  // onset triads replay in full
+  EXPECT_LT(replays, triads.size());  // error-free triads reuse the reference
+  EXPECT_EQ(count_of(doc, "\"saturated\":\"true\""), saturated);
+  EXPECT_EQ(count_of(doc, "\"saturated\":\"false\""), replays - saturated);
 }
 
 TEST(Manifest, RoundTripsThroughJsonl) {

@@ -4,15 +4,19 @@
 // simulator truth, energy accounting and characterize_seq_dut.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "src/characterize/characterizer.hpp"
+#include "src/characterize/triads.hpp"
 #include "src/netlist/dut.hpp"
 #include "src/seq/seq_dut.hpp"
 #include "src/seq/seq_report.hpp"
 #include "src/seq/seq_sim.hpp"
 #include "src/sim/sim_engine.hpp"
 #include "src/tech/library.hpp"
+#include "src/util/bits.hpp"
 #include "src/util/rng.hpp"
 
 namespace vosim {
@@ -165,6 +169,62 @@ TEST(SeqSimTest, OverscaledRazorFlagsFire) {
   EXPECT_DOUBLE_EQ(sim.worst_stage_op_error_rate(), 0.0);
 }
 
+TEST(SeqSimTest, WarmStartMatchesSerialRunWhenCycleSafe) {
+  // At a cycle-safe capture every stage's carried state is the settled
+  // function of its bank, so a run started latency_cycles() early from
+  // reset() must reproduce the serial run's cycles bit for bit.
+  const SeqDut seq = build_seq_circuit("pipe3-mac4x8");
+  TimingSimConfig cfg;
+  cfg.engine = EngineKind::kLevelized;
+  cfg.variation_sigma = 0.03;
+  cfg.variation_seed = 7;
+  SeqSim serial(seq, lib(), relaxed_triad(seq), cfg);
+  SeqSim warm(seq, lib(), relaxed_triad(seq), cfg);
+  ASSERT_TRUE(serial.cycle_safe());
+
+  const std::size_t nops = seq.num_operands();
+  const std::vector<int> widths = seq.operand_widths();
+  const std::size_t lat = seq.latency_cycles();
+  const std::size_t b = 301;  // off the 64-cycle chunk grid
+  const std::size_t e = 437;
+  Rng rng(31);
+  std::vector<std::uint64_t> ops(e * nops);
+  for (std::size_t c = 0; c < e; ++c)
+    for (std::size_t k = 0; k < nops; ++k)
+      ops[c * nops + k] = rng() & mask_n(widths[k]);
+
+  std::vector<SeqCycleResult> rs(e);
+  serial.step_cycle_batch(ops, e, rs);
+  const std::size_t w0 = b - lat;
+  std::vector<SeqCycleResult> ws(e - w0);
+  warm.step_cycle_batch({ops.data() + w0 * nops, (e - w0) * nops}, e - w0,
+                        ws);
+  for (std::size_t c = b; c < e; ++c) {
+    const SeqCycleResult& x = rs[c];
+    const SeqCycleResult& y = ws[c - w0];
+    EXPECT_EQ(x.captured, y.captured) << "cycle " << c;
+    EXPECT_EQ(x.expected, y.expected) << "cycle " << c;
+    EXPECT_EQ(x.output_valid, y.output_valid) << "cycle " << c;
+    EXPECT_EQ(x.energy_fj, y.energy_fj) << "cycle " << c;
+    EXPECT_EQ(x.max_settle_ps, y.max_settle_ps) << "cycle " << c;
+    EXPECT_EQ(x.razor_flags, y.razor_flags) << "cycle " << c;
+  }
+
+  // The query holds only where it is provable: never on the event
+  // engine, and not once the capture drops below a stage's CP (the
+  // typical-corner STA path, without the signoff margin).
+  TimingSimConfig ev_cfg = cfg;
+  ev_cfg.engine = EngineKind::kEvent;
+  EXPECT_FALSE(SeqSim(seq, lib(), relaxed_triad(seq), ev_cfg).cycle_safe());
+  double stage_cp_ps = 0.0;
+  for (const SynthesisReport& r : seq_stage_reports(seq, lib()))
+    stage_cp_ps = std::max(stage_cp_ps, r.tt_critical_path_ns * 1e3);
+  ASSERT_TRUE(warm.retarget_capture_ps(0.8 * stage_cp_ps));
+  EXPECT_FALSE(warm.cycle_safe());
+  ASSERT_TRUE(warm.retarget_capture_ps(1.2 * stage_cp_ps));
+  EXPECT_TRUE(warm.cycle_safe());
+}
+
 TEST(SeqSimTest, EnergyIncludesRegisterClock) {
   const SeqDut seq = build_seq_circuit("fir4-pipe");
   SeqSim sim(seq, lib(), relaxed_triad(seq));
@@ -195,8 +255,85 @@ TEST(CharacterizeSeq, RelaxedGridErrorFreeAndDeterministic) {
   EXPECT_GT(a[0].energy_per_op_fj,
             a[0].leakage_energy_fj);  // clock energy is in there
   for (std::size_t t = 0; t < a.size(); ++t) {
-    EXPECT_DOUBLE_EQ(a[t].ber, b[t].ber);
-    EXPECT_DOUBLE_EQ(a[t].energy_per_op_fj, b[t].energy_per_op_fj);
+    EXPECT_EQ(a[t].ber, b[t].ber);
+    EXPECT_EQ(a[t].energy_per_op_fj, b[t].energy_per_op_fj);
+  }
+}
+
+/// Whether characterize_seq_dut's normalized reference run — the
+/// grid's largest capture threshold in the nominal (Vdd 1.0, Vbb 0)
+/// time base, on the sweep's die — is cycle-safe, i.e. takes the
+/// segmented path.
+bool reference_cycle_safe(const SeqDut& seq,
+                          const std::vector<OperatingTriad>& triads,
+                          const CharacterizeConfig& cfg) {
+  const TransistorModel& tm = lib().transistor_model();
+  const double setup_ns = lib().dff_setup_ps() * 1e-3;
+  double tau = 0.0;
+  for (const OperatingTriad& op : triads)
+    tau = std::max(tau, (op.tclk_ns - setup_ns) * 1e3 *
+                            tm.delay_scale(1.0, 0.0) /
+                            tm.delay_scale(op.vdd_v, op.vbb_v));
+  TimingSimConfig sim_cfg;
+  sim_cfg.engine = EngineKind::kLevelized;
+  sim_cfg.variation_sigma = cfg.variation_sigma;
+  sim_cfg.variation_seed = cfg.variation_seed;
+  SeqSim sim(seq, lib(), {tau * 1e-3 + setup_ns, 1.0, 0.0}, sim_cfg);
+  EXPECT_TRUE(sim.retarget_capture_ps(tau));
+  return sim.cycle_safe();
+}
+
+void expect_bit_identical(const std::vector<TriadResult>& a,
+                          const std::vector<TriadResult>& b,
+                          const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    const std::string at = what + " @ " + triad_label(a[t].triad);
+    EXPECT_EQ(a[t].triad, b[t].triad) << at;
+    EXPECT_EQ(a[t].ber, b[t].ber) << at;
+    EXPECT_EQ(a[t].bitwise_ber, b[t].bitwise_ber) << at;
+    EXPECT_EQ(a[t].op_error_rate, b[t].op_error_rate) << at;
+    EXPECT_EQ(a[t].mse, b[t].mse) << at;
+    EXPECT_EQ(a[t].mred, b[t].mred) << at;
+    EXPECT_EQ(a[t].energy_per_op_fj, b[t].energy_per_op_fj) << at;
+    EXPECT_EQ(a[t].dynamic_energy_fj, b[t].dynamic_energy_fj) << at;
+    EXPECT_EQ(a[t].leakage_energy_fj, b[t].leakage_energy_fj) << at;
+    EXPECT_EQ(a[t].mean_settle_ps, b[t].mean_settle_ps) << at;
+    EXPECT_EQ(a[t].patterns, b[t].patterns) << at;
+  }
+}
+
+TEST(CharacterizeSeq, NormalizedSweepBitIdenticalAcrossThreadCounts) {
+  // The segmented reference run and the longest-first replays must not
+  // let the thread count into any result: the full grid's reference is
+  // cycle-safe and splits into segments, the deep grid's is not and
+  // runs serially — both bit-identical at 1, 2 and 4 threads.
+  for (const char* spec : {"pipe2-mul8", "pipe3-mac4x8", "fir4-pipe"}) {
+    const SeqDut seq = build_seq_circuit(spec);
+    const double cp = seq_critical_path_ns(seq, lib());
+    CharacterizeConfig cfg;
+    cfg.num_patterns = 2000;
+    cfg.engine = EngineKind::kLevelized;
+    const std::vector<OperatingTriad> full = make_dut_triads(cp);
+    // Deep enough that the reference run itself latches errors, so a
+    // warm-started segment would not reach the serial state.
+    const std::vector<OperatingTriad> deep = {
+        {0.6 * cp, 0.7, 0.0}, {0.55 * cp, 0.7, 0.0},
+        {0.5 * cp, 0.6, 0.0}, {0.45 * cp, 0.6, 0.0},
+        {0.4 * cp, 0.5, 2.0}};
+    EXPECT_TRUE(reference_cycle_safe(seq, full, cfg)) << spec;
+    EXPECT_FALSE(reference_cycle_safe(seq, deep, cfg)) << spec;
+    for (const auto* grid : {&full, &deep}) {
+      cfg.threads = 1;
+      const auto one = characterize_seq_dut(seq, lib(), *grid, cfg);
+      for (const unsigned threads : {2u, 4u}) {
+        cfg.threads = threads;
+        expect_bit_identical(
+            one, characterize_seq_dut(seq, lib(), *grid, cfg),
+            std::string(spec) + (grid == &full ? " full" : " deep") +
+                " threads=" + std::to_string(threads));
+      }
+    }
   }
 }
 
