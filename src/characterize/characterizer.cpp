@@ -34,18 +34,18 @@ std::vector<std::uint64_t> generate_patterns(
   return pats;
 }
 
-/// Shortest stream a segmented pass hands one pool task: long enough to
-/// amortize the segment's simulator construction (and, for a clocked
-/// segment, its latency_cycles() warm-up).
+/// Shortest stream a segmented combinational pass hands one pool task:
+/// long enough to amortize the segment's simulator construction.
 constexpr std::size_t kMinSegment = 256;
 
 /// Segments for a stream of `n` patterns (or cycles): one per worker,
-/// none shorter than kMinSegment, at most 64.
-std::size_t segment_count(const CharacterizeConfig& config, std::size_t n) {
+/// none shorter than `min_segment`, at most 64.
+std::size_t segment_count(const CharacterizeConfig& config, std::size_t n,
+                          std::size_t min_segment = kMinSegment) {
   const unsigned workers =
       config.threads == 0 ? hardware_parallelism() : config.threads;
   return std::clamp<std::size_t>(
-      std::min<std::size_t>(workers, n / kMinSegment), 1, 64);
+      std::min<std::size_t>(workers, n / min_segment), 1, 64);
 }
 
 /// Reference output for one pattern: the user-provided golden function,
@@ -261,11 +261,16 @@ std::vector<TriadResult> characterize_levelized_sweep(
 /// one), so its result is synthesized from the reference aggregates —
 /// BER exactly 0, dynamic energy and settle rescaled. The remaining
 /// (error-onset and beyond) triads replay longest-first, one pool task
-/// and one normalized pipeline each, via SeqSim::retarget_capture_ps.
-/// The reference run itself is split into warm-started segments when
-/// its threshold is cycle-safe (DESIGN.md §10); no segment or task
-/// boundary enters a sum, so results are bit-identical at every thread
-/// count. Error counts match the per-triad path up to
+/// and one normalized pipeline each. A replay past the saturation
+/// probe is sparse (SeqSim::replay_sparse): it copies every cycle the
+/// edge at tau[t] does not cut from the reference run and steps only
+/// the dirty stretches, bit-identical to stepping every cycle. The
+/// reference run is split into warm-started segments, and replays copy
+/// from it, only when its threshold is cycle-safe (DESIGN.md §10);
+/// otherwise it runs serially and every replay steps its full budget.
+/// No segment, stretch or task boundary enters a sum, so results are
+/// bit-identical at every thread count. Error counts match the
+/// per-triad path up to
 /// delay-product rounding at the window boundary and energies to FP
 /// rescaling — the same caveats the combinational fast path carries.
 std::vector<TriadResult> characterize_seq_levelized_norm(
@@ -329,27 +334,6 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
     sim.retarget_capture_ps(tau[t]);
   };
 
-  // Steps one replay at threshold tau[t] into rs and returns the
-  // cycles it spent: a replay whose first probe word is saturated
-  // stops there.
-  const auto replay = [&](SeqSim& sim, std::span<SeqCycleResult> rs,
-                          std::size_t t) {
-    start_at(sim, t);
-    if (probe_enabled) {
-      sim.step_cycle_batch({ops.data(), probe_cycles * nops},
-                           probe_cycles, rs.first(probe_cycles));
-      ErrorAccumulator probe_acc(seq.output_width());
-      for (std::size_t c = 0; c < probe_cycles; ++c)
-        if (rs[c].output_valid)
-          probe_acc.add(rs[c].expected, rs[c].captured);
-      if (probe_acc.op_error_rate() >= config.seq_saturation_threshold)
-        return probe_cycles;  // saturated: the probe IS the sample
-      start_at(sim, t);
-    }
-    sim.step_cycle_batch(ops, cycles, rs);
-    return cycles;
-  };
-
   // Scores the first n_cycles of rs into results[t] and returns the
   // worst normalized settle time. Aggregates are in the ref time/energy
   // base and rescaled into the triad's own units; const_fj is the
@@ -392,13 +376,17 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
 
   // Phase 1: the reference (largest-threshold) run bounds every commit
   // and always spends the full budget (its trajectory seeds every
-  // synthesized triad). At a cycle-safe reference (SeqSim::cycle_safe:
-  // every commit of every stage lands before the edge) a segment that
-  // warm-starts latency cycles early reaches the serial run's exact
-  // state, so the run splits into segments on the pool, each stepping
-  // its own cycles into one shared buffer; the buffer is scored once,
-  // in cycle order, whatever the segment count. Otherwise one segment
-  // runs the whole stream.
+  // synthesized triad and every sparse replay, so each stage's
+  // per-cycle window energy is kept with it). At a cycle-safe
+  // reference (SeqSim::cycle_safe: every commit of every stage lands
+  // before the edge) a segment that warm-starts latency cycles early
+  // reaches the serial run's exact state, so the run splits into
+  // segments on the pool, each stepping its own cycles into shared
+  // buffers; they are scored once, in cycle order, whatever the
+  // segment count. Otherwise one segment runs the whole stream.
+  const std::size_t stages = seq.num_stages();
+  std::vector<SeqCycleResult> ref_rs(cycles);
+  std::vector<double> ref_win(cycles * stages);
   double worst_norm = 0.0;
   {
     obs::ScopedSpan span("characterize.seq.reference", "characterize");
@@ -410,24 +398,25 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
       safe = sim.cycle_safe();
       const_fj = const_fj_of(sim);
     }
-    const std::size_t nseg = safe ? segment_count(config, cycles) : 1;
-    std::vector<SeqCycleResult> rs(cycles);
+    // No segment boundary enters a result here, so a segment need only
+    // fill one lane word past its latency warm-up.
+    const std::size_t nseg =
+        safe ? segment_count(config, cycles, LevelizedSimulator::kLanes) : 1;
     shared_thread_pool().parallel(
         nseg,
         [&](std::size_t s) {
           const std::size_t b = s * cycles / nseg;
           const std::size_t e = (s + 1) * cycles / nseg;
-          const std::size_t warm = std::min(b, latency);
           SeqSim sim(seq, lib, norm, sim_cfg);
-          start_at(sim, ref_t);
-          std::vector<SeqCycleResult> scratch(warm);
+          sim.retarget_capture_ps(tau[ref_t]);
+          sim.warm_start(ops, b);
           sim.step_cycle_batch(
-              {ops.data() + (b - warm) * nops, warm * nops}, warm, scratch);
-          sim.step_cycle_batch({ops.data() + b * nops, (e - b) * nops},
-                               e - b, std::span(rs).subspan(b, e - b));
+              {ops.data() + b * nops, (e - b) * nops}, e - b,
+              std::span(ref_rs).subspan(b, e - b),
+              std::span(ref_win).subspan(b * stages, (e - b) * stages));
         },
         config.threads);
-    worst_norm = score(rs, cycles, ref_t, const_fj);
+    worst_norm = score(ref_rs, cycles, ref_t, const_fj);
     span.arg("segments", static_cast<std::uint64_t>(nseg))
         .arg("cycles", static_cast<std::uint64_t>(cycles))
         .arg("cycle_safe", std::string(safe ? "true" : "false"));
@@ -460,14 +449,50 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
     }
   }
 
-  // Longest first: the high-tau triads sit at the error onset and run
-  // the full budget, the low-tau ones saturate at the probe — so the
-  // pool, which claims one index at a time, ends on short tasks. Every
-  // replay resets and retargets its own pipeline, so the order cannot
-  // change a result.
+  // Steps one replay at threshold tau[t] into rs and returns the
+  // cycles it scored: a replay whose first probe word is saturated
+  // stops there; any other resumes from the probe sparsely against the
+  // reference run (SeqSim::replay_sparse), bit-identical to stepping
+  // every cycle.
+  const SeqReference reference{tau[ref_t], ref_rs, ref_win};
+  const auto replay = [&](SeqSim& sim, std::span<SeqCycleResult> rs,
+                          std::size_t t, SparseReplayStats& stats) {
+    std::size_t probed = 0;
+    if (probe_enabled) {
+      start_at(sim, t);
+      probed = probe_cycles;
+      sim.step_cycle_batch({ops.data(), probed * nops}, probed,
+                           rs.first(probed));
+      ErrorAccumulator probe_acc(seq.output_width());
+      for (std::size_t c = 0; c < probed; ++c)
+        if (rs[c].output_valid)
+          probe_acc.add(rs[c].expected, rs[c].captured);
+      if (probe_acc.op_error_rate() >= config.seq_saturation_threshold) {
+        stats.simulated = probed;
+        return probed;  // saturated: the probe IS the sample
+      }
+    }
+    stats = sim.replay_sparse(ops, cycles, reference, tau[t], rs, probed);
+    stats.simulated += probed;
+    return cycles;
+  };
+
+  // Longest first: a sparse replay steps at least the reference cycles
+  // its edge cuts, so the active triads sort by that count, descending,
+  // and the pool, which claims one index at a time, ends on short
+  // tasks. Saturated triads (the most cut cycles) sort early but stop
+  // at their probe. Every replay resets and retargets its own
+  // pipeline, so the order cannot change a result.
+  std::vector<std::size_t> cut(nthr, 0);
+  for (const std::size_t t : active)
+    cut[t] = static_cast<std::size_t>(
+        std::count_if(ref_rs.begin(), ref_rs.end(),
+                      [&](const SeqCycleResult& r) {
+                        return r.max_settle_ps >= tau[t];
+                      }));
   std::stable_sort(active.begin(), active.end(),
                    [&](std::size_t x, std::size_t y) {
-                     return tau[x] > tau[y];
+                     return cut[x] > cut[y];
                    });
   shared_thread_pool().parallel(
       active.size(),
@@ -476,11 +501,14 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
         obs::ScopedSpan span("characterize.seq.replay", "characterize");
         SeqSim sim(seq, lib, norm, sim_cfg);
         std::vector<SeqCycleResult> rs(cycles);
-        const std::size_t n = replay(sim, rs, t);
+        SparseReplayStats stats;
+        const std::size_t n = replay(sim, rs, t, stats);
         score(rs, n, t, const_fj_of(sim));
         span.arg("triad", static_cast<std::uint64_t>(t))
             .arg("cycles", static_cast<std::uint64_t>(n))
-            .arg("saturated", std::string(n < cycles ? "true" : "false"));
+            .arg("saturated", std::string(n < cycles ? "true" : "false"))
+            .arg("simulated", static_cast<std::uint64_t>(stats.simulated))
+            .arg("stretches", static_cast<std::uint64_t>(stats.stretches));
       },
       config.threads);
   return results;

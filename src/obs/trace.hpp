@@ -14,6 +14,12 @@
 // "campaign.cell", "characterize.seq.reference",
 // "characterize.seq.replay", "fleet.ladder", "fleet.serve",
 // "fleet.chip", "serve.request".
+//
+// Pipeline-sweep span args: "characterize.seq.reference" carries
+// segments, cycles and cycle_safe; "characterize.seq.replay" carries
+// triad, cycles (scored), saturated, simulated (cycles stepped, probe
+// and warm starts included — the rest were copied from the reference
+// run) and stretches (dirty stretches the sparse replay stepped).
 #ifndef VOSIM_OBS_TRACE_HPP
 #define VOSIM_OBS_TRACE_HPP
 

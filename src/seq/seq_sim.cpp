@@ -26,6 +26,12 @@ std::uint64_t pack_bank_word(std::span<const std::uint64_t> words,
   return out;
 }
 
+/// Shortest run of copyable reference cycles a sparse replay's dirty
+/// stretch stops for. Leaving costs a warm start and restarts the
+/// chunk ladder at latency + 1 cycles; on the registry pipelines a
+/// shorter gap is cheaper to step through.
+constexpr std::size_t kMinCopyRun = 16;
+
 }  // namespace
 
 SeqSim::SeqSim(const SeqDut& seq, const CellLibrary& lib,
@@ -174,7 +180,8 @@ SeqCycleResult SeqSim::step_cycle(std::span<const std::uint64_t> operands) {
   golden_.push_back(golden_output(operands));
 
   SeqCycleResult r;
-  r.energy_fj = clock_energy_fj_;
+  r.settled = true;
+  stage_window_.resize(stages);
   SeqCycleTrace trace;
   if (tracing_) {
     trace.bank_words.reserve(stages + 1);
@@ -195,8 +202,9 @@ SeqCycleResult SeqSim::step_cycle(std::span<const std::uint64_t> operands) {
     stage_sampled_[k] = sampled;
     monitors_[k].observe(sampled, shadow);
     if (sampled != shadow) r.razor_flags |= 1u << k;
-    r.energy_fj += st.window_energy_fj + stage_leak_fj_[k];
+    stage_window_[k] = st.window_energy_fj;
     r.max_settle_ps = std::max(r.max_settle_ps, st.settle_time_ps);
+    r.settled = r.settled && (engines_[k]->settled_lanes() & 1u) != 0;
     if (tracing_) {
       TraceRecorder& rec = recorders_[k];
       trace.stage_initial.emplace_back(rec.initial_values().begin(),
@@ -205,6 +213,7 @@ SeqCycleResult SeqSim::step_cycle(std::span<const std::uint64_t> operands) {
     }
   }
 
+  r.energy_fj = cycle_energy_fj(stage_window_);
   r.captured = stage_sampled_[stages - 1];
   if (golden_.size() == latency_cycles()) {
     r.expected = golden_.front();
@@ -270,17 +279,24 @@ void SeqSim::golden_output_batch(std::span<const std::uint64_t> operands,
 
 void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
                               std::size_t count,
-                              std::span<SeqCycleResult> results) {
+                              std::span<SeqCycleResult> results,
+                              std::span<double> stage_window_fj) {
   const std::size_t nops = seq_.num_operands();
+  const std::size_t stages = engines_.size();
+  const bool want_windows = !stage_window_fj.empty();
   VOSIM_EXPECTS(operands.size() == count * nops);
   VOSIM_EXPECTS(results.size() >= count);
+  VOSIM_EXPECTS(!want_windows || stage_window_fj.size() >= count * stages);
   if (tracing_) {
     // Per-cycle trace collection needs the scalar path.
-    for (std::size_t c = 0; c < count; ++c)
+    for (std::size_t c = 0; c < count; ++c) {
       results[c] = step_cycle(operands.subspan(c * nops, nops));
+      if (want_windows)
+        std::copy(stage_window_.begin(), stage_window_.end(),
+                  stage_window_fj.begin() + c * stages);
+    }
     return;
   }
-  const std::size_t stages = engines_.size();
   // Chunk at one lane word so every levelized pass and the packed
   // golden composition (evaluate_logic_packed) run full.
   std::size_t done = 0;
@@ -297,6 +313,9 @@ void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
     batch_results_.resize(stages * chunk);
     batch_sampled_w_.resize(stages * chunk);
     batch_shadow_w_.resize(stages * chunk);
+    // Lane c set: every stage ended cycle c settled (one engine pass
+    // per stage per chunk, so each stage's word covers the chunk).
+    std::uint64_t settled = ~std::uint64_t{0};
     for (std::size_t k = 0; k < stages; ++k) {
       const std::size_t npis =
           seq_.stages[k].netlist.primary_inputs().size();
@@ -329,6 +348,7 @@ void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
       engines_[k]->step_cycle_batch(
           batch_inputs_, chunk,
           std::span<StepResult>(&batch_results_[k * chunk], chunk));
+      settled &= engines_[k]->settled_lanes();
       for (std::size_t c = 0; c < chunk; ++c) {
         const StepResult& st = batch_results_[k * chunk + c];
         batch_sampled_w_[k * chunk + c] =
@@ -341,19 +361,23 @@ void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
     // Per-cycle composition, in the scalar call order (energy terms
     // added stage by stage, monitors fed cycle-ascending, golden queue
     // pushed and popped once per cycle).
+    if (!want_windows) stage_window_.resize(chunk * stages);
+    double* win = want_windows ? &stage_window_fj[done * stages]
+                               : stage_window_.data();
     for (std::size_t c = 0; c < chunk; ++c) {
       SeqCycleResult& r = results[done + c];
       r = SeqCycleResult{};
-      r.energy_fj = clock_energy_fj_;
       for (std::size_t k = 0; k < stages; ++k) {
         const StepResult& st = batch_results_[k * chunk + c];
         const std::uint64_t diff = batch_sampled_w_[k * chunk + c] ^
                                    batch_shadow_w_[k * chunk + c];
         monitors_[k].record_word(diff);
         if (diff != 0) r.razor_flags |= 1u << k;
-        r.energy_fj += st.window_energy_fj + stage_leak_fj_[k];
+        win[c * stages + k] = st.window_energy_fj;
         r.max_settle_ps = std::max(r.max_settle_ps, st.settle_time_ps);
       }
+      r.energy_fj = cycle_energy_fj({win + c * stages, stages});
+      r.settled = ((settled >> c) & 1u) != 0;
       r.captured = batch_sampled_w_[(stages - 1) * chunk + c];
       golden_.push_back(batch_golden_[c]);
       if (golden_.size() == latency_cycles()) {
@@ -367,6 +391,107 @@ void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
       stage_sampled_[k] = batch_sampled_w_[k * chunk + (chunk - 1)];
     done += chunk;
   }
+}
+
+double SeqSim::cycle_energy_fj(
+    std::span<const double> stage_window_fj) const {
+  VOSIM_EXPECTS(stage_window_fj.size() == engines_.size());
+  double e = clock_energy_fj_;
+  for (std::size_t k = 0; k < engines_.size(); ++k)
+    e += stage_window_fj[k] + stage_leak_fj_[k];
+  return e;
+}
+
+void SeqSim::warm_start(std::span<const std::uint64_t> operands,
+                        std::size_t b) {
+  const std::size_t nops = seq_.num_operands();
+  const std::size_t w = std::min(b, latency_cycles());
+  VOSIM_EXPECTS(operands.size() >= b * nops);
+  reset();
+  warm_results_.resize(w);
+  step_cycle_batch(operands.subspan((b - w) * nops, w * nops), w,
+                   warm_results_);
+}
+
+SparseReplayStats SeqSim::replay_sparse(
+    std::span<const std::uint64_t> operands, std::size_t count,
+    const SeqReference& ref, double capture_ps,
+    std::span<SeqCycleResult> results, std::size_t stepped) {
+  const std::size_t nops = seq_.num_operands();
+  const std::size_t stages = engines_.size();
+  const std::size_t lat = latency_cycles();
+  VOSIM_EXPECTS(operands.size() == count * nops);
+  VOSIM_EXPECTS(results.size() >= count && stepped <= count);
+  VOSIM_EXPECTS(capture_tclk_ps_ == capture_ps || stepped == 0);
+  const bool levelized = retarget_capture_ps(ref.capture_ps);
+  VOSIM_EXPECTS(levelized);
+  // The gate: only a cycle-safe reference state is the settled
+  // function of the stream, the state warm_start reaches and a settled
+  // stretch returns to.
+  const bool copy = cycle_safe();
+  VOSIM_EXPECTS(!copy || (ref.cycles.size() >= count &&
+                          ref.stage_window_fj.size() >= count * stages));
+  retarget_capture_ps(capture_ps);
+
+  // Copyable reference cycles from cycle b on, counted up to
+  // kMinCopyRun (the end of the stream counts as an endless run).
+  const auto copy_run = [&](std::size_t b) {
+    std::size_t e = b;
+    while (e < count && e - b < kMinCopyRun &&
+           ref.cycles[e].max_settle_ps < capture_ps)
+      ++e;
+    return e == count ? kMinCopyRun : e - b;
+  };
+
+  // The replay is either in sync with the reference — the reset state
+  // is the reference's at cycle 0 — or inside a dirty stretch, which
+  // the cycles already stepped form when resuming.
+  SparseReplayStats stats;
+  std::size_t c = stepped;
+  bool in_sync = stepped == 0;
+  std::size_t clean = 0;  // trailing settled cycles of the stretch
+  for (std::size_t i = 0; i < stepped; ++i)
+    clean = results[i].settled ? clean + 1 : 0;
+  std::size_t chunk = lat + 1;
+  while (c < count) {
+    if (in_sync) {
+      if (copy && ref.cycles[c].max_settle_ps < capture_ps) {
+        // Every commit of the reference's cycle lands before this edge
+        // too: the cycle is the reference's, recomposed at capture_ps.
+        results[c] = ref.cycles[c];
+        results[c].energy_fj =
+            cycle_energy_fj(ref.stage_window_fj.subspan(c * stages, stages));
+        ++c;
+        continue;
+      }
+      // A dirty stretch from cycle c: warm-start to the reference
+      // state at c and step on at capture_ps.
+      retarget_capture_ps(ref.capture_ps);
+      warm_start(operands, c);
+      retarget_capture_ps(capture_ps);
+      stats.simulated += std::min(c, lat);
+      ++stats.stretches;
+      in_sync = false;
+      clean = 0;
+      chunk = lat + 1;
+    }
+    // `lat` consecutive settled cycles put every stage and bank back in
+    // the reference state; the stretch ends there if a run of copyable
+    // cycles follows.
+    if (copy && clean >= lat && copy_run(c) >= kMinCopyRun) {
+      in_sync = true;
+      continue;
+    }
+    const std::size_t n = std::min(chunk, count - c);
+    step_cycle_batch(operands.subspan(c * nops, n * nops), n,
+                     results.subspan(c, n));
+    for (std::size_t i = c; i < c + n; ++i)
+      clean = results[i].settled ? clean + 1 : 0;
+    c += n;
+    stats.simulated += n;
+    chunk = std::min(2 * chunk, lanes::kWordLanes);
+  }
+  return stats;
 }
 
 }  // namespace vosim

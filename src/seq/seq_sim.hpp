@@ -50,6 +50,27 @@ struct SeqCycleResult {
   /// Bit k set: stage k's Razor shadow disagreed with its main sample
   /// this cycle (a local timing error, not an inherited one).
   std::uint32_t razor_flags = 0;
+  /// Every net of every stage ended this cycle at its settled value
+  /// (SimEngine::settled_lanes; always false on the event engine): the
+  /// carried state is then the settled function of this cycle's banks.
+  bool settled = false;
+};
+
+/// An error-free run a sparse replay copies from: every cycle of one
+/// stream stepped from reset() at a capture threshold, with each
+/// stage's per-cycle window energy. Copying is sound only when that
+/// threshold is cycle-safe; SeqSim::replay_sparse checks it.
+struct SeqReference {
+  double capture_ps = 0.0;                ///< the run's capture threshold
+  std::span<const SeqCycleResult> cycles;  ///< one per stream cycle
+  /// cycles × num_stages() window energies (fJ), cycle-major.
+  std::span<const double> stage_window_fj;
+};
+
+/// What one sparse replay stepped.
+struct SparseReplayStats {
+  std::size_t simulated = 0;  ///< cycles stepped, warm starts included
+  std::size_t stretches = 0;  ///< dirty stretches entered from sync
 };
 
 /// Per-cycle event traces for multi-cycle VCD export (event engine with
@@ -92,10 +113,61 @@ class SeqSim {
   /// step_cycle_batch (64 cycles per levelized pass; the register
   /// banks between stages become packed lane words shifted by one
   /// cycle) and the golden pipeline is evaluated lane-parallel.
-  /// Tracing simulators fall back to the scalar loop.
+  /// Tracing simulators fall back to the scalar loop. A non-empty
+  /// `stage_window_fj` (count × num_stages(), cycle-major) receives
+  /// each stage's window energy per cycle — the terms cycle_energy_fj
+  /// composed into results[c].energy_fj.
   void step_cycle_batch(std::span<const std::uint64_t> operands,
                         std::size_t count,
-                        std::span<SeqCycleResult> results);
+                        std::span<SeqCycleResult> results,
+                        std::span<double> stage_window_fj = {});
+
+  /// One cycle's energy from its per-stage window energies (fJ):
+  /// clock + Σ_k (window_k + stage k's leakage at the current capture),
+  /// in stage order — the one expression step_cycle and
+  /// step_cycle_batch use, so a recomposed cycle is bit-identical.
+  double cycle_energy_fj(std::span<const double> stage_window_fj) const;
+
+  /// reset(), then steps the min(b, latency_cycles()) cycles of the
+  /// stream `operands` that precede cycle b (results discarded). At a
+  /// cycle-safe capture this reaches exactly the state — carried
+  /// values and golden queue — a run from cycle 0 has at cycle b (see
+  /// cycle_safe), so stepping on from cycle b is bit-identical to it.
+  void warm_start(std::span<const std::uint64_t> operands, std::size_t b);
+
+  /// Replays `count` cycles of the stream `operands` at `capture_ps`
+  /// from reset() into results — bit-identical to reset(),
+  /// retarget_capture_ps(capture_ps) and step_cycle_batch over all of
+  /// them — stepping only the cycles it cannot copy from `ref`, a run
+  /// of the same stream at a larger threshold:
+  ///   - Copy: while the replay is in the reference state, cycle c is
+  ///     the reference's cycle exactly when its max_settle_ps is below
+  ///     capture_ps (commit times do not depend on the threshold, so
+  ///     every commit lands in the window). Its result is copied and
+  ///     its energy recomposed with cycle_energy_fj at capture_ps.
+  ///   - Dirty stretch: any other cycle c is stepped, after a
+  ///     warm_start at the reference threshold and a mid-stream
+  ///     retarget to capture_ps, in chunks of latency_cycles() + 1
+  ///     cycles doubling up to 64.
+  ///   - Resync: after latency_cycles() consecutive `settled` stepped
+  ///     cycles every stage's state and bank is the reference's again.
+  ///     Commit times alone do not suffice: a truncated net can stay
+  ///     wrong with no commit left to fix it. The stretch ends there
+  ///     when a run of at least 16 copyable cycles follows; a shorter
+  ///     gap is cheaper to step through than to re-enter.
+  /// Copying needs the reference state to be a function of the
+  /// stream alone, so it happens only when ref.capture_ps is
+  /// cycle-safe; otherwise every cycle is stepped. A non-zero
+  /// `stepped` resumes a run this pipeline already stepped from
+  /// reset() at capture_ps: results[0, stepped) hold its cycles and
+  /// the pipeline sits at cycle `stepped` (the characterizer's
+  /// saturation probe). Levelized stages only. Monitors and cycles()
+  /// see the stepped cycles only.
+  SparseReplayStats replay_sparse(std::span<const std::uint64_t> operands,
+                                  std::size_t count, const SeqReference& ref,
+                                  double capture_ps,
+                                  std::span<SeqCycleResult> results,
+                                  std::size_t stepped = 0);
 
   const SeqDut& seq() const noexcept { return seq_; }
   std::size_t num_stages() const noexcept { return engines_.size(); }
@@ -141,7 +213,9 @@ class SeqSim {
   /// delay-scale factor, so a whole triad ladder replays on one
   /// normalized pipeline by sliding the threshold (energies rescaled
   /// by the caller); triad() keeps reporting the constructed triad.
-  /// Call reset() before the next stream.
+  /// Carried state is kept, so a retarget may fall between two cycles
+  /// of one stream (replay_sparse warm-starts that way); the next
+  /// cycle launches from the current state at the new threshold.
   bool retarget_capture_ps(double capture_ps);
 
   /// True when every stage engine is cycle_safe() at the current
@@ -231,6 +305,8 @@ class SeqSim {
   std::vector<std::uint64_t> batch_golden_;     ///< per-cycle golden
   std::vector<std::uint64_t> golden_pi_words_;  ///< per-PI lane words
   std::vector<std::uint64_t> golden_values_;    ///< per-net lane words
+  std::vector<double> stage_window_;  ///< per-cycle windows, cycle-major
+  std::vector<SeqCycleResult> warm_results_;  ///< warm_start scratch
 };
 
 }  // namespace vosim

@@ -1631,10 +1631,13 @@ void LevelizedSimulator::run_one_lane(Acct& acct) {
 void LevelizedSimulator::carry_state(std::size_t lanes, bool truncate) {
   const std::size_t last = lanes - 1;
   const Word* carried = truncate ? sampled_w_.data() : settled_w_.data();
+  Word unsettled{};
   for (NetId n = 0; n < static_cast<NetId>(netlist_.num_nets()); ++n) {
     state_[n] = lanes::lane_bit(carried[n], last);
     sampled_state_[n] = lanes::lane_bit(sampled_w_[n], last);
+    unsettled |= sampled_w_[n] ^ settled_w_[n];
   }
+  settled_lanes_ = ~unsettled & lanes::mask(lanes);
 }
 
 void LevelizedSimulator::run_lanes(std::size_t lanes,

@@ -116,6 +116,10 @@ class LevelizedSimulator final : public SimEngine {
   /// SimEngine::cycle_safe.
   bool cycle_safe() const noexcept override;
 
+  std::uint64_t settled_lanes() const noexcept override {
+    return settled_lanes_;
+  }
+
   double leakage_energy_fj_per_op() const noexcept override {
     return leakage_energy_fj_;
   }
@@ -185,6 +189,7 @@ class LevelizedSimulator final : public SimEngine {
 
   /// Carries the last lane's settled (and sampled) values into state_;
   /// with `truncate` the sampled values become state_ (step_cycle).
+  /// The same net loop records settled_lanes_.
   void carry_state(std::size_t lanes, bool truncate = false);
 
   /// Observer fan-out after a single-threshold pass: per-lane
@@ -215,6 +220,7 @@ class LevelizedSimulator final : public SimEngine {
   // Streaming state carried between operations (one value per net).
   std::vector<std::uint8_t> state_;          // settled after last op
   std::vector<std::uint8_t> sampled_state_;  // sampled at last op's edge
+  lanes::Word settled_lanes_ = 0;  // see SimEngine::settled_lanes
 
   // Per-pass scratch, indexed by net (lane words) / net*kLanes (times).
   std::vector<lanes::Word> settled_w_;

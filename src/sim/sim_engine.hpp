@@ -177,7 +177,9 @@ class SimEngine {
   /// this — it is how the characterizer's normalized grid sweep walks
   /// a whole Tclk ladder on one die — and returns true; backends that
   /// bake the period into their structure return false and are left
-  /// unchanged. Call reset() afterwards before reading state.
+  /// unchanged. The carried state is untouched: the next step or
+  /// step_cycle launches from it at the new threshold, so a clocked
+  /// stream may change threshold between two cycles.
   virtual bool retarget_tclk_ps(double) { return false; }
 
   /// True when every commit of every gate provably lands inside the
@@ -188,6 +190,17 @@ class SimEngine {
   /// arrivals (every gate's arrival < Tclk); backends that cannot
   /// prove it return false.
   virtual bool cycle_safe() const noexcept { return false; }
+
+  /// Lane word of the last step/step_cycle pass: bit k is set when
+  /// every net ended lane k at its settled (functional) value, i.e.
+  /// its at-edge sample equals its settled value. After a step_cycle
+  /// the carried launch state is then exactly the settled function of
+  /// that cycle's inputs, as after reset() — whatever state the cycle
+  /// launched from. A scalar call reports lane 0; a batch reports its
+  /// last pass of up to 64 cycles (lane k = cycle 64·⌊(count−1)/64⌋+k);
+  /// after step_batch_sweep the word is meaningless. Backends that do
+  /// not track it return 0: no lane is known to be settled.
+  virtual std::uint64_t settled_lanes() const noexcept { return 0; }
 
   /// Per-operation leakage energy at this triad (fJ): leakage power
   /// integrated over one clock period.

@@ -146,6 +146,27 @@ std::size_t count_of(const std::string& doc, const std::string& needle) {
   return n;
 }
 
+/// The value of arg `key` in every span named `name`, in document
+/// order (each span's args object is flat: string values, no braces).
+std::vector<std::string> span_arg(const std::string& doc,
+                                  const std::string& name,
+                                  const std::string& key) {
+  std::vector<std::string> out;
+  const std::string span = "\"name\":\"" + name + "\"";
+  const std::string field = "\"" + key + "\":\"";
+  for (std::size_t at = doc.find(span); at != std::string::npos;
+       at = doc.find(span, at + span.size())) {
+    const std::size_t args = doc.find("\"args\":{", at);
+    const std::size_t end = doc.find('}', args);
+    const std::size_t v = doc.find(field, args);
+    if (args == std::string::npos || v == std::string::npos || v > end)
+      continue;
+    const std::size_t b = v + field.size();
+    out.push_back(doc.substr(b, doc.find('"', b) - b));
+  }
+  return out;
+}
+
 TEST(Trace, SeqSweepRecordsReferenceAndReplaySpans) {
   // A traced pipeline sweep shows its critical path: one reference
   // span (the full grid's reference is cycle-safe, so its 601 cycles
@@ -176,6 +197,36 @@ TEST(Trace, SeqSweepRecordsReferenceAndReplaySpans) {
   EXPECT_LT(replays, triads.size());  // error-free triads reuse the reference
   EXPECT_EQ(count_of(doc, "\"saturated\":\"true\""), saturated);
   EXPECT_EQ(count_of(doc, "\"saturated\":\"false\""), replays - saturated);
+  // Every replay says what it stepped: its cycles and dirty stretches.
+  const std::string replay = "characterize.seq.replay";
+  EXPECT_EQ(span_arg(doc, replay, "simulated").size(), replays);
+  EXPECT_EQ(span_arg(doc, replay, "stretches").size(), replays);
+
+  // Sparse replays: on pipe3-mac4x8 the unsaturated (error-onset)
+  // replays step under a tenth of the cycles they score — the rest are
+  // copied from the cycle-safe reference run.
+  const SeqDut mac = build_seq_circuit("pipe3-mac4x8");
+  cfg.num_patterns = 2000;
+  obs::start_trace();
+  characterize_seq_dut(
+      mac, lib, make_dut_triads(seq_critical_path_ns(mac, lib)), cfg);
+  const std::string mac_doc = obs::stop_trace_json();
+  const std::vector<std::string> sat = span_arg(mac_doc, replay, "saturated");
+  const std::vector<std::string> cycles = span_arg(mac_doc, replay, "cycles");
+  const std::vector<std::string> simulated =
+      span_arg(mac_doc, replay, "simulated");
+  ASSERT_EQ(cycles.size(), sat.size());
+  ASSERT_EQ(simulated.size(), sat.size());
+  std::uint64_t sum_cycles = 0;
+  std::uint64_t sum_simulated = 0;
+  for (std::size_t i = 0; i < sat.size(); ++i) {
+    if (sat[i] != "false") continue;
+    sum_cycles += std::stoull(cycles[i]);
+    sum_simulated += std::stoull(simulated[i]);
+  }
+  EXPECT_GT(sum_cycles, 0u);
+  EXPECT_LT(sum_simulated * 10, sum_cycles)
+      << sum_simulated << " of " << sum_cycles << " cycles stepped";
 }
 
 TEST(Manifest, RoundTripsThroughJsonl) {

@@ -7,8 +7,12 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "src/characterize/characterizer.hpp"
+#include "src/characterize/metrics.hpp"
 #include "src/characterize/triads.hpp"
 #include "src/netlist/dut.hpp"
 #include "src/seq/seq_dut.hpp"
@@ -260,27 +264,43 @@ TEST(CharacterizeSeq, RelaxedGridErrorFreeAndDeterministic) {
   }
 }
 
-/// Whether characterize_seq_dut's normalized reference run — the
-/// grid's largest capture threshold in the nominal (Vdd 1.0, Vbb 0)
-/// time base, on the sweep's die — is cycle-safe, i.e. takes the
-/// segmented path.
-bool reference_cycle_safe(const SeqDut& seq,
-                          const std::vector<OperatingTriad>& triads,
-                          const CharacterizeConfig& cfg) {
+/// Each triad's capture threshold on characterize_seq_dut's normalized
+/// pipeline: (Tclk − t_setup) in the nominal (Vdd 1.0, Vbb 0) time base.
+std::vector<double> normalized_captures(
+    const std::vector<OperatingTriad>& triads) {
   const TransistorModel& tm = lib().transistor_model();
   const double setup_ns = lib().dff_setup_ps() * 1e-3;
-  double tau = 0.0;
+  std::vector<double> taus;
   for (const OperatingTriad& op : triads)
-    tau = std::max(tau, (op.tclk_ns - setup_ns) * 1e3 *
-                            tm.delay_scale(1.0, 0.0) /
-                            tm.delay_scale(op.vdd_v, op.vbb_v));
+    taus.push_back((op.tclk_ns - setup_ns) * 1e3 *
+                   tm.delay_scale(1.0, 0.0) /
+                   tm.delay_scale(op.vdd_v, op.vbb_v));
+  return taus;
+}
+
+/// The normalized pipeline at capture `tau` on the sweep's die.
+SeqSim normalized_sim(const SeqDut& seq, double tau,
+                      const CharacterizeConfig& cfg) {
   TimingSimConfig sim_cfg;
   sim_cfg.engine = EngineKind::kLevelized;
   sim_cfg.variation_sigma = cfg.variation_sigma;
   sim_cfg.variation_seed = cfg.variation_seed;
-  SeqSim sim(seq, lib(), {tau * 1e-3 + setup_ns, 1.0, 0.0}, sim_cfg);
+  SeqSim sim(seq, lib(),
+             {tau * 1e-3 + lib().dff_setup_ps() * 1e-3, 1.0, 0.0}, sim_cfg);
   EXPECT_TRUE(sim.retarget_capture_ps(tau));
-  return sim.cycle_safe();
+  return sim;
+}
+
+/// Whether characterize_seq_dut's normalized reference run — the
+/// grid's largest capture threshold on the sweep's die — is
+/// cycle-safe, i.e. takes the segmented path.
+bool reference_cycle_safe(const SeqDut& seq,
+                          const std::vector<OperatingTriad>& triads,
+                          const CharacterizeConfig& cfg) {
+  const std::vector<double> taus = normalized_captures(triads);
+  return normalized_sim(seq, *std::max_element(taus.begin(), taus.end()),
+                        cfg)
+      .cycle_safe();
 }
 
 void expect_bit_identical(const std::vector<TriadResult>& a,
@@ -304,10 +324,12 @@ void expect_bit_identical(const std::vector<TriadResult>& a,
 }
 
 TEST(CharacterizeSeq, NormalizedSweepBitIdenticalAcrossThreadCounts) {
-  // The segmented reference run and the longest-first replays must not
-  // let the thread count into any result: the full grid's reference is
-  // cycle-safe and splits into segments, the deep grid's is not and
-  // runs serially — both bit-identical at 1, 2 and 4 threads.
+  // The segmented reference run and the longest-first sparse replays
+  // must not let the thread count into any result: the full grid's
+  // reference is cycle-safe and splits into segments, the deep grid's
+  // is not and runs serially — both bit-identical at 1, 2 and 4
+  // threads. The deep grid runs once more with the saturation probe
+  // off, so every replay takes the full-budget fallback.
   for (const char* spec : {"pipe2-mul8", "pipe3-mac4x8", "fir4-pipe"}) {
     const SeqDut seq = build_seq_circuit(spec);
     const double cp = seq_critical_path_ns(seq, lib());
@@ -323,18 +345,139 @@ TEST(CharacterizeSeq, NormalizedSweepBitIdenticalAcrossThreadCounts) {
         {0.4 * cp, 0.5, 2.0}};
     EXPECT_TRUE(reference_cycle_safe(seq, full, cfg)) << spec;
     EXPECT_FALSE(reference_cycle_safe(seq, deep, cfg)) << spec;
-    for (const auto* grid : {&full, &deep}) {
+    for (const auto& [grid, name, saturation] :
+         {std::tuple{&full, " full", 0.25}, std::tuple{&deep, " deep", 0.25},
+          std::tuple{&deep, " deep probe-off", 2.0}}) {
+      cfg.seq_saturation_threshold = saturation;
       cfg.threads = 1;
       const auto one = characterize_seq_dut(seq, lib(), *grid, cfg);
       for (const unsigned threads : {2u, 4u}) {
         cfg.threads = threads;
         expect_bit_identical(
             one, characterize_seq_dut(seq, lib(), *grid, cfg),
-            std::string(spec) + (grid == &full ? " full" : " deep") +
-                " threads=" + std::to_string(threads));
+            std::string(spec) + name + " threads=" + std::to_string(threads));
       }
     }
   }
+}
+
+void expect_same_cycle(const SeqCycleResult& x, const SeqCycleResult& y,
+                       const std::string& at) {
+  EXPECT_EQ(x.captured, y.captured) << at;
+  EXPECT_EQ(x.expected, y.expected) << at;
+  EXPECT_EQ(x.output_valid, y.output_valid) << at;
+  EXPECT_EQ(x.energy_fj, y.energy_fj) << at;
+  EXPECT_EQ(x.max_settle_ps, y.max_settle_ps) << at;
+  EXPECT_EQ(x.razor_flags, y.razor_flags) << at;
+  EXPECT_EQ(x.settled, y.settled) << at;
+}
+
+/// `cycles` cycles of random operands, cycle-major.
+std::vector<std::uint64_t> random_stream(const SeqDut& seq,
+                                         std::size_t cycles,
+                                         std::uint64_t seed) {
+  const std::size_t nops = seq.num_operands();
+  const std::vector<int> widths = seq.operand_widths();
+  Rng rng(seed);
+  std::vector<std::uint64_t> ops(cycles * nops);
+  for (std::size_t c = 0; c < cycles; ++c)
+    for (std::size_t k = 0; k < nops; ++k)
+      ops[c * nops + k] = rng() & mask_n(widths[k]);
+  return ops;
+}
+
+/// Sparse replays against a reference run at `ref_tau` must equal a
+/// serial step_cycle_batch over every cycle, field for field, at every
+/// capture in `taus` below the reference — from reset and resumed
+/// after a stepped prefix. Returns {cycles stepped,
+/// full budget} summed over the captures whose serial op-error rate
+/// stays under the sweep's saturation threshold (the onset band).
+std::pair<std::size_t, std::size_t> expect_sparse_matches_serial(
+    const SeqDut& seq, std::span<const std::uint64_t> ops,
+    std::size_t cycles, double ref_tau, std::vector<double> taus,
+    const std::string& what) {
+  const CharacterizeConfig cfg;
+  SeqSim ref_sim = normalized_sim(seq, ref_tau, cfg);
+  std::vector<SeqCycleResult> ref_rs(cycles);
+  std::vector<double> ref_win(cycles * seq.num_stages());
+  ref_sim.step_cycle_batch(ops, cycles, ref_rs, ref_win);
+  const SeqReference ref{ref_tau, ref_rs, ref_win};
+
+  SeqSim serial = normalized_sim(seq, ref_tau, cfg);
+  SeqSim sparse = normalized_sim(seq, ref_tau, cfg);
+  std::sort(taus.begin(), taus.end());
+  taus.erase(std::unique(taus.begin(), taus.end()), taus.end());
+  std::vector<SeqCycleResult> want(cycles);
+  std::vector<SeqCycleResult> got(cycles);
+  std::size_t onset_stepped = 0;
+  std::size_t onset_budget = 0;
+  for (const double tau : taus) {
+    if (tau >= ref_tau) continue;
+    const std::string at = what + " @ " + std::to_string(tau) + " ps";
+    serial.reset();
+    EXPECT_TRUE(serial.retarget_capture_ps(tau));
+    serial.step_cycle_batch(ops, cycles, want);
+    const SparseReplayStats stats =
+        sparse.replay_sparse(ops, cycles, ref, tau, got);
+    for (std::size_t c = 0; c < cycles; ++c)
+      expect_same_cycle(want[c], got[c], at + " cycle " + std::to_string(c));
+    ErrorAccumulator acc(seq.output_width());
+    for (const SeqCycleResult& r : want)
+      if (r.output_valid) acc.add(r.expected, r.captured);
+    if (acc.op_error_rate() >= cfg.seq_saturation_threshold) continue;
+    onset_stepped += stats.simulated;
+    onset_budget += cycles;
+    // In the onset band the characterizer resumes after its 64-cycle
+    // saturation probe.
+    sparse.reset();
+    EXPECT_TRUE(sparse.retarget_capture_ps(tau));
+    sparse.step_cycle_batch(ops.first(64 * seq.num_operands()), 64, got);
+    sparse.replay_sparse(ops, cycles, ref, tau, got, 64);
+    for (std::size_t c = 0; c < cycles; ++c)
+      expect_same_cycle(want[c], got[c],
+                        at + " resumed, cycle " + std::to_string(c));
+  }
+  return {onset_stepped, onset_budget};
+}
+
+TEST(SeqSimTest, SparseReplayMatchesSerialReplay) {
+  // replay_sparse copies every cycle the reference run shares with the
+  // replay and steps only the rest; the result must not show which.
+  // Every grid capture below the full grid's (cycle-safe) reference is
+  // covered, and on pipe3-mac4x8 the onset captures must step fewer
+  // cycles than the full budget.
+  const CharacterizeConfig cfg;
+  for (const char* spec : {"pipe2-mul8", "pipe3-mac4x8", "fir4-pipe"}) {
+    const SeqDut seq = build_seq_circuit(spec);
+    const std::vector<double> taus = normalized_captures(
+        make_dut_triads(seq_critical_path_ns(seq, lib())));
+    const double ref_tau = *std::max_element(taus.begin(), taus.end());
+    ASSERT_TRUE(normalized_sim(seq, ref_tau, cfg).cycle_safe()) << spec;
+    const std::size_t cycles = 2000 + seq.latency_cycles() - 1;
+    const auto [stepped, budget] = expect_sparse_matches_serial(
+        seq, random_stream(seq, cycles, 41), cycles, ref_tau, taus, spec);
+    if (std::string(spec) == "pipe3-mac4x8") {
+      EXPECT_GT(budget, 0u);
+      EXPECT_LT(stepped, budget);
+    }
+  }
+
+  // Below a reference that is not cycle-safe nothing may be copied: its
+  // state need not be the stream's settled function, so neither a warm
+  // start nor a settled stretch is sure to reach it. The reference here
+  // is fir4-pipe's largest grid capture that is not cycle-safe, where
+  // copying regardless gets cycles wrong.
+  const SeqDut seq = build_seq_circuit("fir4-pipe");
+  std::vector<double> taus = normalized_captures(
+      make_dut_triads(seq_critical_path_ns(seq, lib())));
+  std::sort(taus.rbegin(), taus.rend());
+  std::size_t r = 0;
+  while (r < taus.size() && normalized_sim(seq, taus[r], cfg).cycle_safe())
+    ++r;
+  ASSERT_LT(r, taus.size());
+  const std::size_t cycles = 2000;
+  expect_sparse_matches_serial(seq, random_stream(seq, cycles, 43), cycles,
+                               taus[r], taus, "fir4-pipe unsafe reference");
 }
 
 TEST(CharacterizeSeq, CrossEngineWithinTwoPointsOnOverscaledGrid) {

@@ -345,6 +345,62 @@ TEST(SimEngine, LevelizedStepAfterStepCycleMatchesBatch) {
   }
 }
 
+// settled_lanes(): lane k is set exactly when every net ended cycle k
+// at its settled value — always at a cycle-safe capture; at a deep one
+// only where no net's at-edge sample differs from the logic function of
+// the cycle's inputs. Scalar and packed cycle streams agree on it, and
+// the event engine reports its documented default (no lane known).
+TEST(SimEngine, SettledLanesMarkCyclesThatEndEveryNetSettled) {
+  const DutNetlist dut = to_dut(build_kogge_stone(16));
+  const double cp = synthesize_report(dut.netlist, lib()).critical_path_ns;
+  TimingSimConfig cfg;
+  cfg.engine = EngineKind::kLevelized;
+  const std::size_t npis = dut.netlist.primary_inputs().size();
+  constexpr std::size_t kCycles = 64;  // one packed pass
+  const DutPinMap pins(dut);
+  PatternStream patterns(PatternPolicy::kUniform, 16, 9);
+  std::vector<std::uint8_t> cycles(kCycles * npis, 0);
+  for (std::size_t c = 0; c < kCycles; ++c) {
+    const OperandPair p = patterns.next();
+    const std::uint64_t ops[2] = {p.a, p.b};
+    pins.fill_inputs(ops, cycles.data() + c * npis);
+  }
+
+  LevelizedSimulator safe(dut.netlist, lib(), {1.5 * cp, 1.0, 0.0}, cfg);
+  ASSERT_TRUE(safe.cycle_safe());
+  std::vector<StepResult> rs(kCycles);
+  safe.step_cycle_batch(cycles, kCycles, rs);
+  EXPECT_EQ(safe.settled_lanes(), ~std::uint64_t{0});
+  safe.step_cycle(std::span(cycles).first(npis));
+  EXPECT_EQ(safe.settled_lanes(), 1u);
+
+  LevelizedSimulator scalar(dut.netlist, lib(), {0.6 * cp, 1.0, 0.0}, cfg);
+  LevelizedSimulator packed(dut.netlist, lib(), {0.6 * cp, 1.0, 0.0}, cfg);
+  ASSERT_FALSE(scalar.cycle_safe());
+  std::uint64_t word = 0;
+  for (std::size_t c = 0; c < kCycles; ++c) {
+    const auto in = std::span(cycles).subspan(c * npis, npis);
+    scalar.step_cycle(in);
+    const bool settled = std::ranges::equal(scalar.sampled_values(),
+                                            evaluate_logic(dut.netlist, in));
+    EXPECT_EQ(scalar.settled_lanes(), settled ? 1u : 0u) << "cycle " << c;
+    word |= static_cast<std::uint64_t>(settled) << c;
+  }
+  // The capture must cut some cycles and spare others, or the test
+  // cannot tell the two apart.
+  EXPECT_NE(word, 0u);
+  EXPECT_NE(word, ~std::uint64_t{0});
+  packed.step_cycle_batch(cycles, kCycles, rs);
+  EXPECT_EQ(packed.settled_lanes(), word);
+
+  TimingSimConfig ev_cfg;
+  ev_cfg.engine = EngineKind::kEvent;
+  const auto event =
+      make_engine(dut.netlist, lib(), {1.5 * cp, 1.0, 0.0}, ev_cfg);
+  event->step_cycle(std::span(cycles).first(npis));
+  EXPECT_EQ(event->settled_lanes(), 0u);
+}
+
 // Every levelized entry point reports its work to the metrics
 // registry: scalar steps count as one-lane passes, so the pattern and
 // cycle counters cover scalar, batched and sweep traffic alike.
