@@ -27,18 +27,6 @@ namespace vosim {
 
 namespace {
 
-/// FNV-1a over the cell key, mixed with the campaign seed — a
-/// schedule-independent per-cell seed (determinism across thread
-/// counts depends on this never seeing worker identity).
-std::uint64_t content_seed(std::uint64_t seed, const std::string& key) {
-  std::uint64_t h = 14695981039346656037ULL ^ seed;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// Everything computed once per circuit and shared by its cells.
 struct CircuitContext {
   DutNetlist dut;
@@ -77,7 +65,7 @@ std::size_t baseline_index(const std::vector<OperatingTriad>& triads) {
 /// triads (deviation and Pareto compare cells at fixed stimuli), so it
 /// derives from the campaign seed and the workload only.
 std::uint64_t data_seed(std::uint64_t seed, const std::string& workload) {
-  return content_seed(seed, "data|" + workload);
+  return fleet_content_hash(seed, "data|" + workload);
 }
 
 CircuitContext make_context(const CellLibrary& lib,
@@ -377,7 +365,7 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
             break;
           }
           case ArithBackend::kModel: {
-            Rng rng(content_seed(config.seed, p.key.to_string()));
+            Rng rng(fleet_content_hash(config.seed, p.key.to_string()));
             q = wl.run(model_adder_fn(*ctx.models[p.triad], rng), dseed);
             break;
           }
@@ -433,25 +421,15 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
             if (!provs.empty()) {
               // Stage culprits share one top-K budget per cell; names
               // carry the "s<k>:" stage prefix.
-              std::vector<CulpritCount> all;
+              std::vector<ProvenanceSummary> per_stage;
               for (const auto& prov : provs) {
-                const ProvenanceSummary s = prov->summary();
-                all.insert(all.end(), s.culprits.begin(),
-                           s.culprits.end());
+                per_stage.push_back(prov->summary());
                 prov->publish("provenance.campaign",
                               config.top_culprits);
               }
-              std::sort(all.begin(), all.end(),
-                        [](const CulpritCount& a, const CulpritCount& b) {
-                          return a.bits != b.bits ? a.bits > b.bits
-                                                  : a.name < b.name;
-                        });
-              for (std::size_t k = 0;
-                   k < all.size() && k < config.top_culprits; ++k) {
-                if (!culprits.empty()) culprits += ',';
-                culprits += all[k].name + "=" +
-                            std::to_string(all[k].bits);
-              }
+              culprits =
+                  combine_stage_summaries(per_stage, config.top_culprits)
+                      .top_culprits_string(config.top_culprits);
             }
             break;
           }

@@ -34,6 +34,9 @@ std::vector<std::uint64_t> generate_patterns(
   return pats;
 }
 
+/// Patterns streamed per apply_batch call in the per-triad sweep loop.
+constexpr std::size_t kBatch = 256;
+
 /// Shortest stream a segmented combinational pass hands one pool task:
 /// long enough to amortize the segment's simulator construction.
 constexpr std::size_t kMinSegment = 256;
@@ -55,36 +58,6 @@ std::uint64_t golden_of(const CharacterizeConfig& config,
                         std::span<const std::uint64_t> ops,
                         std::uint64_t settled) {
   return config.golden ? config.golden(ops) : settled;
-}
-
-/// Pipeline provenance roll-up from the per-stage observers: culprit
-/// histograms aggregate across stages (names carry the "s<k>:" prefix),
-/// bitwise_ber is the output stage's local per-bit probability, and the
-/// slack figures take the worst stage. `ops` comes from the output
-/// stage (every stage observes every cycle).
-ProvenanceSummary combine_stage_summaries(
-    std::span<const ProvenanceSummary> stages, std::size_t top_k) {
-  ProvenanceSummary out;
-  VOSIM_EXPECTS(!stages.empty());
-  out.ops = stages.back().ops;
-  out.bitwise_ber = stages.back().bitwise_ber;
-  for (const ProvenanceSummary& s : stages) {
-    out.erroneous_ops += s.erroneous_ops;
-    out.attributed_bits += s.attributed_bits;
-    out.lane_words += s.lane_words;
-    out.culprits.insert(out.culprits.end(), s.culprits.begin(),
-                        s.culprits.end());
-    out.slack_p50_ps = std::max(out.slack_p50_ps, s.slack_p50_ps);
-    out.slack_p95_ps = std::max(out.slack_p95_ps, s.slack_p95_ps);
-    out.slack_max_ps = std::max(out.slack_max_ps, s.slack_max_ps);
-  }
-  std::sort(out.culprits.begin(), out.culprits.end(),
-            [](const CulpritCount& a, const CulpritCount& b) {
-              return a.bits != b.bits ? a.bits > b.bits
-                                      : a.name < b.name;
-            });
-  if (out.culprits.size() > top_k) out.culprits.resize(top_k);
-  return out;
 }
 
 /// Grid fast path for the levelized engine: supply and body bias scale
@@ -522,7 +495,6 @@ std::vector<TriadResult> characterize_dut(
     const CharacterizeConfig& config) {
   VOSIM_EXPECTS(!triads.empty());
   VOSIM_EXPECTS(config.num_patterns > 0);
-  VOSIM_EXPECTS(config.batch_size > 0);
 
   const std::vector<std::uint64_t> pats = generate_patterns(config, dut);
   const std::size_t nops = dut.num_operands();
@@ -562,8 +534,7 @@ std::vector<TriadResult> characterize_dut(
         // Establish a settled initial state from the first pattern.
         sim.reset({pats.data(), nops});
 
-        const std::size_t batch =
-            config.streaming_state ? config.batch_size : 1;
+        const std::size_t batch = config.streaming_state ? kBatch : 1;
         std::vector<VosOpResult> r_buf(batch);
 
         std::size_t done = 0;
@@ -572,7 +543,9 @@ std::vector<TriadResult> characterize_dut(
               std::min(batch, config.num_patterns - done);
           const std::span<const std::uint64_t> ops_flat{
               pats.data() + (1 + done) * nops, n * nops};
-          if (!config.streaming_state) sim.reset({pats.data(), nops});
+          // Non-streaming: op i starts from the settled pattern i - 1.
+          if (!config.streaming_state)
+            sim.reset({pats.data() + done * nops, nops});
           sim.apply_batch(ops_flat, n, {r_buf.data(), n});
           for (std::size_t i = 0; i < n; ++i) {
             const VosOpResult& r = r_buf[i];

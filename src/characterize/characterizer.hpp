@@ -36,14 +36,13 @@ struct CharacterizeConfig {
   std::uint64_t variation_seed = 7;  ///< "one die" across all triads
   unsigned threads = 0;              ///< 0 = hardware default
   /// Keep circuit state between operations (pipeline semantics). When
-  /// false every operation starts from a settled previous pattern.
+  /// false every operation starts from the settled previous pattern:
+  /// op i is measured as the transition p[i-1] -> p[i] from a reset.
   bool streaming_state = true;
   /// Simulation backend: the event-driven reference (default) or the
   /// bit-parallel levelized engine (same stimuli, ~10x+ faster sweeps;
   /// see DESIGN.md §7 for where the two diverge).
   EngineKind engine = EngineKind::kEvent;
-  /// Patterns streamed per apply_batch call in the sweep hot loop.
-  std::size_t batch_size = 256;
   /// Sequential levelized fast path only: a capture threshold whose
   /// first 64-cycle probe word already shows an op-error rate at or
   /// above this fraction is far past the error-onset knee (register

@@ -56,7 +56,9 @@ struct ChipInstance {
 };
 
 /// FNV-1a of `tag` mixed with `seed` — the schedule-independent
-/// content hash shared by chip drawing and store sharding.
+/// content hash shared by chip drawing, store sharding and the
+/// campaign's per-cell seeds (it never sees worker identity, so
+/// results stay identical across thread counts).
 std::uint64_t fleet_content_hash(std::uint64_t seed,
                                  const std::string& tag);
 

@@ -197,6 +197,16 @@ struct ProvenanceSummary {
   std::string top_culprits_string(std::size_t k) const;
 };
 
+/// Pipeline provenance roll-up from the per-stage observers: culprit
+/// histograms aggregate across stages (names carry the "s<k>:" prefix),
+/// sorted by attributed bits descending then name and cut to `top_k`;
+/// bitwise_ber is the output stage's local per-bit probability, and the
+/// slack figures take the worst stage. `ops` comes from the output
+/// stage (every stage observes every cycle). `stages` must be
+/// non-empty.
+ProvenanceSummary combine_stage_summaries(
+    std::span<const ProvenanceSummary> stages, std::size_t top_k);
+
 /// Bundled observer: attributes every erroneous output bit of every
 /// observed operation to its culprit net — the failing net (sampled !=
 /// settled at the capture edge) with the lowest topological level

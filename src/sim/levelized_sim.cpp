@@ -5,10 +5,6 @@
 #include <bit>
 #include <cmath>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #include "src/netlist/eval.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/probe.hpp"
@@ -57,110 +53,6 @@ struct SingleThresholdAcct {
     }
     return false;
   }
-
-#if defined(__AVX2__)
-  /// Vectorized in-window single-flip commits: every lane in `m`
-  /// commits exactly once at t_in[k] + delay (the caller proved STA
-  /// arrival < Tclk, so the window test is statically true). Per-lane
-  /// arithmetic is exactly commit()'s — one IEEE add per accumulator,
-  /// one max — and vectorization only changes which lanes run
-  /// together, never a lane's own operation sequence, so the results
-  /// are bit-identical to the scalar loop. Inactive lanes are masked
-  /// to += 0.0 / max-with-0.0 no-ops (the accumulators are sums of
-  /// non-negative terms, never -0.0, and settle >= 0); their t_in may
-  /// be uninitialized but never escapes the mask.
-  void commit_flips_simd(Word m, const double* t_in, double delay,
-                         double energy, double* tout) {
-    const __m256d vd = _mm256_set1_pd(delay);
-    const __m256d ve = _mm256_set1_pd(energy);
-    const __m256i lanebit = _mm256_setr_epi64x(1, 2, 4, 8);
-    for (std::size_t off = 0; off < lanes::kWordLanes; off += 4) {
-      const auto nib = static_cast<long long>((m >> off) & 0xF);
-      if (nib == 0) continue;
-      const __m256i sel = _mm256_cmpeq_epi64(
-          _mm256_and_si256(_mm256_set1_epi64x(nib), lanebit), lanebit);
-      const __m256d mask = _mm256_castsi256_pd(sel);
-      const __m256d tc = _mm256_and_pd(
-          mask, _mm256_add_pd(_mm256_loadu_pd(t_in + off), vd));
-      const __m256d em = _mm256_and_pd(mask, ve);
-      _mm256_storeu_pd(win_e + off,
-                       _mm256_add_pd(_mm256_loadu_pd(win_e + off), em));
-      _mm256_storeu_pd(settle + off,
-                       _mm256_max_pd(_mm256_loadu_pd(settle + off), tc));
-      _mm256_storeu_pd(
-          tout + off,
-          _mm256_blendv_pd(_mm256_loadu_pd(tout + off), tc, mask));
-      if constexpr (!kWindowOnly)
-        _mm256_storeu_pd(tot_e + off,
-                         _mm256_add_pd(_mm256_loadu_pd(tot_e + off), em));
-    }
-    lanes::for_each_lane(m, [&](std::size_t k) {
-      ++win_t[k];
-      if constexpr (!kWindowOnly) ++tot_t[k];
-    });
-  }
-
-  /// Vectorized two-changed-input single commits for an in-window
-  /// gate: every lane in `m` has exactly inputs i and j changed
-  /// (pulse-free) and a changed output, so it commits once — at the
-  /// first input event when that already yields the settled value,
-  /// else at the second (two_changed_lane's commit branch, same
-  /// min/max/select arithmetic, so bit-identical results). wi/wj are
-  /// the gate subset words W[1<<i] / W[1<<j], `settled` the settled
-  /// output word.
-  void commit_two_simd(Word m, const double* ti, const double* tj, Word wi,
-                       Word wj, Word settled, double delay, double energy,
-                       double* tout) {
-    const __m256d vd = _mm256_set1_pd(delay);
-    const __m256d ve = _mm256_set1_pd(energy);
-    const __m256i lanebit = _mm256_setr_epi64x(1, 2, 4, 8);
-    const __m256i one64 = _mm256_set1_epi64x(1);
-    const __m256i vwi = _mm256_set1_epi64x(static_cast<long long>(wi));
-    const __m256i vwj = _mm256_set1_epi64x(static_cast<long long>(wj));
-    const __m256i vst = _mm256_set1_epi64x(static_cast<long long>(settled));
-    for (std::size_t off = 0; off < lanes::kWordLanes; off += 4) {
-      const auto nib = static_cast<long long>((m >> off) & 0xF);
-      if (nib == 0) continue;
-      const __m256i am = _mm256_cmpeq_epi64(
-          _mm256_and_si256(_mm256_set1_epi64x(nib), lanebit), lanebit);
-      const __m256d amd = _mm256_castsi256_pd(am);
-      const __m256d vti = _mm256_loadu_pd(ti + off);
-      const __m256d vtj = _mm256_loadu_pd(tj + off);
-      // sel: the second (j) input flipped first, so the mid state has
-      // input i still stale (two_changed_lane's swap branch).
-      const __m256i sel =
-          _mm256_castpd_si256(_mm256_cmp_pd(vtj, vti, _CMP_LT_OQ));
-      const __m256i sh =
-          _mm256_add_epi64(_mm256_set1_epi64x(static_cast<long long>(off)),
-                           _mm256_setr_epi64x(0, 1, 2, 3));
-      const __m256i bi = _mm256_and_si256(_mm256_srlv_epi64(vwi, sh), one64);
-      const __m256i bj = _mm256_and_si256(_mm256_srlv_epi64(vwj, sh), one64);
-      const __m256i bs = _mm256_and_si256(_mm256_srlv_epi64(vst, sh), one64);
-      const __m256i mid = _mm256_blendv_epi8(bj, bi, sel);
-      const __m256d use_first =
-          _mm256_castsi256_pd(_mm256_cmpeq_epi64(mid, bs));
-      const __m256d tf = _mm256_min_pd(vti, vtj);
-      const __m256d ts = _mm256_max_pd(vti, vtj);
-      const __m256d tc = _mm256_and_pd(
-          amd, _mm256_add_pd(_mm256_blendv_pd(ts, tf, use_first), vd));
-      const __m256d em = _mm256_and_pd(amd, ve);
-      _mm256_storeu_pd(win_e + off,
-                       _mm256_add_pd(_mm256_loadu_pd(win_e + off), em));
-      _mm256_storeu_pd(settle + off,
-                       _mm256_max_pd(_mm256_loadu_pd(settle + off), tc));
-      _mm256_storeu_pd(
-          tout + off,
-          _mm256_blendv_pd(_mm256_loadu_pd(tout + off), tc, amd));
-      if constexpr (!kWindowOnly)
-        _mm256_storeu_pd(tot_e + off,
-                         _mm256_add_pd(_mm256_loadu_pd(tot_e + off), em));
-    }
-    lanes::for_each_lane(m, [&](std::size_t k) {
-      ++win_t[k];
-      if constexpr (!kWindowOnly) ++tot_t[k];
-    });
-  }
-#endif  // __AVX2__
 
   /// Word commit at t = 0 (primary-input launch commits): in-window by
   /// definition, and settle = max(settle, 0) is a no-op. The
@@ -1330,34 +1222,11 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
       const Word two = pairs & ~(ch0 & ch1 & ch2) & ~any_pulse & used;
       const Word one = (ch0 ^ ch1 ^ ch2) & ~pairs & ~any_pulse & used;
 
-      // SIMD eligibility: single-threshold accounting, a full lane
-      // word, and an arrival-bounded gate (cycle_safe_ — every commit
-      // provably in-window, so the per-lane window test vanishes and
-      // whole commit classes become branchless vector sweeps). Partial
-      // words, unsafe gates and the sweep accounting keep the scalar
-      // loops; both produce bit-identical per-lane values.
-      bool simd_gate = false;
-      (void)simd_gate;
-#if defined(__AVX2__)
-      if constexpr (Acct::kWordCommit)
-        simd_gate = acct.nlanes == kLanes && cycle_safe_[gid] != 0;
-#endif
-
       // Exactly one changed input: a sensitized lane commits once at
       // t + delay; a non-sensitized lane does nothing at all.
       for (int i = 0; i < n; ++i) {
         Word m = one & in_changed[i] & (W[1u << i] ^ settled);
         if (!lanes::any(m)) continue;
-#if defined(__AVX2__)
-        if constexpr (Acct::kWordCommit) {
-          if (simd_gate) {
-            acct.commit_flips_simd(m, in_time[i], delay, energy, tout);
-            sampled ^= m;
-            committed |= m;
-            continue;
-          }
-        }
-#endif
         lanes::for_each_lane(m, [&](std::size_t k) {
           commit_flip(gl, acct, k, in_time[i][k] + delay);
         });
@@ -1367,26 +1236,6 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
         for (int j = i + 1; j < n; ++j) {
           Word m = two & in_changed[i] & in_changed[j];
           if (!lanes::any(m)) continue;
-#if defined(__AVX2__)
-          if constexpr (Acct::kWordCommit) {
-            if (simd_gate) {
-              // Changed-output lanes commit exactly once, vectorized;
-              // unchanged-output lanes (possible glitch pulse, with
-              // its pulse bookkeeping) stay scalar. Each lane is in
-              // exactly one group, so per-lane commit order is
-              // untouched.
-              const Word mc = m & changed;
-              if (lanes::any(mc)) {
-                acct.commit_two_simd(mc, in_time[i], in_time[j],
-                                     W[1u << i], W[1u << j], settled,
-                                     delay, energy, tout);
-                sampled ^= mc;
-                committed |= mc;
-              }
-              m &= ~changed;
-            }
-          }
-#endif
           lanes::for_each_lane(m, [&](std::size_t k) {
             two_changed_lane(gl, acct, k, i, j);
           });

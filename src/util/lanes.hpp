@@ -79,8 +79,8 @@ constexpr void for_each_lane(Word w, Fn&& fn) {
 }
 
 /// Name of the widest SIMD tier the build compiled for: "avx512",
-/// "avx2" or "none". A host fingerprint for benchmark records; the
-/// levelized engine's word-commit kernels use AVX2 when present.
+/// "avx2" or "none". Only a host fingerprint for benchmark records:
+/// no engine code branches on the ISA.
 constexpr const char* simd_compiled_name() noexcept {
 #if defined(__AVX512F__)
   return "avx512";

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,10 +17,13 @@
 #include "src/campaign/store.hpp"
 #include "src/campaign/workload.hpp"
 #include "src/obs/manifest.hpp"
+#include "src/obs/probe.hpp"
 #include "src/characterize/triads.hpp"
 #include "src/model/prob_table.hpp"
 #include "src/netlist/dut.hpp"
 #include "src/seq/seq_dut.hpp"
+#include "src/seq/seq_sim.hpp"
+#include "src/sim/vos_dut.hpp"
 #include "src/tech/library.hpp"
 
 namespace vosim {
@@ -401,6 +405,78 @@ TEST(CampaignRunner, SimSeqBackendRunsAndChargesRegisterEnergy) {
                 seq_clock_energy_fj(
                     wrap_as_pipeline(build_circuit("rca16")), lib, 1.0),
                 1e-9);
+  }
+}
+
+/// "net=bits,..." of the top `k` culprits across `summaries`, sorted by
+/// attributed bits descending, then name — built by hand so the check
+/// does not share the runner's roll-up code.
+std::string hand_culprits(const std::vector<ProvenanceSummary>& summaries,
+                          std::size_t k) {
+  std::vector<CulpritCount> all;
+  for (const ProvenanceSummary& s : summaries)
+    all.insert(all.end(), s.culprits.begin(), s.culprits.end());
+  std::sort(all.begin(), all.end(),
+            [](const CulpritCount& a, const CulpritCount& b) {
+              return a.bits != b.bits ? a.bits > b.bits : a.name < b.name;
+            });
+  std::string out;
+  for (std::size_t i = 0; i < all.size() && i < k; ++i) {
+    if (!out.empty()) out += ',';
+    out += all[i].name + "=" + std::to_string(all[i].bits);
+  }
+  return out;
+}
+
+// Provenance cells at a deep triad store exactly the culprits that
+// ErrorProvenance observers report on independently built simulators
+// replaying the same workload data.
+TEST(CampaignRunner, ProvenanceCellsStoreObservedCulprits) {
+  const CellLibrary& lib = make_fdsoi28_lvt();
+  CampaignConfig cfg;
+  cfg.workloads = {"fir"};
+  cfg.circuits = {"rca16"};
+  cfg.backends = {ArithBackend::kSimLevelized, ArithBackend::kSimSeq};
+  cfg.triad_specs = {{0.6, 0.7, 0.0}};
+  cfg.characterize_patterns = 300;
+  cfg.provenance = true;
+  cfg.top_culprits = 3;
+  CampaignStore store;
+  const CampaignOutcome outcome = run_campaign(lib, cfg, store);
+  ASSERT_EQ(outcome.cells.size(), 2u);
+
+  const Workload* wl = find_workload("fir");
+  ASSERT_NE(wl, nullptr);
+  const std::uint64_t dseed = fleet_content_hash(cfg.seed, "data|fir");
+  const DutNetlist dut = build_circuit("rca16");
+  TimingSimConfig sim_cfg;
+  sim_cfg.engine = EngineKind::kLevelized;
+  for (const CampaignCell& cell : outcome.cells) {
+    std::vector<ProvenanceSummary> summaries;
+    if (cell.key.backend == "sim-levelized") {
+      VosDutSim sim(dut, lib, cell.key.triad, sim_cfg);
+      ErrorProvenance prov(dut);
+      sim.engine().attach_observer(&prov);
+      wl->run(sim_adder_fn(sim), dseed);
+      summaries.push_back(prov.summary());
+    } else {
+      ASSERT_EQ(cell.key.backend, "sim-seq");
+      const SeqDut seq = wrap_as_pipeline(dut);
+      SeqSim sim(seq, lib, cell.key.triad, sim_cfg);
+      std::vector<std::unique_ptr<ErrorProvenance>> provs;
+      for (std::size_t k = 0; k < sim.num_stages(); ++k) {
+        provs.push_back(std::make_unique<ErrorProvenance>(
+            seq.stages[k].netlist, DutPinMap(seq.stages[k]),
+            static_cast<int>(k)));
+        sim.stage_engine(k).attach_observer(provs[k].get());
+      }
+      ASSERT_NE(wl->run_batch, nullptr);
+      wl->run_batch(seq_batch_adder_fn(sim), dseed);
+      for (const auto& prov : provs) summaries.push_back(prov->summary());
+    }
+    const std::string expected = hand_culprits(summaries, cfg.top_culprits);
+    EXPECT_FALSE(expected.empty()) << cell.key.backend;
+    EXPECT_EQ(cell.culprits, expected) << cell.key.backend;
   }
 }
 
