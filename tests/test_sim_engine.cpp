@@ -246,6 +246,64 @@ TEST(SimEngine, LevelizedBatchMatchesStep) {
                                 dut.display_name + " vdd " +
                                     std::to_string(vdd));
   }
+
+  // The glitch-heavy multipliers, where pulse-fed lanes dominate the
+  // pass at deep over-scaling (reconvergent partial-product arrays).
+  for (const char* spec : {"mul8-array", "mul8-wallace"}) {
+    const DutNetlist dut = build_circuit(spec);
+    const double dcp =
+        synthesize_report(dut.netlist, lib()).critical_path_ns;
+    for (const double frac : {0.4, 0.5, 0.7})
+      for (const double vdd : {0.5, 0.7})
+        expect_batch_matches_step(
+            dut, {frac * dcp, vdd, 0.0}, chip_cfg, 200,
+            std::string(spec) + " " + std::to_string(frac) + "·CP vdd " +
+                std::to_string(vdd));
+  }
+}
+
+// Cycle mode on the same multiplier corners: scalar step_cycle (the
+// one-lane pass) against step_cycle_batch (packed passes, whose gates
+// past the edge resolve in the serial lane scan) from the same state,
+// with a ragged tail so a one-lane pass follows the packed ones.
+TEST(SimEngine, LevelizedCycleBatchMatchesStepCycleOnMultipliers) {
+  const FleetConfig fleet{.num_chips = 3, .seed = 11};
+  TimingSimConfig cfg;
+  cfg.engine = EngineKind::kLevelized;
+  cfg = apply_chip(cfg, draw_chip_instance(fleet, 2),
+                   fleet.within_die_sigma);
+  constexpr std::size_t kCycles = 150;
+  for (const char* spec : {"mul8-array", "mul8-wallace"}) {
+    const DutNetlist dut = build_circuit(spec);
+    const double dcp =
+        synthesize_report(dut.netlist, lib()).critical_path_ns;
+    const std::size_t npis = dut.netlist.primary_inputs().size();
+    Rng rng(31);
+    std::vector<std::uint8_t> cycles(kCycles * npis);
+    for (auto& v : cycles) v = static_cast<std::uint8_t>(rng.bits(1));
+    for (const double frac : {0.4, 0.5, 0.7}) {
+      for (const double vdd : {0.5, 0.7}) {
+        const OperatingTriad op{frac * dcp, vdd, 0.0};
+        const std::string tag = std::string(spec) + " " +
+                                std::to_string(frac) + "·CP vdd " +
+                                std::to_string(vdd);
+        LevelizedSimulator scalar(dut.netlist, lib(), op, cfg);
+        LevelizedSimulator packed(dut.netlist, lib(), op, cfg);
+        std::vector<StepResult> got(kCycles);
+        packed.step_cycle_batch(cycles, kCycles, got);
+        for (std::size_t c = 0; c < kCycles; ++c)
+          expect_same_step(
+              scalar.step_cycle(std::span(cycles).subspan(c * npis, npis)),
+              got[c], tag + " cycle " + std::to_string(c));
+        EXPECT_TRUE(std::ranges::equal(scalar.settled_values(),
+                                       packed.settled_values()))
+            << tag;
+        EXPECT_TRUE(std::ranges::equal(scalar.sampled_values(),
+                                       packed.sampled_values()))
+            << tag;
+      }
+    }
+  }
 }
 
 // A step_cycle stream leaves every net at its truncated (sampled)
