@@ -289,8 +289,7 @@ void three_changed_lane(GateLanes& g, Acct& acct, std::size_t k,
 /// Lane fed by a glitch pulse: the generic event walk over the ≤15
 /// input events (flip per changed input, flip-and-return pair per
 /// forwarded pulse). It starts from the gate function of the stale
-/// inputs; every packed pulse class of run_lanes_impl is an exact
-/// shortcut of this walk on its lanes.
+/// inputs. Both dispatchers send every pulse-fed lane here.
 template <class Acct>
 void pulse_lane(GateLanes& g, Acct& acct, std::size_t k) {
   // Up to five events per input: a changed input that bounced twice
@@ -646,9 +645,10 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
 
   // One levelized pass. Values: packed kLanes-lane evaluation per
   // gate. Timing: each lane with input activity runs a miniature event
-  // simulation of just this gate over its ≤6 input events (one flip
-  // per changed input at its final transition time, a flip-and-return
-  // pair per pulsing input), with the event engine's inertial rule —
+  // simulation of just this gate over its input events (one flip per
+  // changed input at its final transition time, a flip-and-return pair
+  // per forwarded pulse: at most 15, see pulse_lane), with the event
+  // engine's inertial rule —
   // in binary logic a scheduled commit is only ever cancelled (input
   // pulse shorter than the gate delay), never rescheduled. Commits
   // yield the output's transition time, glitch-pulse window, toggle
@@ -680,9 +680,9 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
   // whether it was reached by streaming masks or by the cycle scan.
   //
   // One gate view for the whole pass. Each gate refills its input words
-  // (zero past the gate's inputs: the pulse classes read all three)
-  // and, past the quiet-gate exit, the rest, with the output words
-  // reset.
+  // (changed words zero past the gate's inputs: the changed-count masks
+  // read all three) and, past the quiet-gate exit, the rest, with the
+  // output words reset.
   GateLanes gl{};
   auto& in_stale = gl.in_stale;
   auto& in_changed = gl.in_changed;
@@ -699,7 +699,7 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     Word any_changed{};
     for (int i = 0; i < 3; ++i) {
       if (i >= n) {
-        in_stale[i] = in_changed[i] = in_pulsing[i] = in_pulsing2[i] = Word{};
+        in_changed[i] = Word{};
         continue;
       }
       const NetId in = g.in[i];
@@ -726,22 +726,14 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
       settled_w_[out] = settled;
       const auto state0 = static_cast<std::uint8_t>(state_[out] & 1);
       const bool word_recurrence = !kCycleMode || cycle_safe_[gid] != 0;
-      Word sampled;
-      Word m_catch;
-      if (word_recurrence) {
-        const Word stale = lanes::shift1_in(settled, state0) & used;
-        stale_w_[out] = stale;
-        sampled = stale;
-        m_catch = (settled ^ stale) & used;
-      } else {
-        // Every lane is inactive: sampled(k) = settled(k) (the only
-        // possible commit is the in-window catch-up), so the stale
-        // chain is the settled word shifted by one cycle.
-        sampled = settled;
-        const Word stale = lanes::shift1_in(settled, state0) & used;
-        stale_w_[out] = stale;
-        m_catch = (settled ^ stale) & used;
-      }
+      // Either way the stale chain is the settled word shifted by one
+      // lane. Off the word recurrence every lane is inactive, so
+      // sampled(k) = settled(k): the only possible commit is the
+      // in-window catch-up.
+      const Word stale = lanes::shift1_in(settled, state0) & used;
+      stale_w_[out] = stale;
+      const Word m_catch = (settled ^ stale) & used;
+      Word sampled = word_recurrence ? stale : settled;
       if (lanes::any(m_catch)) {
         const double delay = gate_delay_ps_[gid];
         const double energy = net_energy_fj_[out];
@@ -775,8 +767,6 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
       gl.in_pe2[i] = &pulse2_end_ps_[base];
     }
     const auto& in_time = gl.in_time;
-    const auto& in_ps = gl.in_ps;
-    const auto& in_pe = gl.in_pe;
 
     // W[s]: packed gate value with the inputs in subset s still stale.
     Word* const W = gl.W;
@@ -818,397 +808,19 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
       sampled = settled;
     }
 
-    Word& pulsing = gl.pulsing;
-    Word& pulsing2 = gl.pulsing2;
     Word& committed = gl.committed;  // lanes whose output committed a flip
-    pulsing = pulsing2 = committed = Word{};
+    gl.pulsing = gl.pulsing2 = committed = Word{};
     const double delay = gl.delay;
-    const double energy = gl.energy;
     const auto base_out = static_cast<std::size_t>(out) * kLanes;
-    double* const tout = gl.tout = &time_ps_[base_out];
-    double* const pout_s = gl.pout_s = &pulse_start_ps_[base_out];
-    double* const pout_e = gl.pout_e = &pulse_end_ps_[base_out];
-    double* const pout2_s = gl.pout2_s = &pulse2_start_ps_[base_out];
-    double* const pout2_e = gl.pout2_e = &pulse2_end_ps_[base_out];
+    gl.tout = &time_ps_[base_out];
+    gl.pout_s = &pulse_start_ps_[base_out];
+    gl.pout_e = &pulse_end_ps_[base_out];
+    gl.pout2_s = &pulse2_start_ps_[base_out];
+    gl.pout2_e = &pulse2_end_ps_[base_out];
 
     const Word ch0 = in_changed[0];
     const Word ch1 = in_changed[1];
     const Word ch2 = in_changed[2];
-
-    // Single-pulse classification. A lane whose only input activity is
-    // one surviving pulse on input i (no changed inputs, no second
-    // pulse, no pulse on another input) splits by sensitization at the
-    // lane's settled (== stale) input state: not sensitized means the
-    // generic walk would build zero output events — the lane needs no
-    // walk at all (pulse_skip) — and sensitized means the walk is a
-    // single closed-form excursion (thru[i] → pulse_through_lane).
-    // Both reproduce pulse_lane bit-exactly; at deep over-scaling,
-    // where glitch fanout makes the generic walk the dominant cost,
-    // most pulse-fed lanes fall into these two classes.
-    Word thru[3] = {};
-    Word pulse_skip{};
-    // Changed+pulse pairs: lanes whose only activity is one changed
-    // input j (no bounce) plus one surviving pulse on unchanged input
-    // i. Their generic walk has exactly three events with values drawn
-    // from four packed words, so it collapses to a closed-form walk
-    // (changed_pulse_lane) with no event-list build, truth lookups or
-    // per-input pointer chasing. cp_m/cp_j/cp_i/cp_est/cp_ese hold the
-    // per-pair lane masks and the two extra packed evaluations (input
-    // i complemented, with j stale resp. settled).
-    int cp_j[6];
-    int cp_i[6];
-    Word cp_m[6];
-    Word cp_est[6];
-    Word cp_ese[6];
-    int ncp = 0;
-    Word cp_all{};
-    // Pure bounce class: one changed input j carrying its own return
-    // pulse, every other input quiet (bounce_lane below).
-    Word bn[3] = {};
-    Word bn_all{};
-    int bc_j[6];
-    int bc_l[6];
-    Word bc_m[6];
-    int nbc = 0;
-    Word bc_all{};
-    if (lanes::any(any_pulse)) {
-      const Word quiet = ~(ch0 | ch1 | ch2);
-      // Per-input activity words and their "every input but X" ORs,
-      // as straight-line word ops: with n <= 3 and the activity arrays
-      // zero-filled past n this is smaller than `for (t) if (t != i)`
-      // loops.
-      const Word pp0 = in_pulsing[0] | in_pulsing2[0];
-      const Word pp1 = in_pulsing[1] | in_pulsing2[1];
-      const Word pp2 = in_pulsing[2] | in_pulsing2[2];
-      const Word pp[3] = {pp0, pp1, pp2};
-      const Word pp_ex[3] = {pp1 | pp2, pp0 | pp2, pp0 | pp1};
-      const Word ch_ex[3] = {ch1 | ch2, ch0 | ch2, ch0 | ch1};
-      const Word cpp[3] = {pp0 | ch0, pp1 | ch1, pp2 | ch2};
-      const Word cpp_ex[3] = {cpp[1] | cpp[2], cpp[0] | cpp[2],
-                              cpp[0] | cpp[1]};
-      // Packed evaluation with input i complemented and input js (or
-      // none, js < 0) at its stale word: the value the gate shows
-      // during an excursion of input i.
-      const auto eval_comp = [&](int i, int js) {
-        Word wa = js == 0 ? in_stale[0] : in_settled[0];
-        Word wb = n > 1 ? (js == 1 ? in_stale[1] : in_settled[1]) : Word{};
-        Word wc = n > 2 ? (js == 2 ? in_stale[2] : in_settled[2]) : Word{};
-        if (i == 0) wa = ~wa;
-        if (i == 1) wb = ~wb;
-        if (i == 2) wc = ~wc;
-        return eval_cell_packed(g.kind, wa, wb, wc);
-      };
-      for (int i = 0; i < n; ++i) {
-        const Word only =
-            in_pulsing[i] & ~in_pulsing2[i] & quiet & used & ~pp_ex[i];
-        if (!lanes::any(only)) continue;
-        const Word sens = (eval_comp(i, -1) ^ settled) & only;
-        thru[i] = sens;
-        pulse_skip |= only & ~sens;
-      }
-      for (int j = 0; lanes::any(any_changed) && j < n; ++j) {
-        const Word chonly = in_changed[j] & ~pp[j] & used & ~ch_ex[j];
-        if (!lanes::any(chonly)) continue;
-        for (int i = 0; i < n; ++i) {
-          if (i == j) continue;
-          const Word m =
-              chonly & in_pulsing[i] & ~in_pulsing2[i] & ~pp_ex[i];
-          if (!lanes::any(m)) continue;
-          cp_j[ncp] = j;
-          cp_i[ncp] = i;
-          cp_m[ncp] = m;
-          cp_est[ncp] = eval_comp(i, j);
-          cp_ese[ncp] = eval_comp(i, -1);
-          cp_all |= m;
-          ++ncp;
-        }
-      }
-      for (int j = 0; lanes::any(any_changed) && j < n; ++j) {
-        const Word m =
-            in_changed[j] & in_pulsing[j] & ~in_pulsing2[j] & used &
-            ~cpp_ex[j];
-        bn[j] = m;
-        bn_all |= m;
-      }
-      // Two changed inputs, one of them bouncing: j carries its first
-      // flip plus a return pulse, l flips once, nothing else is
-      // active. All four reachable gate values are subset words, so
-      // the walk needs no extra packed evaluations (bc_lane below).
-      for (int j = 0; lanes::any(any_changed) && j < n; ++j) {
-        Word mj = in_changed[j] & in_pulsing[j] & ~in_pulsing2[j] & used;
-        if (!lanes::any(mj)) continue;
-        for (int l = 0; l < n; ++l) {
-          if (l == j) continue;
-          Word m = mj & in_changed[l] & ~pp[l];
-          if (n == 3) m &= ~cpp[3 - j - l];
-          if (!lanes::any(m)) continue;
-          bc_j[nbc] = j;
-          bc_l[nbc] = l;
-          bc_m[nbc] = m;
-          bc_all |= m;
-          ++nbc;
-        }
-      }
-    }
-    const Word thru_all = thru[0] | thru[1] | thru[2];
-
-    // -- packed pulse classes: exact shortcuts of pulse_lane --------------
-
-    // Quiet lane fed by exactly one surviving pulse on input i, with
-    // the gate sensitized to i (thru[i]): the generic walk reduces to
-    // one excursion — a pending flip at ps + delay, inertially
-    // cancelled when the pulse is narrower than the gate delay, else
-    // two commits and a forwarded pulse. Matches pulse_lane commit for
-    // commit on these lanes (same times, same bookkeeping) without
-    // building and sorting the event list.
-    const auto pulse_through_lane = [&](std::size_t k, int i) {
-      const double ps = in_ps[i][k];
-      const double pe = in_pe[i][k];
-      const double t1 = ps + delay;
-      if (t1 > pe) return;  // absorbed; a changed lane takes catch-up
-      const double t2 = pe + delay;
-      if (acct.commit(out, k, t1, energy)) lanes::toggle_lane(sampled, k);
-      if (acct.commit(out, k, t2, energy)) lanes::toggle_lane(sampled, k);
-      lanes::set_lane(committed, k);
-      if (lanes::lane_bit(changed, k) != 0) {
-        tout[k] = t2;  // two-commit changed output: merged single flip
-      } else {
-        lanes::set_lane(pulsing, k);
-        pout_s[k] = t1;
-        pout_e[k] = t2;
-      }
-    };
-
-    // Lane whose only activity is one bouncing changed input j (its
-    // first flip plus one forwarded return pulse, no other input
-    // active): three events on a single input, already in ascending
-    // time order by construction (a forwarded pulse window always
-    // trails the flip it returns from), toggling the gate between two
-    // packed values — W[1<<j] (j stale) and the settled word. Same
-    // inertial walk and tail as pulse_lane, commit for commit.
-    const auto bounce_lane = [&](std::size_t k, int j, Word w_jst) {
-      const double et[3] = {in_time[j][k], in_ps[j][k], in_pe[j][k]};
-      const unsigned a = static_cast<unsigned>(lanes::lane_bit(w_jst, k));
-      const unsigned b = static_cast<unsigned>(lanes::lane_bit(settled, k));
-      const unsigned vs[3] = {b, a, b};
-      unsigned cur = a;
-      bool pending = false;
-      double commit_t = 0.0;
-      double cts[3] = {0.0, 0.0, 0.0};
-      double last_c = 0.0;
-      int ncommits = 0;
-      const auto do_commit = [&](double tc) {
-        cur ^= 1u;
-        if (ncommits < 3) cts[ncommits] = tc;
-        ++ncommits;
-        last_c = tc;
-        if (acct.commit(out, k, tc, energy))
-          lanes::toggle_lane(sampled, k);
-        lanes::set_lane(committed, k);
-      };
-      for (int e = 0; e < 3; ++e) {
-        if (pending && commit_t <= et[e]) {
-          do_commit(commit_t);
-          pending = false;
-        }
-        const unsigned v = vs[e];
-        if (v != cur && !pending) {
-          pending = true;
-          commit_t = et[e] + delay;
-        } else if (v == cur && pending) {
-          pending = false;  // inertial cancellation
-        }
-      }
-      if (pending) do_commit(commit_t);
-      if (lanes::lane_bit(changed, k) != 0) {
-        if (ncommits >= 3) {
-          tout[k] = cts[0];
-          lanes::set_lane(pulsing, k);
-          pout_s[k] = cts[1];
-          pout_e[k] = last_c;
-        } else {
-          tout[k] = last_c;
-        }
-      } else if (ncommits >= 2) {
-        lanes::set_lane(pulsing, k);
-        pout_s[k] = cts[0];
-        pout_e[k] = ncommits == 2 ? last_c : cts[1];
-      }
-    };
-
-    // Lane with two changed inputs where j bounces (flip + return
-    // pulse) and l flips once, nothing else active: four events whose
-    // reachable values are all subset words W[s]. Event order is the
-    // ascending-time stable order of pulse_lane's build list — the
-    // bounce chain (tj <= ps <= pe) is pre-sorted, so only l's flip
-    // needs placing, with tie-breaking by build position. Up to four
-    // commits, so the full generic tail (including the second
-    // forwarded pulse of an unchanged output) is replicated.
-    const auto bc_lane = [&](std::size_t k, int j, int l) {
-      const double tl = in_time[l][k];
-      double et[4] = {in_time[j][k], in_ps[j][k], in_pe[j][k], 0.0};
-      // Actions: 0 = j to settled, 1 = j back to stale, 2 = j to
-      // settled, 3 = l to settled.
-      unsigned act[4] = {0, 1, 2, 3};
-      const int pos = l < j ? static_cast<int>(et[0] < tl) +
-                                  static_cast<int>(et[1] < tl) +
-                                  static_cast<int>(et[2] < tl)
-                            : static_cast<int>(et[0] <= tl) +
-                                  static_cast<int>(et[1] <= tl) +
-                                  static_cast<int>(et[2] <= tl);
-      for (int x = 2; x >= pos; --x) {
-        et[x + 1] = et[x];
-        act[x + 1] = act[x];
-      }
-      et[pos] = tl;
-      act[pos] = 3;
-      const unsigned bj = 1u << j;
-      const unsigned bl = 1u << l;
-      unsigned sub = bj | bl;
-      unsigned cur = static_cast<unsigned>(lanes::lane_bit(W[sub], k));
-      bool pending = false;
-      double commit_t = 0.0;
-      double cts[4] = {0.0, 0.0, 0.0, 0.0};
-      double last_c = 0.0;
-      int ncommits = 0;
-      const auto do_commit = [&](double tc) {
-        cur ^= 1u;
-        if (ncommits < 4) cts[ncommits] = tc;
-        ++ncommits;
-        last_c = tc;
-        if (acct.commit(out, k, tc, energy))
-          lanes::toggle_lane(sampled, k);
-        lanes::set_lane(committed, k);
-      };
-      for (int e = 0; e < 4; ++e) {
-        if (pending && commit_t <= et[e]) {
-          do_commit(commit_t);
-          pending = false;
-        }
-        switch (act[e]) {
-          case 0: sub &= ~bj; break;
-          case 1: sub |= bj; break;
-          case 2: sub &= ~bj; break;
-          default: sub &= ~bl; break;
-        }
-        const unsigned v = static_cast<unsigned>(lanes::lane_bit(W[sub], k));
-        if (v != cur && !pending) {
-          pending = true;
-          commit_t = et[e] + delay;
-        } else if (v == cur && pending) {
-          pending = false;  // inertial cancellation
-        }
-      }
-      if (pending) do_commit(commit_t);
-      if (lanes::lane_bit(changed, k) != 0) {
-        if (ncommits >= 3) {
-          tout[k] = cts[0];
-          lanes::set_lane(pulsing, k);
-          pout_s[k] = cts[1];
-          pout_e[k] = ncommits == 3 ? last_c : cts[2];
-        } else {
-          tout[k] = last_c;
-        }
-      } else if (ncommits >= 2) {
-        lanes::set_lane(pulsing, k);
-        pout_s[k] = cts[0];
-        pout_e[k] = ncommits == 2 ? last_c : cts[1];
-        if (ncommits >= 4) {
-          lanes::set_lane(pulsing2, k);
-          pout2_s[k] = cts[2];
-          pout2_e[k] = last_c;
-        }
-      }
-    };
-
-    // Lane whose only activity is one changed input j plus one
-    // surviving pulse on unchanged input i: the generic walk over its
-    // three events (flip of j, excursion out and back of i), with the
-    // four reachable gate values precomputed as packed words. Same
-    // build order, stable sort, inertial rule and tail bookkeeping as
-    // pulse_lane, commit for commit — with at most three events there
-    // are at most three commits, so the second-pulse branches of the
-    // generic tail can never fire and are dropped.
-    const auto changed_pulse_lane = [&](std::size_t k, int j, int i,
-                                        Word w_jst, Word w_jst_ic,
-                                        Word w_jse_ic) {
-      // Ascending-time event order with pulse_lane's tie-breaking: the
-      // generic walk builds events in ascending input index and sorts
-      // with strict comparisons, so ties keep build order. With one
-      // flip (tj) and one ordered excursion (ps <= pe) that leaves
-      // three possible orders, selected directly. Actions: 0 = input j
-      // flips to settled, 1 = excursion of i out, 2 = excursion back.
-      const double tj = in_time[j][k];
-      const double ps = in_ps[i][k];
-      const double pe = in_pe[i][k];
-      double et[3];
-      unsigned act[3];
-      const bool j_first = j < i ? !(ps < tj) : tj < ps;
-      const bool j_last = j < i ? pe < tj : !(tj < pe);
-      if (j_first) {
-        et[0] = tj; et[1] = ps; et[2] = pe;
-        act[0] = 0; act[1] = 1; act[2] = 2;
-      } else if (j_last) {
-        et[0] = ps; et[1] = pe; et[2] = tj;
-        act[0] = 1; act[1] = 2; act[2] = 0;
-      } else {
-        et[0] = ps; et[1] = tj; et[2] = pe;
-        act[0] = 1; act[1] = 0; act[2] = 2;
-      }
-      // Gate value per input state, indexed (j settled ? 2 : 0) |
-      // (i complemented ? 1 : 0). Unchanged inputs sit at their
-      // settled values on these lanes, so four words cover the walk.
-      const unsigned nib =
-          static_cast<unsigned>(lanes::lane_bit(w_jst, k)) |
-          (static_cast<unsigned>(lanes::lane_bit(w_jst_ic, k)) << 1) |
-          (static_cast<unsigned>(lanes::lane_bit(settled, k)) << 2) |
-          (static_cast<unsigned>(lanes::lane_bit(w_jse_ic, k)) << 3);
-      unsigned st = 0;
-      unsigned cur = nib & 1u;
-      bool pending = false;
-      double commit_t = 0.0;
-      double cts[3] = {0.0, 0.0, 0.0};
-      double last_c = 0.0;
-      int ncommits = 0;
-      const auto do_commit = [&](double tc) {
-        cur ^= 1u;
-        if (ncommits < 3) cts[ncommits] = tc;
-        ++ncommits;
-        last_c = tc;
-        if (acct.commit(out, k, tc, energy))
-          lanes::toggle_lane(sampled, k);
-        lanes::set_lane(committed, k);
-      };
-      for (int e = 0; e < 3; ++e) {
-        if (pending && commit_t <= et[e]) {
-          do_commit(commit_t);
-          pending = false;
-        }
-        st = act[e] == 0 ? (st | 2u) : (act[e] == 1 ? (st | 1u) : (st & ~1u));
-        const unsigned v = (nib >> st) & 1u;
-        if (v != cur && !pending) {
-          pending = true;
-          commit_t = et[e] + delay;
-        } else if (v == cur && pending) {
-          pending = false;  // inertial cancellation
-        }
-      }
-      if (pending) do_commit(commit_t);
-      if (lanes::lane_bit(changed, k) != 0) {
-        if (ncommits >= 3) {
-          tout[k] = cts[0];
-          lanes::set_lane(pulsing, k);
-          pout_s[k] = cts[1];
-          pout_e[k] = last_c;
-        } else {
-          tout[k] = last_c;
-        }
-      } else if (ncommits >= 2) {
-        lanes::set_lane(pulsing, k);
-        pout_s[k] = cts[0];
-        pout_e[k] = ncommits == 2 ? last_c : cts[1];
-      }
-    };
 
     // -- dispatch ---------------------------------------------------------
 
@@ -1247,27 +859,9 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
             gl, acct, k, static_cast<unsigned>(lanes::lane_bit(stale, k)));
       });
 
-      for (int i = 0; i < n; ++i)
-        lanes::for_each_lane(thru[i], [&](std::size_t k) {
-          pulse_through_lane(k, i);
-        });
-      for (int p = 0; p < ncp; ++p)
-        lanes::for_each_lane(cp_m[p], [&](std::size_t k) {
-          changed_pulse_lane(k, cp_j[p], cp_i[p], W[1u << cp_j[p]],
-                             cp_est[p], cp_ese[p]);
-        });
-      for (int j = 0; j < n; ++j)
-        lanes::for_each_lane(bn[j], [&](std::size_t k) {
-          bounce_lane(k, j, W[1u << j]);
-        });
-      for (int p = 0; p < nbc; ++p)
-        lanes::for_each_lane(bc_m[p], [&](std::size_t k) {
-          bc_lane(k, bc_j[p], bc_l[p]);
-        });
-      lanes::for_each_lane(
-          any_pulse & used & ~thru_all & ~pulse_skip & ~cp_all & ~bn_all &
-              ~bc_all,
-          [&](std::size_t k) { pulse_lane(gl, acct, k); });
+      lanes::for_each_lane(any_pulse & used, [&](std::size_t k) {
+        pulse_lane(gl, acct, k);
+      });
 
       // Under the streaming invariant (stale = settled function of
       // stale inputs) nothing is ever changed-but-uncommitted, so this
@@ -1286,11 +880,8 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
       // ascending). Lanes without input activity need no per-lane
       // walk: their only possible commit is the catch-up, which always
       // lands in the window, so their sampled value is their settled
-      // value — exactly the pre-filled word. pulse_skip lanes have no
-      // changed input and provably no commits, so — like lanes without
-      // input activity — their sampled value is settled (catch-up) and
-      // they can skip the serial scan entirely.
-      const Word active = (ch0 | ch1 | ch2 | any_pulse) & used & ~pulse_skip;
+      // value — exactly the pre-filled word.
+      const Word active = (ch0 | ch1 | ch2 | any_pulse) & used;
       lanes::for_each_lane(active, [&](std::size_t k) {
         const std::uint8_t sb =
             k == 0 ? state0 : lanes::lane_bit(sampled, k - 1);
@@ -1298,33 +889,7 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
         lanes::assign_lane(
             changed, k, (lanes::lane_bit(settled, k) ^ sb) != 0);
         if (lanes::lane_bit(any_pulse, k) != 0) {
-          if (lanes::lane_bit(thru[0], k) != 0)
-            pulse_through_lane(k, 0);
-          else if (lanes::lane_bit(thru[1], k) != 0)
-            pulse_through_lane(k, 1);
-          else if (lanes::lane_bit(thru[2], k) != 0)
-            pulse_through_lane(k, 2);
-          else if (lanes::lane_bit(cp_all, k) != 0) {
-            for (int p = 0; p < ncp; ++p)
-              if (lanes::lane_bit(cp_m[p], k) != 0) {
-                changed_pulse_lane(k, cp_j[p], cp_i[p], W[1u << cp_j[p]],
-                                   cp_est[p], cp_ese[p]);
-                break;
-              }
-          } else if (lanes::lane_bit(bn_all, k) != 0) {
-            const int j = lanes::lane_bit(bn[0], k) != 0
-                              ? 0
-                              : (lanes::lane_bit(bn[1], k) != 0 ? 1 : 2);
-            bounce_lane(k, j, W[1u << j]);
-          } else if (lanes::lane_bit(bc_all, k) != 0) {
-            for (int p = 0; p < nbc; ++p)
-              if (lanes::lane_bit(bc_m[p], k) != 0) {
-                bc_lane(k, bc_j[p], bc_l[p]);
-                break;
-              }
-          } else {
-            pulse_lane(gl, acct, k);
-          }
+          pulse_lane(gl, acct, k);
         } else {
           const int c0 = lanes::lane_bit(ch0, k);
           const int c1 = lanes::lane_bit(ch1, k);
@@ -1354,8 +919,8 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     }
 
     sampled_w_[out] = sampled;
-    pulsing_w_[out] = pulsing;
-    pulsing2_w_[out] = pulsing2;
+    pulsing_w_[out] = gl.pulsing;
+    pulsing2_w_[out] = gl.pulsing2;
   }
 }
 

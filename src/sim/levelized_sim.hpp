@@ -5,14 +5,15 @@
 // patterns at a time, one pattern per bit of a uint64_t lane word per
 // net (src/util/lanes.hpp, DESIGN.md §7). Every entry point packs its
 // patterns through one helper. A pass of more than one lane takes the
-// packed dispatcher (subset words, pulse-class masks, mask sweeps); a
+// packed dispatcher (subset words, changed-count masks, mask sweeps); a
 // one-lane pass — scalar step/step_cycle, or a one-pattern batch tail —
 // takes the one-lane dispatcher, which sends lane 0 of each gate
-// straight to its walk with scalar accumulators. Both call the same
-// per-lane walks, and each packed pulse class is an exact shortcut of
-// the generic pulse walk the one-lane dispatcher runs, so a lane
-// commits the same transitions in the same order either way: scalar
-// and batched calls are bit-identical.
+// straight to its walk with scalar accumulators. Both pick the walk the
+// same way (a pulse-fed lane takes the generic pulse walk, any other
+// lane the walk for its changed-input count, then the catch-up) and
+// call the same per-lane walks, so a lane commits the same transitions
+// in the same order either way: scalar and batched calls are
+// bit-identical.
 // Timing errors are modeled without an event queue: each gate runs a
 // per-lane miniature event simulation over its own input transitions
 // (data-dependent times bounded by the STA arrival model,
@@ -165,13 +166,12 @@ class LevelizedSimulator final : public SimEngine {
   /// The one-lane dispatcher behind scalar step/step_cycle (and any
   /// one-pattern tail of a batch): the pass of run_lanes_impl on lane
   /// 0 alone, with lane-0 bits in the same per-net words and no
-  /// subset-word or pulse-class setup. Each gate dispatches its lane
+  /// packed subset-word or mask setup. Each gate dispatches its lane
   /// straight to the walk the packed path would reach — a pulse-fed
-  /// lane to the generic walk, of which the packed pulse classes are
-  /// exact shortcuts — so it commits exactly what the packed pass
-  /// commits on that lane, in the same order. Lane 0 launches from the
-  /// carried state in both modes, so the pass is mode-agnostic; `acct`
-  /// decides what is accounted.
+  /// lane to the generic pulse walk, in both dispatchers — so it
+  /// commits exactly what the packed pass commits on that lane, in the
+  /// same order. Lane 0 launches from the carried state in both modes,
+  /// so the pass is mode-agnostic; `acct` decides what is accounted.
   template <class Acct>
   void run_one_lane(Acct& acct);
 
