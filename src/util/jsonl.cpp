@@ -38,12 +38,35 @@ std::string quote(std::string_view text) {
   return out;
 }
 
+namespace {
+
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+std::size_t skip_space(const std::string& line, std::size_t at) {
+  while (at < line.size() && is_space(line[at])) ++at;
+  return at;
+}
+
+}  // namespace
+
 bool raw_field(const std::string& line, const std::string& field,
                std::string& out) {
-  const std::string needle = "\"" + field + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t begin = at + needle.size();
+  const std::string key = "\"" + field + "\"";
+  // An occurrence not followed by a colon (a string value equal to the
+  // key, say) is no key: keep searching.
+  std::size_t colon = std::string::npos;
+  for (std::size_t at = line.find(key); at != std::string::npos;
+       at = line.find(key, at + 1)) {
+    const std::size_t c = skip_space(line, at + key.size());
+    if (c < line.size() && line[c] == ':') {
+      colon = c;
+      break;
+    }
+  }
+  if (colon == std::string::npos) return false;
+  const std::size_t begin = skip_space(line, colon + 1);
   if (begin >= line.size()) return false;
   if (line[begin] == '"') {
     const std::size_t end = line.find('"', begin + 1);
@@ -52,7 +75,9 @@ bool raw_field(const std::string& line, const std::string& field,
     return true;
   }
   std::size_t end = begin;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
+  while (end < line.size() && line[end] != ',' && line[end] != '}' &&
+         !is_space(line[end]))
+    ++end;
   out = line.substr(begin, end - begin);
   return !out.empty();
 }

@@ -1,8 +1,8 @@
 // Minimal JSONL helpers shared by the campaign store and its merge tool,
 // the serve daemon's wire format (src/serve) and the telemetry writers
 // (src/obs). The readers only handle the flat object lines this codebase
-// writes — identifiers and numbers, no escapes or nesting; quote()
-// escapes free text on the way out.
+// writes, or the same lines re-spaced — identifiers and numbers, no
+// escapes or nesting; quote() escapes free text on the way out.
 #ifndef VOSIM_UTIL_JSONL_HPP
 #define VOSIM_UTIL_JSONL_HPP
 
@@ -21,7 +21,9 @@ std::string num(double v);
 /// into a line as valid JSON.
 std::string quote(std::string_view text);
 /// Extracts the raw token after `"field":` — a number, or the body of
-/// a quoted string. Returns false when the field is absent.
+/// a quoted string. JSON whitespace may surround the colon, and a bare
+/// token ends at whitespace, `,` or `}`. Returns false when the field
+/// is absent.
 bool raw_field(const std::string& line, const std::string& field,
                std::string& out);
 bool num_field(const std::string& line, const std::string& field,

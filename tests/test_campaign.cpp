@@ -157,6 +157,31 @@ TEST(CampaignStore, JsonlRoundTripIsExact) {
   EXPECT_EQ(parsed->elapsed_s, cell.elapsed_s);
 }
 
+// A stored line re-spaced after every `:` and `,` (as a JSON
+// pretty-printer or another client might write it) parses to the same
+// cell.
+TEST(CampaignStore, JsonlParsesRespacedLine) {
+  CampaignCell cell = sample_cell();
+  cell.key.chip = 3;
+  cell.culprits = "s3=4,c7=2";
+  const std::string line = CampaignStore::to_jsonl(cell);
+  std::string spaced;
+  bool in_string = false;
+  for (const char c : line) {
+    spaced += c;
+    if (c == '"') in_string = !in_string;
+    if (!in_string && (c == ':' || c == ',')) spaced += " \t";
+  }
+  ASSERT_NE(spaced, line);
+  const auto parsed = CampaignStore::parse_jsonl(spaced);
+  ASSERT_TRUE(parsed.has_value()) << spaced;
+  EXPECT_EQ(CampaignStore::to_jsonl(*parsed), line);
+  EXPECT_EQ(parsed->key, cell.key);
+  EXPECT_EQ(parsed->culprits, cell.culprits);
+  EXPECT_EQ(parsed->quality, cell.quality);
+  EXPECT_EQ(parsed->elapsed_s, cell.elapsed_s);
+}
+
 TEST(CampaignStore, RejectsMalformedLines) {
   EXPECT_FALSE(CampaignStore::parse_jsonl("").has_value());
   EXPECT_FALSE(CampaignStore::parse_jsonl("not json").has_value());

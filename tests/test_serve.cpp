@@ -341,9 +341,9 @@ TEST(CampaignServer, UnknownVerbReturnsStructuredError) {
 }
 
 // Client text echoed into an error line is escaped, so every reply is
-// one valid JSON object whatever the client sent. Whitespace after the
-// colon is not parsed (the verb keeps its quotes), but it is still
-// echoed as a well-formed string.
+// one valid JSON object whatever the client sent. Whitespace around the
+// colon (Python's json.dumps writes `{"cmd": "ping"}`) is valid JSON
+// and parses like the compact form.
 TEST(CampaignServer, ErrorLinesEscapeClientText) {
   EXPECT_EQ(jsonl::quote("a\"b\\c\n\x01" "d"),
             "\"a\\\"b\\\\c\\u000a\\u0001d\"");
@@ -355,10 +355,12 @@ TEST(CampaignServer, ErrorLinesEscapeClientText) {
   const std::string known =
       ",\"known\":[\"campaign\",\"ping\",\"shutdown\",\"stats\","
       "\"watch\"]}";
-  const auto spaced = send_request(cfg.socket_path, "{\"cmd\": \"ping\"}");
-  ASSERT_EQ(spaced.size(), 1u);
-  EXPECT_EQ(spaced[0], "{\"error\":\"unknown cmd\",\"cmd\":"
-                       "\" \\\"ping\\\"\"" + known);
+  for (const char* spaced_ping : {"{\"cmd\": \"ping\"}",
+                                  "{ \"cmd\" : \"ping\" }"}) {
+    const auto spaced = send_request(cfg.socket_path, spaced_ping);
+    ASSERT_EQ(spaced.size(), 1u) << spaced_ping;
+    EXPECT_EQ(spaced[0], "{\"ok\":true,\"cmd\":\"ping\"}") << spaced_ping;
+  }
   // The verb scan stops at the escaped quote, leaving `x\`.
   const auto quoted = send_request(cfg.socket_path, "{\"cmd\":\"x\\\"y\"}");
   ASSERT_EQ(quoted.size(), 1u);
