@@ -175,11 +175,8 @@ TEST(CampaignStore, JsonlParsesRespacedLine) {
   ASSERT_NE(spaced, line);
   const auto parsed = CampaignStore::parse_jsonl(spaced);
   ASSERT_TRUE(parsed.has_value()) << spaced;
-  EXPECT_EQ(CampaignStore::to_jsonl(*parsed), line);
   EXPECT_EQ(parsed->key, cell.key);
-  EXPECT_EQ(parsed->culprits, cell.culprits);
-  EXPECT_EQ(parsed->quality, cell.quality);
-  EXPECT_EQ(parsed->elapsed_s, cell.elapsed_s);
+  EXPECT_EQ(CampaignStore::to_jsonl(*parsed), line);
 }
 
 TEST(CampaignStore, RejectsMalformedLines) {

@@ -343,7 +343,8 @@ TEST(CampaignServer, UnknownVerbReturnsStructuredError) {
 // Client text echoed into an error line is escaped, so every reply is
 // one valid JSON object whatever the client sent. Whitespace around the
 // colon (Python's json.dumps writes `{"cmd": "ping"}`) is valid JSON
-// and parses like the compact form.
+// and parses like the compact form, and a string value spelled like the
+// key is not taken for it.
 TEST(CampaignServer, ErrorLinesEscapeClientText) {
   EXPECT_EQ(jsonl::quote("a\"b\\c\n\x01" "d"),
             "\"a\\\"b\\\\c\\u000a\\u0001d\"");
@@ -355,8 +356,9 @@ TEST(CampaignServer, ErrorLinesEscapeClientText) {
   const std::string known =
       ",\"known\":[\"campaign\",\"ping\",\"shutdown\",\"stats\","
       "\"watch\"]}";
-  for (const char* spaced_ping : {"{\"cmd\": \"ping\"}",
-                                  "{ \"cmd\" : \"ping\" }"}) {
+  for (const char* spaced_ping :
+       {"{\"cmd\": \"ping\"}", "{ \"cmd\" : \"ping\" }",
+        "{\"tag\": \"cmd\", \"cmd\": \"ping\"}"}) {
     const auto spaced = send_request(cfg.socket_path, spaced_ping);
     ASSERT_EQ(spaced.size(), 1u) << spaced_ping;
     EXPECT_EQ(spaced[0], "{\"ok\":true,\"cmd\":\"ping\"}") << spaced_ping;

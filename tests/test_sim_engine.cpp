@@ -230,8 +230,8 @@ TEST(SimEngine, LevelizedBatchMatchesStep) {
   // The campaign ladder's deepest corners (0.5·CP at 0.5 V and 0.7 V)
   // on a fleet chip with within-die variation: many commits land past
   // the capture edge, and pulse-fed gates (about 4–7% of gates per add
-  // on these adders) take the generic walk in the scalar pass but the
-  // packed pulse classes in the batch, which must commit the same.
+  // on these adders) take the generic pulse walk in both passes, which
+  // must pick it for the same lanes and commit the same.
   const FleetConfig fleet{.num_chips = 3, .seed = 11};
   const TimingSimConfig chip_cfg =
       apply_chip(cfg, draw_chip_instance(fleet, 2), fleet.within_die_sigma);
