@@ -1,10 +1,12 @@
 #include "bench/bench_common.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <iostream>
 
 #include "src/obs/metrics.hpp"
+#include "src/util/table.hpp"
 
 namespace vosim::bench {
 
@@ -45,6 +47,35 @@ CharacterizeConfig bench_config() {
   CharacterizeConfig cfg;
   cfg.num_patterns = pattern_budget();
   return cfg;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+double median_levelized_speedup(
+    int reps, const std::function<void(EngineKind)>& sweep) {
+  using clock = std::chrono::steady_clock;
+  const auto seconds = [&](EngineKind kind) {
+    const auto t0 = clock::now();
+    sweep(kind);
+    return std::chrono::duration<double>(clock::now() - t0).count();
+  };
+  std::vector<double> ratio;
+  TextTable t({"rep", "event [ms]", "levelized [ms]", "speedup"});
+  for (int rep = 1; rep <= reps; ++rep) {
+    const double ev_s = seconds(EngineKind::kEvent);
+    const double lev_s = seconds(EngineKind::kLevelized);
+    ratio.push_back(lev_s > 0.0 ? ev_s / lev_s : 0.0);
+    t.add_row({std::to_string(rep), format_double(ev_s * 1e3, 1),
+               format_double(lev_s * 1e3, 1),
+               format_double(ratio.back(), 2)});
+  }
+  std::cout << "\n--- levelized vs event sweep: " << reps
+            << " interleaved pairs, median gated ---\n";
+  t.print(std::cout);
+  return median(ratio);
 }
 
 void emit_metrics_at_exit() {

@@ -5,6 +5,7 @@
 #define VOSIM_BENCH_BENCH_COMMON_HPP
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,16 @@ std::size_t pattern_budget();
 /// Default characterization config for benches (paper settings, with
 /// pattern_budget() applied).
 CharacterizeConfig bench_config();
+
+/// Median of a non-empty sample (the upper middle for an even count).
+double median(std::vector<double> v);
+
+/// Times `reps` interleaved (event, levelized) runs of `sweep(kind)`,
+/// prints one row per pair and returns the median event/levelized
+/// wall-clock ratio. One pair alone swings several-fold on a shared
+/// host, so a gate reads the median; warm both engines first.
+double median_levelized_speedup(
+    int reps, const std::function<void(EngineKind)>& sweep);
 
 /// Prints a section header for harness output.
 void print_header(const std::string& title, const std::string& paper_ref);

@@ -314,13 +314,9 @@ void report_levelized_scalar_vs_event() {
     ratio.push_back(lev_ns.back() / ev_ns.back());
   }
   benchmark::DoNotOptimize(acc);
-  const auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
   std::printf("EVENT_SCALAR_APPLY_NS %.1f\nLEVELIZED_SCALAR_APPLY_NS %.1f\n",
-              median(ev_ns), median(lev_ns));
-  std::printf("LEVELIZED_SCALAR_VS_EVENT %.3f\n", median(ratio));
+              bench::median(ev_ns), bench::median(lev_ns));
+  std::printf("LEVELIZED_SCALAR_VS_EVENT %.3f\n", bench::median(ratio));
 }
 
 }  // namespace

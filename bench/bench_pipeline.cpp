@@ -118,10 +118,6 @@ int main() {
   // and the allocator. One pair alone swings several-fold on a shared
   // host, so the gated figure is the median pair.
   constexpr int kSpeedupReps = 3;
-  const auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
   const auto sweep_seconds = [&](const Pipeline& pipe, EngineKind kind) {
     CharacterizeConfig cfg = bench_config();
     cfg.engine = kind;

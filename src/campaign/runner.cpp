@@ -414,7 +414,7 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
             }
             // Stream-capable kernels latch whole operand vectors
             // through the packed-lane batch path; dependency-bound
-            // ones fall back to one scalar step_cycle per add.
+            // ones step one cycle (a batch of one) per add.
             q = wl.run_batch != nullptr
                     ? wl.run_batch(seq_batch_adder_fn(sim), dseed)
                     : wl.run(seq_adder_fn(sim), dseed);

@@ -18,20 +18,30 @@ namespace vosim {
 
 namespace {
 
-/// The shared stimulus sequence, flattened pattern-major (pattern p's
-/// operands at [p*nops, (p+1)*nops)): patterns[0] settles the initial
-/// state, patterns[1..num_patterns] are streamed — identical at every
-/// triad (paper testbench), generated once per sweep instead of per
-/// triad.
-std::vector<std::uint64_t> generate_patterns(
-    const CharacterizeConfig& config, const DutNetlist& dut) {
-  const std::size_t nops = dut.num_operands();
-  std::vector<std::uint64_t> pats((config.num_patterns + 1) * nops);
-  DutPatternStream stream(config.policy, dut.operand_widths(),
+/// The shared stimulus sequence: the first `count` patterns of the
+/// config's stream over operand buses of `widths`, flattened
+/// pattern-major (pattern p's operands at [p*nops, (p+1)*nops)) —
+/// identical at every triad (paper testbench), generated once per sweep
+/// instead of per triad.
+std::vector<std::uint64_t> generate_patterns(const CharacterizeConfig& config,
+                                             std::vector<int> widths,
+                                             std::size_t count) {
+  const std::size_t nops = widths.size();
+  std::vector<std::uint64_t> pats(count * nops);
+  DutPatternStream stream(config.policy, std::move(widths),
                           config.pattern_seed);
-  for (std::size_t p = 0; p <= config.num_patterns; ++p)
+  for (std::size_t p = 0; p < count; ++p)
     stream.next({pats.data() + p * nops, nops});
   return pats;
+}
+
+/// Fills res's error metrics from acc.
+void set_error_metrics(TriadResult& res, const ErrorAccumulator& acc) {
+  res.ber = acc.ber();
+  res.bitwise_ber = acc.bitwise_error_probability();
+  res.op_error_rate = acc.op_error_rate();
+  res.mse = acc.mse();
+  res.mred = acc.mred();
 }
 
 /// Patterns streamed per apply_batch call in the per-triad sweep loop.
@@ -143,10 +153,10 @@ std::vector<TriadResult> characterize_levelized_sweep(
         const std::size_t begin = 1 + s * num_patterns / nseg;
         const std::size_t end = 1 + (s + 1) * num_patterns / nseg;
 
-        TimingSimConfig sim_cfg;
-        sim_cfg.variation_sigma = config.variation_sigma;
-        sim_cfg.variation_seed = config.variation_seed;
-        LevelizedSimulator eng(dut.netlist, lib, ref, sim_cfg);
+        LevelizedSimulator eng(
+            dut.netlist, lib, ref,
+            die_sim_config(config.variation_sigma, config.variation_seed,
+                           EngineKind::kLevelized));
 
         std::vector<std::uint8_t> in(npis, 0);
         pins.fill_inputs({pats.data() + (begin - 1) * nops, nops},
@@ -204,11 +214,7 @@ std::vector<TriadResult> characterize_levelized_sweep(
     }
     TriadResult& res = results[t];
     res.triad = triads[t];
-    res.ber = merged.ber();
-    res.bitwise_ber = merged.bitwise_error_probability();
-    res.op_error_rate = merged.op_error_rate();
-    res.mse = merged.mse();
-    res.mred = merged.mred();
+    set_error_metrics(res, merged);
     const auto n = static_cast<double>(num_patterns);
     res.energy_per_op_fj = energy / n;
     res.dynamic_energy_fj = dyn / n;
@@ -280,10 +286,8 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
     if (tau[t] > tau[ref_t]) ref_t = t;
   }
 
-  TimingSimConfig sim_cfg;
-  sim_cfg.variation_sigma = config.variation_sigma;
-  sim_cfg.variation_seed = config.variation_seed;
-  sim_cfg.engine = EngineKind::kLevelized;
+  const TimingSimConfig sim_cfg = die_sim_config(
+      config.variation_sigma, config.variation_seed, EngineKind::kLevelized);
   // Constructed above the largest threshold, then pinned exactly.
   const OperatingTriad norm{tau[ref_t] * 1e-3 + setup_ns, 1.0, 0.0};
 
@@ -328,11 +332,7 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
 
     TriadResult& res = results[t];
     res.triad = triads[t];
-    res.ber = acc.ber();
-    res.bitwise_ber = acc.bitwise_error_probability();
-    res.op_error_rate = acc.op_error_rate();
-    res.mse = acc.mse();
-    res.mred = acc.mred();
+    set_error_metrics(res, acc);
     const auto n = static_cast<double>(n_cycles);
     res.energy_per_op_fj =
         dyn * escale[t] / n + leak_fj[t] + clock_fj[t];
@@ -496,7 +496,10 @@ std::vector<TriadResult> characterize_dut(
   VOSIM_EXPECTS(!triads.empty());
   VOSIM_EXPECTS(config.num_patterns > 0);
 
-  const std::vector<std::uint64_t> pats = generate_patterns(config, dut);
+  // patterns[0] settles the initial state, patterns[1..num_patterns]
+  // are streamed.
+  const std::vector<std::uint64_t> pats =
+      generate_patterns(config, dut.operand_widths(), config.num_patterns + 1);
   const std::size_t nops = dut.num_operands();
 
   // Provenance needs observer dispatch, which the multi-threshold
@@ -516,11 +519,9 @@ std::vector<TriadResult> characterize_dut(
       triads.size(),
       [&](std::size_t t) {
         const OperatingTriad& op = triads[t];
-        TimingSimConfig sim_cfg;
-        sim_cfg.variation_sigma = config.variation_sigma;
-        sim_cfg.variation_seed = config.variation_seed;
-        sim_cfg.engine = config.engine;
-        VosDutSim sim(dut, lib, op, sim_cfg);
+        VosDutSim sim(dut, lib, op,
+                      die_sim_config(config.variation_sigma,
+                                     config.variation_seed, config.engine));
         if (config.provenance) {
           provs[t] = std::make_unique<ErrorProvenance>(dut);
           sim.engine().attach_observer(provs[t].get());
@@ -561,11 +562,7 @@ std::vector<TriadResult> characterize_dut(
 
         TriadResult& res = results[t];
         res.triad = op;
-        res.ber = acc.ber();
-        res.bitwise_ber = acc.bitwise_error_probability();
-        res.op_error_rate = acc.op_error_rate();
-        res.mse = acc.mse();
-        res.mred = acc.mred();
+        set_error_metrics(res, acc);
         const auto n = static_cast<double>(config.num_patterns);
         res.energy_per_op_fj = energy / n;
         res.dynamic_energy_fj = dyn / n;
@@ -600,11 +597,8 @@ std::vector<TriadResult> characterize_seq_dut(
   // (stage 0's buses) — identical at every triad, like the
   // combinational sweep.
   const std::size_t nops = seq.num_operands();
-  std::vector<std::uint64_t> pats(config.num_patterns * nops);
-  DutPatternStream stream(config.policy, seq.operand_widths(),
-                          config.pattern_seed);
-  for (std::size_t p = 0; p < config.num_patterns; ++p)
-    stream.next({pats.data() + p * nops, nops});
+  const std::vector<std::uint64_t> pats =
+      generate_patterns(config, seq.operand_widths(), config.num_patterns);
 
   // Levelized grids ride the normalized fast path (one die, sliding
   // capture threshold); streaming_state = false forces the per-triad
@@ -622,11 +616,9 @@ std::vector<TriadResult> characterize_seq_dut(
   shared_thread_pool().parallel(
       triads.size(),
       [&](std::size_t t) {
-        TimingSimConfig sim_cfg;
-        sim_cfg.variation_sigma = config.variation_sigma;
-        sim_cfg.variation_seed = config.variation_seed;
-        sim_cfg.engine = config.engine;
-        SeqSim sim(seq, lib, triads[t], sim_cfg);
+        SeqSim sim(seq, lib, triads[t],
+                   die_sim_config(config.variation_sigma,
+                                  config.variation_seed, config.engine));
         if (config.provenance) {
           // One ErrorProvenance per stage, labelled "s<k>:" so culprit
           // names identify the stage.
@@ -647,7 +639,7 @@ std::vector<TriadResult> characterize_seq_dut(
             config.num_patterns + sim.latency_cycles() - 1;
         // One contiguous clocked stream: the patterns plus zero-operand
         // flush cycles that drain the pipeline, batched through the
-        // engines' native cycle path (bit-exact with the scalar loop).
+        // engines' native cycle path.
         std::vector<std::uint64_t> ops(cycles * nops, 0);
         std::copy(pats.begin(), pats.end(), ops.begin());
         std::vector<SeqCycleResult> rs(cycles);
@@ -661,11 +653,7 @@ std::vector<TriadResult> characterize_seq_dut(
 
         TriadResult& res = results[t];
         res.triad = triads[t];
-        res.ber = acc.ber();
-        res.bitwise_ber = acc.bitwise_error_probability();
-        res.op_error_rate = acc.op_error_rate();
-        res.mse = acc.mse();
-        res.mred = acc.mred();
+        set_error_metrics(res, acc);
         const auto n = static_cast<double>(cycles);
         res.energy_per_op_fj = energy / n;
         res.dynamic_energy_fj =
@@ -695,6 +683,16 @@ std::vector<TriadResult> characterize_seq_dut(
     }
   }
   return results;
+}
+
+TimingSimConfig die_sim_config(double variation_sigma,
+                               std::uint64_t variation_seed,
+                               EngineKind engine) {
+  TimingSimConfig cfg;
+  cfg.variation_sigma = variation_sigma;
+  cfg.variation_seed = variation_seed;
+  cfg.engine = engine;
+  return cfg;
 }
 
 double energy_efficiency(double energy_fj, double baseline_fj) {

@@ -127,6 +127,13 @@ std::vector<TriadResult> characterize_seq_dut(
     const std::vector<OperatingTriad>& triads,
     const CharacterizeConfig& config = {});
 
+/// Simulator config of one sweep die: per-gate variation (sigma, seed)
+/// on `engine`, the nominal die-to-die corner, no tracing. Every
+/// characterize and variability sweep builds its engines from it.
+TimingSimConfig die_sim_config(double variation_sigma,
+                               std::uint64_t variation_seed,
+                               EngineKind engine);
+
 /// Energy efficiency vs a baseline energy (paper's "energy saving
 /// compared to ideal test case"): 1 − E/E_baseline.
 double energy_efficiency(double energy_fj, double baseline_fj);

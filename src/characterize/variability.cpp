@@ -43,11 +43,10 @@ std::vector<VariabilityResult> variability_study(
       [&](std::size_t job) {
         const std::size_t t = job / dies;
         const std::size_t die = job % dies;
-        TimingSimConfig sim_cfg;
-        sim_cfg.variation_sigma = config.variation_sigma;
-        sim_cfg.variation_seed = config.die_seed_base + die;
-        sim_cfg.engine = config.engine;
-        VosDutSim sim(dut, lib, triads[t], sim_cfg);
+        VosDutSim sim(dut, lib, triads[t],
+                      die_sim_config(config.variation_sigma,
+                                     config.die_seed_base + die,
+                                     config.engine));
 
         DutPatternStream patterns(config.policy, dut.operand_widths(),
                                   config.pattern_seed);

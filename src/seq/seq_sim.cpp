@@ -55,17 +55,15 @@ SeqSim::SeqSim(const SeqDut& seq, const CellLibrary& lib,
   clock_energy_fj_ = seq_clock_energy_fj(seq, lib, op.vdd_v);
 
   pins_.reserve(seq.stages.size());
-  stage_widths_.reserve(seq.stages.size());
   engines_.reserve(seq.stages.size());
   for (const DutNetlist& stage : seq.stages) {
     pins_.emplace_back(stage);
-    stage_widths_.push_back(stage.operand_widths());
     engines_.push_back(make_engine(stage.netlist, lib, capture, config));
   }
   if (tracing_) {
     // One bundled TraceRecorder per stage; the engines emit their
     // transitions through the observer interface and the recorders
-    // hand each cycle's trace to step_cycle.
+    // hand each cycle's trace to step_cycle_batch.
     recorders_.resize(seq.stages.size());
     for (std::size_t k = 0; k < seq.stages.size(); ++k)
       engines_[k]->attach_observer(&recorders_[k]);
@@ -91,7 +89,6 @@ SeqSim::SeqSim(const SeqDut& seq, const CellLibrary& lib,
     stage_leak_fj_.push_back(engines_[k]->leakage_energy_fj_per_op() *
                              leakage_scale_);
   }
-  bank_.resize(seq.stages.size());
   stage_sampled_.assign(seq.stages.size(), 0);
   monitors_.reserve(seq.stages.size());
   for (std::size_t k = 0; k < seq.stages.size(); ++k)
@@ -105,7 +102,6 @@ void SeqSim::reset() {
         seq_.stages[k].netlist.primary_inputs().size();
     const std::vector<std::uint8_t> zeros(npis, 0);
     engines_[k]->reset(zeros);
-    bank_[k].assign(seq_.stages[k].num_operands(), 0);
     // The stage drives its settled-at-zero outputs into the bank wires;
     // that is what the next capture edge would latch.
     stage_sampled_[k] = pins_[k].gather_output(pack_word(
@@ -141,21 +137,6 @@ double SeqSim::leakage_energy_fj_per_cycle() const noexcept {
   return leak * leakage_scale_;
 }
 
-std::uint64_t SeqSim::golden_output(
-    std::span<const std::uint64_t> operands) {
-  golden_words_.assign(operands.begin(), operands.end());
-  std::uint64_t out = 0;
-  for (std::size_t k = 0; k < seq_.stages.size(); ++k) {
-    const Netlist& nl = seq_.stages[k].netlist;
-    if (k > 0) golden_words_ = split_bank_word(out, stage_widths_[k]);
-    input_buf_.assign(nl.primary_inputs().size(), 0);
-    pins_[k].fill_inputs(golden_words_, input_buf_.data());
-    out = pins_[k].gather_output(
-        pack_word(evaluate_logic(nl, input_buf_), nl.primary_outputs()));
-  }
-  return out;
-}
-
 double SeqSim::worst_stage_op_error_rate() const {
   double worst = 0.0;
   for (const DoubleSamplingMonitor& m : monitors_)
@@ -168,63 +149,8 @@ void SeqSim::reset_monitor_windows() {
 }
 
 SeqCycleResult SeqSim::step_cycle(std::span<const std::uint64_t> operands) {
-  VOSIM_EXPECTS(operands.size() == seq_.num_operands());
-  const std::size_t stages = engines_.size();
-
-  // 1. Launch edge — all banks latch simultaneously: bank k takes stage
-  // k-1's sample from the previous capture edge, the input bank takes
-  // the new operands.
-  for (std::size_t k = stages; k-- > 1;)
-    bank_[k] = split_bank_word(stage_sampled_[k - 1], stage_widths_[k]);
-  bank_[0].assign(operands.begin(), operands.end());
-  golden_.push_back(golden_output(operands));
-
   SeqCycleResult r;
-  r.settled = true;
-  stage_window_.resize(stages);
-  SeqCycleTrace trace;
-  if (tracing_) {
-    trace.bank_words.reserve(stages + 1);
-    for (std::size_t k = 0; k < stages; ++k)
-      trace.bank_words.push_back(
-          pack_bank_word(bank_[k], stage_widths_[k]));
-  }
-
-  // 2. + 3. One clock period per stage, capture at Tclk − setup, and
-  // Razor shadow comparison against the stage's functional result.
-  for (std::size_t k = 0; k < stages; ++k) {
-    const Netlist& nl = seq_.stages[k].netlist;
-    input_buf_.assign(nl.primary_inputs().size(), 0);
-    pins_[k].fill_inputs(bank_[k], input_buf_.data());
-    const StepResult st = engines_[k]->step_cycle(input_buf_);
-    const std::uint64_t sampled = pins_[k].gather_output(st.sampled_outputs);
-    const std::uint64_t shadow = pins_[k].gather_output(st.settled_outputs);
-    stage_sampled_[k] = sampled;
-    monitors_[k].observe(sampled, shadow);
-    if (sampled != shadow) r.razor_flags |= 1u << k;
-    stage_window_[k] = st.window_energy_fj;
-    r.max_settle_ps = std::max(r.max_settle_ps, st.settle_time_ps);
-    r.settled = r.settled && (engines_[k]->settled_lanes() & 1u) != 0;
-    if (tracing_) {
-      TraceRecorder& rec = recorders_[k];
-      trace.stage_initial.emplace_back(rec.initial_values().begin(),
-                                       rec.initial_values().end());
-      trace.stage_events.push_back(rec.take_trace());
-    }
-  }
-
-  r.energy_fj = cycle_energy_fj(stage_window_);
-  r.captured = stage_sampled_[stages - 1];
-  if (golden_.size() == latency_cycles()) {
-    r.expected = golden_.front();
-    golden_.pop_front();
-    r.output_valid = true;
-  }
-  if (tracing_) {
-    trace.bank_words.push_back(r.captured);
-    traces_.push_back(std::move(trace));
-  }
-  ++cycles_;
+  step_cycle_batch(operands, 1, {&r, 1});
   return r;
 }
 
@@ -287,21 +213,15 @@ void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
   VOSIM_EXPECTS(operands.size() == count * nops);
   VOSIM_EXPECTS(results.size() >= count);
   VOSIM_EXPECTS(!want_windows || stage_window_fj.size() >= count * stages);
-  if (tracing_) {
-    // Per-cycle trace collection needs the scalar path.
-    for (std::size_t c = 0; c < count; ++c) {
-      results[c] = step_cycle(operands.subspan(c * nops, nops));
-      if (want_windows)
-        std::copy(stage_window_.begin(), stage_window_.end(),
-                  stage_window_fj.begin() + c * stages);
-    }
-    return;
-  }
   // Chunk at one lane word so every levelized pass and the packed
-  // golden composition (evaluate_logic_packed) run full.
+  // golden composition (evaluate_logic_packed) run full. A tracing
+  // simulator steps chunks of one cycle: a stage recorder holds the
+  // trace of its engine's last call only.
+  const std::size_t max_chunk = tracing_ ? 1 : lanes::kWordLanes;
   std::size_t done = 0;
   while (done < count) {
-    const std::size_t chunk = std::min(lanes::kWordLanes, count - done);
+    const std::size_t chunk = std::min(max_chunk, count - done);
+    SeqCycleTrace trace;
     batch_golden_.resize(chunk);
     golden_output_batch(operands.subspan(done * nops, chunk * nops), chunk,
                         batch_golden_.data());
@@ -349,6 +269,19 @@ void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
           batch_inputs_, chunk,
           std::span<StepResult>(&batch_results_[k * chunk], chunk));
       settled &= engines_[k]->settled_lanes();
+      if (tracing_) {
+        // The bank this cycle latched: the external operands, or stage
+        // k-1's last capture, whose width make_seq_dut makes stage k's
+        // packed bank width.
+        trace.bank_words.push_back(
+            k == 0 ? pack_bank_word(operands.subspan(done * nops, nops),
+                                    seq_.stages[0].operand_widths())
+                   : stage_sampled_[k - 1]);
+        TraceRecorder& rec = recorders_[k];
+        trace.stage_initial.emplace_back(rec.initial_values().begin(),
+                                         rec.initial_values().end());
+        trace.stage_events.push_back(rec.take_trace());
+      }
       for (std::size_t c = 0; c < chunk; ++c) {
         const StepResult& st = batch_results_[k * chunk + c];
         batch_sampled_w_[k * chunk + c] =
@@ -358,9 +291,9 @@ void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
       }
     }
 
-    // Per-cycle composition, in the scalar call order (energy terms
-    // added stage by stage, monitors fed cycle-ascending, golden queue
-    // pushed and popped once per cycle).
+    // Per-cycle composition: energy terms added stage by stage,
+    // monitors fed cycle-ascending, golden queue pushed and popped once
+    // per cycle.
     if (!want_windows) stage_window_.resize(chunk * stages);
     double* win = want_windows ? &stage_window_fj[done * stages]
                                : stage_window_.data();
@@ -389,6 +322,10 @@ void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
     }
     for (std::size_t k = 0; k < stages; ++k)
       stage_sampled_[k] = batch_sampled_w_[k * chunk + (chunk - 1)];
+    if (tracing_) {
+      trace.bank_words.push_back(results[done].captured);
+      traces_.push_back(std::move(trace));
+    }
     done += chunk;
   }
 }

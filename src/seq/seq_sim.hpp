@@ -2,7 +2,7 @@
 // register banks, per-flop setup margin, per-cycle clock/latch energy
 // and in-simulator Razor detection.
 //
-// Every step_cycle():
+// Every clock cycle (step_cycle is step_cycle_batch over one cycle):
 //   1. Launch edge — the register banks latch simultaneously: the input
 //      bank takes the new external operands, bank k takes stage k-1's
 //      output as sampled at the previous capture edge (errors included).
@@ -99,21 +99,23 @@ class SeqSim {
   void reset();
 
   /// One clock cycle: operands.size() must equal num_operands() and
-  /// operand k must fit operand_width(k) bits.
+  /// operand k must fit operand_width(k) bits. A step_cycle_batch of
+  /// one cycle.
   SeqCycleResult step_cycle(std::span<const std::uint64_t> operands);
   /// Two-operand convenience.
   SeqCycleResult step_cycle(std::uint64_t a, std::uint64_t b);
 
-  /// Batched clocked stepping: cycle c's operands occupy
-  /// operands[c*num_operands(), (c+1)*num_operands()) and its outcome
-  /// lands in results[c]. Bit-exact with `count` sequential
-  /// step_cycle() calls — captured/expected words, per-cycle energy
-  /// (same floating-point accumulation order) and Razor monitor
-  /// statistics are all identical. Each stage engine runs its native
-  /// step_cycle_batch (64 cycles per levelized pass; the register
-  /// banks between stages become packed lane words shifted by one
-  /// cycle) and the golden pipeline is evaluated lane-parallel.
-  /// Tracing simulators fall back to the scalar loop. A non-empty
+  /// Batched clocked stepping, the one composition of a cycle: cycle
+  /// c's operands occupy operands[c*num_operands(), (c+1)*num_operands())
+  /// and its outcome lands in results[c]. Bit-exact with `count`
+  /// sequential step_cycle() calls — captured/expected words, per-cycle
+  /// energy (same floating-point accumulation order) and Razor monitor
+  /// statistics are all identical, whatever the split into calls. Each
+  /// stage engine runs its native step_cycle_batch (64 cycles per
+  /// levelized pass; the register banks between stages become packed
+  /// lane words shifted by one cycle) and the golden pipeline is
+  /// evaluated lane-parallel. Tracing simulators step chunks of one
+  /// cycle and take each stage's trace after its engine call. A non-empty
   /// `stage_window_fj` (count × num_stages(), cycle-major) receives
   /// each stage's window energy per cycle — the terms cycle_energy_fj
   /// composed into results[c].energy_fj.
@@ -181,10 +183,9 @@ class SeqSim {
   std::uint64_t cycles() const noexcept { return cycles_; }
 
   /// Stage k's engine — for attaching per-stage SimObservers (e.g. an
-  /// ErrorProvenance per stage). Observers attached here see the
-  /// scalar step_cycle path and the levelized batch path, but not the
-  /// event engine's batch fallback any differently: both route through
-  /// the engines' own dispatch sites.
+  /// ErrorProvenance per stage). Observers attached here see every
+  /// cycle: the stage engines step only through their own
+  /// step_cycle_batch dispatch sites.
   SimEngine& stage_engine(std::size_t k) { return *engines_.at(k); }
   const SimEngine& stage_engine(std::size_t k) const {
     return *engines_.at(k);
@@ -251,13 +252,9 @@ class SeqSim {
   void clear_traces() { traces_.clear(); }
 
  private:
-  /// The pipeline's settled function on the cached pin maps (the
-  /// per-cycle golden; avoids rebuilding DutPinMaps in the hot loop).
-  std::uint64_t golden_output(std::span<const std::uint64_t> operands);
-
-  /// Lane-parallel golden: out[c] = golden_output(cycle c's operands)
-  /// for up to lanes::kWordLanes cycles, one packed evaluate_logic
-  /// pass per stage. Bit-identical to the scalar golden (pure logic).
+  /// Lane-parallel golden: out[c] = seq_settled_output(cycle c's
+  /// operands) for up to lanes::kWordLanes cycles, one packed
+  /// evaluate_logic pass per stage on the cached pin maps.
   void golden_output_batch(std::span<const std::uint64_t> operands,
                            std::size_t count, std::uint64_t* out);
 
@@ -268,28 +265,23 @@ class SeqSim {
   bool tracing_ = false;
   double clock_energy_fj_ = 0.0;
   std::vector<DutPinMap> pins_;
-  std::vector<std::vector<int>> stage_widths_;  ///< operand widths / stage
   /// Stage k's PI slot for every bit of its packed register-bank word
-  /// (operand buses concatenated in split_bank_word order): the batch
-  /// path scatters bank bits straight into engine input buffers with no
-  /// per-cycle split_bank_word/fill_inputs round-trip (k >= 1; stage 0
-  /// is fed from the separate external operand words).
+  /// (operand buses concatenated in split_bank_word order): the cycle
+  /// composition scatters bank bits straight into engine input buffers
+  /// with no per-cycle split_bank_word/fill_inputs round-trip (k >= 1;
+  /// stage 0 is fed from the separate external operand words).
   std::vector<std::vector<std::size_t>> bank_slot_;
   /// Net feeding output-bus bit i of stage k (primary-output order
   /// resolved through the pin map), for lane-word golden gathers.
   std::vector<std::vector<NetId>> stage_po_net_;
-  /// Per-stage leakage × Tclk/(Tclk−setup), precomputed: the identical
-  /// product the scalar path used to evaluate every cycle.
+  /// Per-stage leakage × Tclk/(Tclk−setup), hoisted out of the cycle
+  /// loop; retarget_capture_ps refreshes it.
   std::vector<double> stage_leak_fj_;
   std::vector<std::unique_ptr<SimEngine>> engines_;
-  /// bank_[0]: external operand words; bank_[k]: stage k's operand
-  /// words, split from stage k-1's sampled output.
-  std::vector<std::vector<std::uint64_t>> bank_;
-  std::vector<std::uint64_t> stage_sampled_;  ///< last capture, per stage
+  /// Last capture, per stage: stage k+1's bank at the next launch edge.
+  std::vector<std::uint64_t> stage_sampled_;
   std::vector<DoubleSamplingMonitor> monitors_;
   std::deque<std::uint64_t> golden_;  ///< expected outputs in flight
-  std::vector<std::uint8_t> input_buf_;
-  std::vector<std::uint64_t> golden_words_;  ///< golden-eval scratch
   /// Per-stage bundled TraceRecorders, attached to the stage engines
   /// when tracing — the observer-based replacement for the old
   /// in-engine take_trace plumbing. Sized once in the constructor; the
@@ -297,7 +289,7 @@ class SeqSim {
   std::vector<TraceRecorder> recorders_;
   std::vector<SeqCycleTrace> traces_;
   std::uint64_t cycles_ = 0;
-  // step_cycle_batch scratch (avoids per-chunk allocation).
+  // Cycle-composition scratch (avoids per-chunk allocation).
   std::vector<std::uint8_t> batch_inputs_;     ///< chunk × stage PIs
   std::vector<StepResult> batch_results_;      ///< stages × chunk
   std::vector<std::uint64_t> batch_sampled_w_;  ///< stages × chunk

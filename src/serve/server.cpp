@@ -1,6 +1,7 @@
 #include "src/serve/server.hpp"
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -45,7 +46,8 @@ bool write_line(int fd, const std::string& line) {
   return write_all(fd, line + "\n");
 }
 
-/// Reads until the first newline or EOF (the request is one line).
+/// Reads until the first newline, EOF or read timeout (the request is
+/// one line).
 std::string read_request_line(int fd) {
   std::string line;
   char c = 0;
@@ -152,6 +154,8 @@ void CampaignServer::accept_loop() {
       if (!running_.load()) break;
       continue;  // EINTR and friends
     }
+    const timeval timeout{kRequestReadTimeout.count(), 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     std::lock_guard<std::mutex> lock(conn_m_);
     connections_.remove_if([](Connection& c) {
       if (!c.done.load()) return false;

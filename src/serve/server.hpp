@@ -39,6 +39,9 @@
 //       evictions that happened before this watcher attached.
 //     shutdown — {"ok":true,"cmd":"shutdown"}, then the accept loop
 //       winds down and wait() returns
+//   A connection that sends no byte for CampaignServer::
+//   kRequestReadTimeout ends its request line there: it is answered
+//   as the line read so far (usually {"error":"missing cmd"}).
 //   errors — one structured JSON line, then the connection closes:
 //     unknown verbs answer {"error":"unknown cmd","cmd":"<verb>",
 //     "known":["campaign","ping","shutdown","stats","watch"]} rather
@@ -89,14 +92,19 @@ class CampaignServer {
   CampaignServer(const CampaignServer&) = delete;
   CampaignServer& operator=(const CampaignServer&) = delete;
 
+  /// Read timeout (SO_RCVTIMEO) of every accepted connection. stop()
+  /// joins every connection thread, so a client that connects and
+  /// sends nothing holds shutdown for at most this long.
+  static constexpr std::chrono::seconds kRequestReadTimeout{2};
+
   /// Binds the socket and starts accepting. Throws std::runtime_error
   /// when the socket cannot be created/bound.
   void start();
   /// Blocks until a shutdown request has been served (returns
   /// immediately if one already was).
   void wait();
-  /// Stops accepting, joins every connection thread, unlinks the
-  /// socket. Idempotent.
+  /// Stops accepting, joins every connection thread (a silent client's
+  /// within kRequestReadTimeout), unlinks the socket. Idempotent.
   void stop();
 
   bool running() const noexcept { return running_.load(); }

@@ -1,12 +1,17 @@
-// Batch-vs-scalar equivalence of the clocked path: step_cycle_batch
-// must be bit-exact against a scalar step_cycle loop — sampled and
-// expected output words, per-cycle energy (same floating-point
-// accumulation order), Razor flag words and the stage monitors'
-// lifetime/window statistics — on every registry pipeline, on both
-// engines, across the error-onset band, including operation counts
-// that do not fill a whole 64-cycle lane word.
+// Chunking invariance of the clocked path: step_cycle is a
+// step_cycle_batch of one cycle, and one step_cycle_batch over a stream
+// must be bit-exact against a step_cycle loop — sampled and expected
+// output words, per-cycle energy (same floating-point accumulation
+// order), Razor flag words and the stage monitors' lifetime/window
+// statistics — on every registry pipeline, on both engines, across the
+// error-onset band, including operation counts that do not fill a whole
+// 64-cycle lane word. The expected words are checked against the
+// independent pipeline reference seq_settled_output, and on the event
+// engine a tracing simulator must step the same cycles and record the
+// same traces whichever way the stream is split.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -39,10 +44,47 @@ std::vector<std::uint64_t> random_operands(const SeqDut& seq,
   return ops;
 }
 
-/// Runs `cycles` scalar step_cycle calls and one step_cycle_batch over
-/// the same operand stream on two identically-configured simulators and
+void expect_same_cycles(std::span<const SeqCycleResult> want,
+                        std::span<const SeqCycleResult> got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    ASSERT_EQ(want[c].output_valid, got[c].output_valid) << c;
+    ASSERT_EQ(want[c].captured, got[c].captured) << c;
+    ASSERT_EQ(want[c].expected, got[c].expected) << c;
+    ASSERT_EQ(want[c].razor_flags, got[c].razor_flags) << c;
+    ASSERT_EQ(want[c].settled, got[c].settled) << c;
+    ASSERT_DOUBLE_EQ(want[c].energy_fj, got[c].energy_fj) << c;
+    ASSERT_DOUBLE_EQ(want[c].max_settle_ps, got[c].max_settle_ps) << c;
+  }
+}
+
+void expect_same_traces(std::span<const SeqCycleTrace> want,
+                        std::span<const SeqCycleTrace> got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    ASSERT_EQ(want[c].bank_words, got[c].bank_words) << c;
+    ASSERT_EQ(want[c].stage_initial, got[c].stage_initial) << c;
+    ASSERT_EQ(want[c].stage_events.size(), got[c].stage_events.size());
+    for (std::size_t k = 0; k < want[c].stage_events.size(); ++k) {
+      const auto& we = want[c].stage_events[k];
+      const auto& ge = got[c].stage_events[k];
+      ASSERT_EQ(we.size(), ge.size()) << c << " stage " << k;
+      for (std::size_t i = 0; i < we.size(); ++i) {
+        ASSERT_EQ(we[i].time_ps, ge[i].time_ps) << c << " " << k;
+        ASSERT_EQ(we[i].net, ge[i].net) << c << " " << k;
+        ASSERT_EQ(we[i].value, ge[i].value) << c << " " << k;
+      }
+    }
+  }
+}
+
+/// Runs `cycles` step_cycle calls and one step_cycle_batch over the
+/// same operand stream on two identically-configured simulators and
 /// asserts every per-cycle field and every stage monitor statistic
-/// matches exactly.
+/// matches exactly, and every expected word is the pipeline's settled
+/// function of the operands latency_cycles()-1 cycles back. On the
+/// event engine, two tracing simulators repeat both runs: their cycles
+/// must equal the untraced ones and their traces each other.
 void expect_batch_matches_scalar(const SeqDut& seq,
                                  const OperatingTriad& op,
                                  EngineKind engine, std::size_t cycles,
@@ -63,13 +105,17 @@ void expect_batch_matches_scalar(const SeqDut& seq,
   std::vector<SeqCycleResult> got(cycles);
   batched.step_cycle_batch(ops, cycles, got);
 
+  expect_same_cycles(want, got);
+  const std::size_t lat = seq.latency_cycles();
   for (std::size_t c = 0; c < cycles; ++c) {
-    ASSERT_EQ(want[c].output_valid, got[c].output_valid) << c;
-    ASSERT_EQ(want[c].captured, got[c].captured) << c;
-    ASSERT_EQ(want[c].expected, got[c].expected) << c;
-    ASSERT_EQ(want[c].razor_flags, got[c].razor_flags) << c;
-    ASSERT_DOUBLE_EQ(want[c].energy_fj, got[c].energy_fj) << c;
-    ASSERT_DOUBLE_EQ(want[c].max_settle_ps, got[c].max_settle_ps) << c;
+    ASSERT_EQ(got[c].output_valid, c + 1 >= lat) << c;
+    if (!got[c].output_valid) continue;
+    const std::size_t launched = c + 1 - lat;
+    ASSERT_EQ(got[c].expected,
+              seq_settled_output(seq, std::span<const std::uint64_t>(
+                                          ops.data() + launched * nops,
+                                          nops)))
+        << c;
   }
   for (std::size_t k = 0; k < seq.num_stages(); ++k) {
     const DoubleSamplingMonitor& ms = scalar.stage_monitor(k);
@@ -82,6 +128,50 @@ void expect_batch_matches_scalar(const SeqDut& seq,
     EXPECT_DOUBLE_EQ(ms.window_op_error_rate(),
                      mb.window_op_error_rate())
         << k;
+  }
+
+  if (engine != EngineKind::kEvent) return;
+  cfg.record_trace = true;
+  SeqSim traced_scalar(seq, lib(), op, cfg);
+  SeqSim traced_batched(seq, lib(), op, cfg);
+  std::vector<SeqCycleResult> traced(cycles);
+  for (std::size_t c = 0; c < cycles; ++c)
+    traced[c] = traced_scalar.step_cycle(
+        std::span<const std::uint64_t>(ops.data() + c * nops, nops));
+  expect_same_cycles(got, traced);
+  traced_batched.step_cycle_batch(ops, cycles, traced);
+  expect_same_cycles(got, traced);
+  ASSERT_EQ(traced_batched.cycle_traces().size(), cycles);
+  expect_same_traces(traced_scalar.cycle_traces(),
+                     traced_batched.cycle_traces());
+
+  // Bank words, input first: the external operands packed LSB-first;
+  // bank k, stage k-1's capture one cycle back, which on a Razor-clean
+  // run is the settled output of the first k stages on the operands
+  // launched k cycles back; last, the captured word.
+  const bool clean =
+      std::all_of(got.begin(), got.end(),
+                  [](const SeqCycleResult& r) { return r.razor_flags == 0; });
+  const std::vector<int> widths = seq.operand_widths();
+  std::vector<SeqDut> prefix(seq.num_stages(), seq);  // first k stages
+  for (std::size_t k = 0; k < prefix.size(); ++k) prefix[k].stages.resize(k);
+  for (std::size_t c = 0; c < cycles; ++c) {
+    const auto& banks = traced_batched.cycle_traces()[c].bank_words;
+    ASSERT_EQ(banks.size(), seq.num_stages() + 1) << c;
+    EXPECT_EQ(banks.back(), got[c].captured) << c;
+    std::uint64_t in = 0;
+    int shift = 0;
+    for (std::size_t o = 0; o < nops; ++o) {
+      in |= ops[c * nops + o] << shift;
+      shift += widths[o];
+    }
+    EXPECT_EQ(banks[0], in) << c;
+    for (std::size_t k = 1; clean && k < seq.num_stages() && k <= c; ++k)
+      EXPECT_EQ(banks[k], seq_settled_output(
+                              prefix[k], std::span<const std::uint64_t>(
+                                             ops.data() + (c - k) * nops,
+                                             nops)))
+          << c << " bank " << k;
   }
 }
 
@@ -109,7 +199,7 @@ TEST(SeqBatch, MatchesScalarAcrossRegistryEnginesAndOnsetBand) {
 
 // Ragged lane-word boundaries: a single cycle, one lane short of a
 // word, exactly one word, one lane over, and a two-word ragged tail
-// must all agree with the scalar loop.
+// must all agree with one-cycle steps.
 TEST(SeqBatch, RaggedCountsMatchScalar) {
   const SeqDut seq = build_seq_circuit("pipe2-mul8");
   const double cp = seq_critical_path_ns(seq, lib());
@@ -143,9 +233,9 @@ TEST(SeqBatch, RecordWordMatchesObserve) {
   }
 }
 
-// The closed-loop unit's run_batch must replay the scalar control
-// trajectory exactly: same rung at every cycle, same captured words,
-// same switch count, same accumulated energy.
+// The closed-loop unit's run_batch must replay the one-cycle-step
+// (step_cycle) control trajectory exactly: same rung at every cycle,
+// same captured words, same switch count, same accumulated energy.
 TEST(SeqBatch, ClosedLoopRunBatchMatchesScalar) {
   const SeqDut seq = build_seq_circuit("pipe2-mul8");
   const double cp = seq_critical_path_ns(seq, lib());

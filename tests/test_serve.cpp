@@ -240,6 +240,21 @@ TEST(CampaignServer, MalformedRequestJsonStreamsErrorsNotCrashes) {
   server.stop();
 }
 
+/// Connects to the daemon without sending anything; returns the socket
+/// (-1 on failure).
+int connect_raw(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 TEST(CampaignServer, SurvivesClientDisconnectMidStream) {
   ServeConfig cfg;
   cfg.socket_path = socket_path("disconnect");
@@ -252,15 +267,8 @@ TEST(CampaignServer, SurvivesClientDisconnectMidStream) {
   // a byte. The daemon is deep in run_campaign when its first stream
   // write hits the closed peer — without MSG_NOSIGNAL that's a SIGPIPE
   // and a dead daemon.
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, cfg.socket_path.c_str(),
-              cfg.socket_path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = connect_raw(cfg.socket_path);
   ASSERT_GE(fd, 0);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
   const std::string req =
       "{\"cmd\":\"campaign\",\"workloads\":\"fir\",\"circuits\":"
       "\"rca16\",\"backends\":\"model\",\"max_triads\":1,"
@@ -284,6 +292,50 @@ TEST(CampaignServer, SurvivesClientDisconnectMidStream) {
   ASSERT_EQ(pong.size(), 1u);
   EXPECT_EQ(pong[0], "{\"ok\":true,\"cmd\":\"ping\"}");
   server.stop();
+}
+
+// A client that connects and never sends its request line must neither
+// block later requests nor hang shutdown: its read times out, it gets
+// an error line, and stop() (which joins every connection thread)
+// returns within the read timeout.
+TEST(CampaignServer, SilentClientTimesOutAndDoesNotHangStop) {
+  using std::chrono::steady_clock;
+  const auto timeout = CampaignServer::kRequestReadTimeout;
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("silent");
+  CampaignServer server(lib(), cfg);
+  server.start();
+
+  const int silent = connect_raw(cfg.socket_path);
+  ASSERT_GE(silent, 0);
+  std::this_thread::sleep_for(timeout + std::chrono::milliseconds(500));
+  const auto pong = send_request(cfg.socket_path, "{\"cmd\":\"ping\"}");
+  ASSERT_EQ(pong.size(), 1u);
+  EXPECT_EQ(pong[0], "{\"ok\":true,\"cmd\":\"ping\"}");
+  // The timed-out connection was answered and closed.
+  char buf[256];
+  const ssize_t n = ::read(silent, buf, sizeof(buf));
+  ASSERT_GT(n, 0);
+  EXPECT_NE(std::string(buf, static_cast<std::size_t>(n)).find("\"error\""),
+            std::string::npos);
+  EXPECT_EQ(::read(silent, buf, sizeof(buf)), 0);
+  ::close(silent);
+
+  // A second silent client is still connected when stop() runs: wait
+  // until its connection thread is up and blocked in the read.
+  obs::Gauge& active = obs::metrics().gauge("serve.connections.active");
+  const double active0 = active.value();
+  const int held = connect_raw(cfg.socket_path);
+  ASSERT_GE(held, 0);
+  const auto deadline = steady_clock::now() + std::chrono::seconds(10);
+  while (active.value() == active0 && steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_GT(active.value(), active0);
+  const auto t0 = steady_clock::now();
+  server.stop();
+  EXPECT_LT(steady_clock::now() - t0, timeout + std::chrono::seconds(3));
+  EXPECT_FALSE(server.running());
+  ::close(held);
 }
 
 TEST(CampaignServer, StatsVerbReportsManifestAndMetrics) {
