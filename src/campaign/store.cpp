@@ -9,9 +9,6 @@
 namespace vosim {
 
 using jsonl::num;
-using jsonl::num_field;
-using jsonl::raw_field;
-using jsonl::u64_field;
 
 std::string CampaignCellKey::to_string() const {
   std::ostringstream os;
@@ -85,7 +82,7 @@ std::vector<CampaignCell> CampaignStore::cells() const {
 
 std::string CampaignStore::to_jsonl(const CampaignCell& cell) {
   // Names are identifiers (registry tokens), so no string escaping is
-  // needed; parse_jsonl rejects anything it did not write.
+  // needed; parse_jsonl rejects malformed and torn lines.
   std::ostringstream os;
   os << "{\"workload\":\"" << cell.key.workload << "\""
      << ",\"circuit\":\"" << cell.key.circuit << "\""
@@ -112,37 +109,34 @@ std::string CampaignStore::to_jsonl(const CampaignCell& cell) {
 
 std::optional<CampaignCell> CampaignStore::parse_jsonl(
     const std::string& line) {
+  const jsonl::Fields f(line);
   CampaignCell cell;
-  if (!raw_field(line, "workload", cell.key.workload) ||
-      !raw_field(line, "circuit", cell.key.circuit) ||
-      !raw_field(line, "backend", cell.key.backend) ||
-      !num_field(line, "tclk_ns", cell.key.triad.tclk_ns) ||
-      !num_field(line, "vdd_v", cell.key.triad.vdd_v) ||
-      !num_field(line, "vbb_v", cell.key.triad.vbb_v) ||
-      !u64_field(line, "seed", cell.key.seed) ||
-      !u64_field(line, "train_patterns", cell.key.train_patterns) ||
-      !u64_field(line, "characterize_patterns",
-                 cell.key.characterize_patterns) ||
-      !raw_field(line, "metric", cell.metric) ||
-      !num_field(line, "quality", cell.quality) ||
-      !num_field(line, "normalized", cell.normalized) ||
-      !num_field(line, "energy_per_op_fj", cell.energy_per_op_fj) ||
-      !num_field(line, "baseline_fj", cell.baseline_fj) ||
-      !num_field(line, "ber", cell.ber) ||
-      !u64_field(line, "adds", cell.adds) ||
-      !num_field(line, "elapsed_s", cell.elapsed_s))
+  if (!f.raw("workload", cell.key.workload) ||
+      !f.raw("circuit", cell.key.circuit) ||
+      !f.raw("backend", cell.key.backend) ||
+      !f.num("tclk_ns", cell.key.triad.tclk_ns) ||
+      !f.num("vdd_v", cell.key.triad.vdd_v) ||
+      !f.num("vbb_v", cell.key.triad.vbb_v) ||
+      !f.u64("seed", cell.key.seed) ||
+      !f.u64("train_patterns", cell.key.train_patterns) ||
+      !f.u64("characterize_patterns", cell.key.characterize_patterns) ||
+      !f.raw("metric", cell.metric) ||
+      !f.num("quality", cell.quality) ||
+      !f.num("normalized", cell.normalized) ||
+      !f.num("energy_per_op_fj", cell.energy_per_op_fj) ||
+      !f.num("baseline_fj", cell.baseline_fj) ||
+      !f.num("ber", cell.ber) ||
+      !f.u64("adds", cell.adds) ||
+      !f.num("elapsed_s", cell.elapsed_s))
     return std::nullopt;
   // Pre-fleet stores have no chip field: those cells are the nominal
   // die (chip 0). A present-but-garbled chip still rejects the line.
   std::string chip_raw;
-  if (raw_field(line, "chip", chip_raw)) {
-    if (!u64_field(line, "chip", cell.key.chip)) return std::nullopt;
-  } else {
-    cell.key.chip = 0;
-  }
+  if (f.raw("chip", chip_raw) && !f.u64("chip", cell.key.chip))
+    return std::nullopt;
   // Optional provenance field (absent on provenance-free runs and on
   // every pre-provenance store).
-  if (!raw_field(line, "culprits", cell.culprits)) cell.culprits.clear();
+  f.raw("culprits", cell.culprits);
   return cell;
 }
 

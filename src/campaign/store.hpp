@@ -103,7 +103,8 @@ class CampaignStore {
 
   /// One cell as a single JSONL line (no trailing newline).
   static std::string to_jsonl(const CampaignCell& cell);
-  /// Parses a line written by to_jsonl; nullopt when malformed.
+  /// Parses a line written by to_jsonl (or the same object re-spaced);
+  /// nullopt when malformed or torn short of its closing `}`.
   static std::optional<CampaignCell> parse_jsonl(const std::string& line);
 
  private:

@@ -49,21 +49,19 @@ bool RunManifest::is_manifest_line(const std::string& line) {
 
 std::optional<RunManifest> RunManifest::parse(const std::string& line) {
   if (!is_manifest_line(line)) return std::nullopt;
+  const jsonl::Fields f(line);
   RunManifest m;
   std::string raw;
-  if (!jsonl::raw_field(line, "tool", raw)) return std::nullopt;
+  if (!f.raw("tool", raw)) return std::nullopt;
   m.tool = raw;
-  if (jsonl::raw_field(line, "engine", raw)) m.engine = raw;
-  if (jsonl::raw_field(line, "shard", raw)) m.shard = raw;
+  if (f.raw("engine", raw)) m.engine = raw;
+  if (f.raw("shard", raw)) m.shard = raw;
   std::uint64_t u = 0;
-  if (jsonl::u64_field(line, "lane_width", u)) m.lane_width = u;
+  if (f.u64("lane_width", u)) m.lane_width = u;
   double v = 0.0;
-  if (jsonl::num_field(line, "store_version", v)) {
-    m.store_version = static_cast<int>(v);
-  }
-  if (jsonl::raw_field(line, "config_hash", raw)) {
+  if (f.num("store_version", v)) m.store_version = static_cast<int>(v);
+  if (f.raw("config_hash", raw))
     m.parsed_hash = std::strtoull(raw.c_str(), nullptr, 16);
-  }
   return m;
 }
 

@@ -63,37 +63,31 @@ std::string read_request_line(int fd) {
 
 /// The campaign request body -> CampaignConfig. Absent fields keep
 /// the campaign defaults; `default_jobs` is the daemon-wide cap.
-CampaignConfig parse_campaign_request(const std::string& line,
+CampaignConfig parse_campaign_request(const jsonl::Fields& f,
                                       unsigned default_jobs) {
   CampaignConfig cfg;
   cfg.jobs = default_jobs;
   std::string raw;
-  if (jsonl::raw_field(line, "workloads", raw))
-    cfg.workloads = split_list(raw);
-  if (jsonl::raw_field(line, "circuits", raw))
-    cfg.circuits = split_list(raw);
-  if (jsonl::raw_field(line, "backends", raw)) {
+  if (f.raw("workloads", raw)) cfg.workloads = split_list(raw);
+  if (f.raw("circuits", raw)) cfg.circuits = split_list(raw);
+  if (f.raw("backends", raw)) {
     cfg.backends.clear();
     for (const std::string& name : split_list(raw))
       cfg.backends.push_back(parse_arith_backend(name));
   }
   std::uint64_t u = 0;
-  if (jsonl::u64_field(line, "seed", u)) cfg.seed = u;
-  if (jsonl::u64_field(line, "patterns", u))
-    cfg.characterize_patterns = u;
-  if (jsonl::u64_field(line, "train_patterns", u)) cfg.train_patterns = u;
-  if (jsonl::u64_field(line, "max_triads", u)) cfg.max_triads = u;
-  if (jsonl::u64_field(line, "jobs", u))
-    cfg.jobs = static_cast<unsigned>(u);
-  if (jsonl::u64_field(line, "chips", u)) cfg.fleet.num_chips = u;
-  if (jsonl::u64_field(line, "fleet_seed", u)) cfg.fleet.seed = u;
+  if (f.u64("seed", u)) cfg.seed = u;
+  if (f.u64("patterns", u)) cfg.characterize_patterns = u;
+  if (f.u64("train_patterns", u)) cfg.train_patterns = u;
+  if (f.u64("max_triads", u)) cfg.max_triads = u;
+  if (f.u64("jobs", u)) cfg.jobs = static_cast<unsigned>(u);
+  if (f.u64("chips", u)) cfg.fleet.num_chips = u;
+  if (f.u64("fleet_seed", u)) cfg.fleet.seed = u;
   double d = 0.0;
-  if (jsonl::num_field(line, "speed_sigma", d))
-    cfg.fleet.speed_sigma = d;
-  if (jsonl::num_field(line, "leakage_sigma", d))
-    cfg.fleet.leakage_sigma = d;
-  if (jsonl::u64_field(line, "provenance", u)) cfg.provenance = u != 0;
-  if (jsonl::u64_field(line, "top_culprits", u)) cfg.top_culprits = u;
+  if (f.num("speed_sigma", d)) cfg.fleet.speed_sigma = d;
+  if (f.num("leakage_sigma", d)) cfg.fleet.leakage_sigma = d;
+  if (f.u64("provenance", u)) cfg.provenance = u != 0;
+  if (f.u64("top_culprits", u)) cfg.top_culprits = u;
   return cfg;
 }
 
@@ -194,8 +188,9 @@ bool CampaignServer::dispatch(int fd, std::uint64_t& bytes) {
     return true;
   };
   const std::string line = read_request_line(fd);
+  const jsonl::Fields request(line);
   std::string cmd;
-  if (!jsonl::raw_field(line, "cmd", cmd)) {
+  if (!request.raw("cmd", cmd)) {
     obs::metrics().counter("serve.errors").add();
     return send_line("{\"error\":\"missing cmd\"}");
   }
@@ -246,12 +241,12 @@ bool CampaignServer::dispatch(int fd, std::uint64_t& bytes) {
   }
   if (cmd == "watch") {
     std::uint64_t limit = 0;  // 0 = follow until shutdown
-    jsonl::u64_field(line, "limit", limit);
+    request.u64("limit", limit);
     return serve_watch(fd, limit, bytes);
   }
   if (cmd == "campaign") {
     try {
-      CampaignConfig cfg = parse_campaign_request(line, config_.jobs);
+      CampaignConfig cfg = parse_campaign_request(request, config_.jobs);
       // Every computed cell fans out to the watch log as it finishes,
       // so `watch` clients follow any in-flight campaign live.
       cfg.on_cell = [this](const CampaignCell& cell) {

@@ -13,6 +13,9 @@
 //      "backends":"model","seed":1,"patterns":2000,
 //      "train_patterns":4000,"max_triads":3,"chips":0,"jobs":0,
 //      "provenance":1,"top_culprits":4}
+//     Only top-level keys are read (jsonl::Fields): a "cmd" inside a
+//     nested object is data, string escapes are decoded, and a line
+//     that is not one JSON object reads as having no fields.
 //   server streams back:
 //     campaign — one CampaignStore::to_jsonl line per cell (canonical
 //       grid order, the *stored* form with the shard-independent

@@ -141,7 +141,6 @@ std::uint16_t cell_truth_of(CellKind kind) {
 /// deliberately uninitialized storage (see time_ps_).
 struct GateLanes {
   int n;                ///< gate inputs
-  unsigned full;        ///< (1 << n) - 1: every input still stale
   std::uint16_t truth;  ///< cell_truth of the gate
   NetId out;
   double delay;
@@ -155,9 +154,9 @@ struct GateLanes {
   const double* in_pe[3];
   const double* in_ps2[3];
   const double* in_pe2[3];
-  /// W[s]: the gate value with the inputs in subset s still stale;
-  /// W[0] is the settled word.
-  Word W[8];
+  /// W[0]: the settled word; W[1 << i]: the gate value with only
+  /// input i still stale (the one- and two-changed walks read these).
+  Word W[5];
   /// Output lanes whose settled value differs from their stale value.
   Word changed;
   // Built by the walks: sampled value at the edge, lanes that
@@ -216,82 +215,15 @@ void two_changed_lane(GateLanes& g, Acct& acct, std::size_t k, int i,
   }
 }
 
-/// Three changed inputs, no pulse: walk the four subset states in
-/// transition order with the inertial rule, starting from `cur0` (the
-/// lane's stale output value — in cycle mode the truncated launch
-/// value, which need not equal the gate function of the stale inputs).
+/// The generic event walk over a lane's ≤15 input events (flip per
+/// changed input, flip-and-return pair per forwarded pulse). Both
+/// dispatchers send every pulse-fed lane and every pulse-free lane with
+/// three changed inputs here. A pulse-fed lane starts from the gate
+/// function of its stale inputs; any other lane starts from its launch
+/// value (settled XOR changed) — in cycle mode the truncated sampled
+/// value, which need not equal the gate function of the stale inputs.
 template <class Acct>
-void three_changed_lane(GateLanes& g, Acct& acct, std::size_t k,
-                        unsigned cur0) {
-  const double* const* in_time = g.in_time;
-  int order[3] = {0, 1, 2};
-  if (in_time[order[1]][k] < in_time[order[0]][k])
-    std::swap(order[0], order[1]);
-  if (in_time[order[2]][k] < in_time[order[1]][k])
-    std::swap(order[1], order[2]);
-  if (in_time[order[1]][k] < in_time[order[0]][k])
-    std::swap(order[0], order[1]);
-  unsigned s = g.full;
-  unsigned cur = cur0;
-  bool pending = false;
-  double commit_t = 0.0;
-  // At most three commits here (three input events), so first /
-  // second / last capture the whole trajectory exactly.
-  double cts[3] = {0.0, 0.0, 0.0};
-  double last_c = 0.0;
-  int ncommits = 0;
-  const auto do_commit = [&](double tc) {
-    cur ^= 1u;
-    if (ncommits < 3) cts[ncommits] = tc;
-    ++ncommits;
-    last_c = tc;
-    if (acct.commit(g.out, k, tc, g.energy)) lanes::toggle_lane(g.sampled, k);
-    lanes::set_lane(g.committed, k);
-  };
-  for (int j = 0; j < 3; ++j) {
-    const double t = in_time[order[j]][k];
-    if (pending && commit_t <= t) {
-      do_commit(commit_t);
-      pending = false;
-    }
-    s &= ~(1u << order[j]);
-    const auto v = static_cast<unsigned>(lanes::lane_bit(g.W[s], k));
-    if (v != cur && !pending) {
-      pending = true;
-      commit_t = t + g.delay;
-    } else if (v == cur && pending) {
-      pending = false;  // inertial cancellation
-    }
-  }
-  if (pending) do_commit(commit_t);
-  if (lanes::lane_bit(g.changed, k) != 0) {
-    if (ncommits >= 3) {
-      // The output bounced on its way to the settled value (stale →
-      // settled → stale → settled). Forward the full trajectory — first
-      // flip plus a return pulse — instead of one late flip: collapsing
-      // it to the final commit time systematically over-ages downstream
-      // transitions on reconvergent structures (array multipliers) and
-      // inflates deep-VOS BER versus the event engine.
-      g.tout[k] = cts[0];
-      lanes::set_lane(g.pulsing, k);
-      g.pout_s[k] = cts[1];
-      g.pout_e[k] = last_c;
-    } else {
-      g.tout[k] = last_c;
-    }
-  } else if (ncommits >= 2) {
-    lanes::set_lane(g.pulsing, k);
-    g.pout_s[k] = cts[0];
-    g.pout_e[k] = cts[1];
-  }
-}
-
-/// Lane fed by a glitch pulse: the generic event walk over the ≤15
-/// input events (flip per changed input, flip-and-return pair per
-/// forwarded pulse). It starts from the gate function of the stale
-/// inputs. Both dispatchers send every pulse-fed lane here.
-template <class Acct>
-void pulse_lane(GateLanes& g, Acct& acct, std::size_t k) {
+void event_walk(GateLanes& g, Acct& acct, std::size_t k) {
   // Up to five events per input: a changed input that bounced twice
   // carries its first flip plus two return pulses.
   double ev_t[15];
@@ -299,6 +231,7 @@ void pulse_lane(GateLanes& g, Acct& acct, std::size_t k) {
   std::uint8_t ev_bit[15];
   int ne = 0;
   unsigned idx = 0;
+  bool pulsed = false;
   for (int i = 0; i < g.n; ++i) {
     const std::uint8_t sbit = lanes::lane_bit(g.in_stale[i], k);
     idx |= static_cast<unsigned>(sbit) << i;
@@ -314,10 +247,12 @@ void pulse_lane(GateLanes& g, Acct& acct, std::size_t k) {
       // return trip back to the stale value and out again.
       push(g.in_time[i][k], nbit);
       if (lanes::lane_bit(g.in_pulsing[i], k) != 0) {
+        pulsed = true;
         push(g.in_ps[i][k], sbit);
         push(g.in_pe[i][k], nbit);
       }
       if (lanes::lane_bit(g.in_pulsing2[i], k) != 0) {
+        pulsed = true;
         push(g.in_ps2[i][k], sbit);
         push(g.in_pe2[i][k], nbit);
       }
@@ -325,10 +260,12 @@ void pulse_lane(GateLanes& g, Acct& acct, std::size_t k) {
       // Unchanged input: each pulse is an excursion to the complement
       // of the settled value and back.
       if (lanes::lane_bit(g.in_pulsing[i], k) != 0) {
+        pulsed = true;
         push(g.in_ps[i][k], nbit);
         push(g.in_pe[i][k], sbit);
       }
       if (lanes::lane_bit(g.in_pulsing2[i], k) != 0) {
+        pulsed = true;
         push(g.in_ps2[i][k], nbit);
         push(g.in_pe2[i][k], sbit);
       }
@@ -341,7 +278,8 @@ void pulse_lane(GateLanes& g, Acct& acct, std::size_t k) {
       std::swap(ev_i[y], ev_i[y - 1]);
       std::swap(ev_bit[y], ev_bit[y - 1]);
     }
-  unsigned cur = (g.truth >> idx) & 1u;
+  unsigned cur = pulsed ? (g.truth >> idx) & 1u
+                        : lanes::lane_bit(g.W[0] ^ g.changed, k);
   bool pending = false;
   double commit_t = 0.0;
   double cts[4] = {0.0, 0.0, 0.0, 0.0};
@@ -373,9 +311,13 @@ void pulse_lane(GateLanes& g, Acct& acct, std::size_t k) {
   if (pending) do_commit(commit_t);
   if (lanes::lane_bit(g.changed, k) != 0) {
     if (ncommits >= 3) {
-      // Bouncing changed output: first flip + return pulses (see
-      // three_changed_lane). Five or more commits merge the tail
-      // bounces into the second pulse.
+      // The output bounced on its way to the settled value (stale →
+      // settled → stale → settled). Forward the full trajectory — first
+      // flip plus return pulses — instead of one late flip: collapsing
+      // it to the final commit time systematically over-ages downstream
+      // transitions on reconvergent structures (array multipliers) and
+      // inflates deep-VOS BER versus the event engine. Five or more
+      // commits merge the tail bounces into the second pulse.
       g.tout[k] = cts[0];
       lanes::set_lane(g.pulsing, k);
       g.pout_s[k] = cts[1];
@@ -647,7 +589,7 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
   // gate. Timing: each lane with input activity runs a miniature event
   // simulation of just this gate over its input events (one flip per
   // changed input at its final transition time, a flip-and-return pair
-  // per forwarded pulse: at most 15, see pulse_lane), with the event
+  // per forwarded pulse: at most 15, see event_walk), with the event
   // engine's inertial rule —
   // in binary logic a scheduled commit is only ever cancelled (input
   // pulse shorter than the gate delay), never rescheduled. Commits
@@ -655,11 +597,12 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
   // energy, and the value the capture register samples at Tclk.
   //
   // The hot path dispatches lanes by changed-input count using packed
-  // subset words W[s] (the gate function with the inputs in s still at
-  // their stale values, evaluated for all kLanes lanes at once): a
+  // words W[1 << i] (the gate function with only input i still at its
+  // stale value, evaluated for all kLanes lanes at once): a
   // non-sensitized single change costs nothing, sensitized one- and
   // two-change lanes collapse to a handful of scalar operations, and
-  // only lanes fed by a glitch pulse take the generic event walk.
+  // lanes fed by a glitch pulse or with three changed inputs take the
+  // generic event walk.
   //
   // The approximations relative to the full event engine: a changed
   // input is forwarded as one transition at its commit time — or, when
@@ -692,7 +635,6 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     const Gate& g = netlist_.gate(gid);
     const NetId out = g.out;
     const int n = g.num_inputs;
-    const unsigned full = (1u << n) - 1u;
 
     Word in_settled[3] = {};
     Word any_pulse{};
@@ -713,7 +655,7 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     }
 
     // Quiet-gate fast exit: no input changed and nothing pulses, so no
-    // lane walks, no subset words beyond W[0] and no pulse bookkeeping.
+    // lane walks, no single-stale words and no pulse bookkeeping.
     // All that remains of the general path is the settled/stale/sampled
     // word hand-off plus the catch-up sweep over changed-but-inactive
     // lanes (cycle mode; empty under the streaming invariant) — commit
@@ -753,7 +695,6 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     }
 
     gl.n = n;
-    gl.full = full;
     gl.truth = cell_truth_of(g.kind);
     gl.out = out;
     gl.delay = gate_delay_ps_[gid];
@@ -768,16 +709,15 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     }
     const auto& in_time = gl.in_time;
 
-    // W[s]: packed gate value with the inputs in subset s still stale.
+    // W[0]: the packed settled word; W[1 << i]: input i still stale.
     Word* const W = gl.W;
-    for (unsigned s = 0; s <= full; ++s) {
-      const Word wa =
-          n > 0 ? ((s & 1u) ? in_stale[0] : in_settled[0]) : Word{};
-      const Word wb =
-          n > 1 ? ((s & 2u) ? in_stale[1] : in_settled[1]) : Word{};
-      const Word wc =
-          n > 2 ? ((s & 4u) ? in_stale[2] : in_settled[2]) : Word{};
-      W[s] = eval_cell_packed(g.kind, wa, wb, wc) & used;
+    W[0] = eval_cell_packed(g.kind, in_settled[0], in_settled[1],
+                            in_settled[2]) &
+           used;
+    for (int i = 0; i < n; ++i) {
+      Word w[3] = {in_settled[0], in_settled[1], in_settled[2]};
+      w[i] = in_stale[i];
+      W[1u << i] = eval_cell_packed(g.kind, w[0], w[1], w[2]) & used;
     }
     const Word settled = W[0];
     settled_w_[out] = settled;
@@ -791,11 +731,10 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     // dispatch even in cycle mode. Only gates reachable past the edge
     // pay the serial ascending lane scan.
     const bool word_recurrence = !kCycleMode || cycle_safe_[gid] != 0;
-    Word stale;
     Word& changed = gl.changed;
     Word& sampled = gl.sampled;
     if (word_recurrence) {
-      stale = lanes::shift1_in(settled, state0) & used;
+      const Word stale = lanes::shift1_in(settled, state0) & used;
       stale_w_[out] = stale;
       changed = settled ^ stale;
       sampled = stale;
@@ -803,7 +742,6 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
       // Built lane by lane in the cycle scan below; lanes without input
       // activity sample their settled value (their only possible commit
       // is the catch-up, which always lands inside the window).
-      stale = Word{};
       changed = Word{};
       sampled = settled;
     }
@@ -827,11 +765,11 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     if (word_recurrence) {
       // Streaming recurrence (streaming mode, or a cycle-safe gate in
       // cycle mode): lanes are order-free, so each changed-input class
-      // is swept as a packed mask (pulse-free lanes only; pulse-fed
-      // lanes take the generic walk).
+      // is swept as a packed mask (pulse-free lanes with one or two
+      // changed inputs; the rest take the generic walk).
       const Word pairs = (ch0 & ch1) | (ch0 & ch2) | (ch1 & ch2);
-      const Word three = ch0 & ch1 & ch2 & ~any_pulse & used;
-      const Word two = pairs & ~(ch0 & ch1 & ch2) & ~any_pulse & used;
+      const Word three = ch0 & ch1 & ch2;
+      const Word two = pairs & ~three & ~any_pulse & used;
       const Word one = (ch0 ^ ch1 ^ ch2) & ~pairs & ~any_pulse & used;
 
       // Exactly one changed input: a sensitized lane commits once at
@@ -854,13 +792,8 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
         }
       }
 
-      lanes::for_each_lane(three, [&](std::size_t k) {
-        three_changed_lane(
-            gl, acct, k, static_cast<unsigned>(lanes::lane_bit(stale, k)));
-      });
-
-      lanes::for_each_lane(any_pulse & used, [&](std::size_t k) {
-        pulse_lane(gl, acct, k);
+      lanes::for_each_lane((three | any_pulse) & used, [&](std::size_t k) {
+        event_walk(gl, acct, k);
       });
 
       // Under the streaming invariant (stale = settled function of
@@ -888,23 +821,19 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
         lanes::assign_lane(sampled, k, sb != 0);
         lanes::assign_lane(
             changed, k, (lanes::lane_bit(settled, k) ^ sb) != 0);
-        if (lanes::lane_bit(any_pulse, k) != 0) {
-          pulse_lane(gl, acct, k);
-        } else {
-          const int c0 = lanes::lane_bit(ch0, k);
-          const int c1 = lanes::lane_bit(ch1, k);
-          const int c2 = lanes::lane_bit(ch2, k);
-          const int cnt = c0 + c1 + c2;
-          if (cnt == 1) {
-            const int i = c0 ? 0 : (c1 ? 1 : 2);
-            if ((lanes::lane_bit(W[1u << i], k) ^
-                 lanes::lane_bit(settled, k)) != 0)
-              commit_flip(gl, acct, k, in_time[i][k] + delay);
-          } else if (cnt == 2) {
-            two_changed_lane(gl, acct, k, c0 ? 0 : 1, c2 ? 2 : 1);
-          } else if (cnt == 3) {
-            three_changed_lane(gl, acct, k, static_cast<unsigned>(sb));
-          }
+        const int c0 = lanes::lane_bit(ch0, k);
+        const int c1 = lanes::lane_bit(ch1, k);
+        const int c2 = lanes::lane_bit(ch2, k);
+        const int cnt = c0 + c1 + c2;
+        if (cnt == 3 || lanes::lane_bit(any_pulse, k) != 0) {
+          event_walk(gl, acct, k);
+        } else if (cnt == 1) {
+          const int i = c0 ? 0 : (c1 ? 1 : 2);
+          if ((lanes::lane_bit(W[1u << i], k) ^
+               lanes::lane_bit(settled, k)) != 0)
+            commit_flip(gl, acct, k, in_time[i][k] + delay);
+        } else if (cnt == 2) {
+          two_changed_lane(gl, acct, k, c0 ? 0 : 1, c2 ? 2 : 1);
         }
         if (lanes::lane_bit(changed, k) != 0 &&
             lanes::lane_bit(committed, k) == 0)
@@ -982,10 +911,12 @@ void LevelizedSimulator::run_one_lane(Acct& acct) {
     gl.tout = &time_ps_[base_out];
 
     const unsigned changed_in = settled_idx ^ stale_idx;
-    const auto subset = [&](unsigned s) -> Word {
-      return (truth >> ((stale_idx & s) | (settled_idx & ~s))) & 1u;
+    const int nchanged = std::popcount(changed_in);
+    // The gate with only changed input i still stale.
+    const auto only_stale = [&](int i) -> Word {
+      return (truth >> (settled_idx ^ (1u << i))) & 1u;
     };
-    if (pulsed != 0) {
+    if (pulsed != 0 || nchanged == 3) {
       gl.n = n;
       gl.truth = truth;
       gl.pout_s = &pulse_start_ps_[base_out];
@@ -1005,32 +936,23 @@ void LevelizedSimulator::run_one_lane(Acct& acct) {
         gl.in_ps2[i] = &pulse2_start_ps_[base];
         gl.in_pe2[i] = &pulse2_end_ps_[base];
       }
-      pulse_lane(gl, acct, 0);
-    } else if (changed_in != 0) {
+      event_walk(gl, acct, 0);
+    } else if (nchanged != 0) {
       gl.pout_s = &pulse_start_ps_[base_out];
       gl.pout_e = &pulse_end_ps_[base_out];
       for (int i = 0; i < n; ++i)
         gl.in_time[i] =
             &time_ps_[static_cast<std::size_t>(g.in[i]) * kLanes];
       const int i = std::countr_zero(changed_in);
-      switch (std::popcount(changed_in)) {
-        case 1:
-          // A non-sensitized single change commits nothing.
-          if (subset(1u << i) != settled)
-            commit_flip(gl, acct, 0, gl.in_time[i][0] + gl.delay);
-          break;
-        case 2: {
-          const int j = std::bit_width(changed_in) - 1;
-          gl.W[1u << i] = subset(1u << i);
-          gl.W[1u << j] = subset(1u << j);
-          two_changed_lane(gl, acct, 0, i, j);
-          break;
-        }
-        default:
-          gl.full = 7u;
-          for (unsigned s = 1; s <= gl.full; ++s) gl.W[s] = subset(s);
-          three_changed_lane(gl, acct, 0, static_cast<unsigned>(stale));
-          break;
+      if (nchanged == 1) {
+        // A non-sensitized single change commits nothing.
+        if (only_stale(i) != settled)
+          commit_flip(gl, acct, 0, gl.in_time[i][0] + gl.delay);
+      } else {
+        const int j = std::bit_width(changed_in) - 1;
+        gl.W[1u << i] = only_stale(i);
+        gl.W[1u << j] = only_stale(j);
+        two_changed_lane(gl, acct, 0, i, j);
       }
     }
     if (gl.changed != 0 && gl.committed == 0)

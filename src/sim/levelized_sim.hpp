@@ -5,15 +5,15 @@
 // patterns at a time, one pattern per bit of a uint64_t lane word per
 // net (src/util/lanes.hpp, DESIGN.md §7). Every entry point packs its
 // patterns through one helper. A pass of more than one lane takes the
-// packed dispatcher (subset words, changed-count masks, mask sweeps); a
-// one-lane pass — scalar step/step_cycle, or a one-pattern batch tail —
-// takes the one-lane dispatcher, which sends lane 0 of each gate
-// straight to its walk with scalar accumulators. Both pick the walk the
-// same way (a pulse-fed lane takes the generic pulse walk, any other
-// lane the walk for its changed-input count, then the catch-up) and
-// call the same per-lane walks, so a lane commits the same transitions
-// in the same order either way: scalar and batched calls are
-// bit-identical.
+// packed dispatcher (single-stale-input words, changed-count masks,
+// mask sweeps); a one-lane pass — scalar step/step_cycle, or a
+// one-pattern batch tail — takes the one-lane dispatcher, which sends
+// lane 0 of each gate straight to its walk with scalar accumulators.
+// Both pick the walk the same way (a pulse-fed lane or one with three
+// changed inputs takes the generic event walk, any other lane the one-
+// or two-change walk, then the catch-up) and call the same per-lane
+// walks, so a lane commits the same transitions in the same order
+// either way: scalar and batched calls are bit-identical.
 // Timing errors are modeled without an event queue: each gate runs a
 // per-lane miniature event simulation over its own input transitions
 // (data-dependent times bounded by the STA arrival model,

@@ -196,6 +196,22 @@ TEST(CampaignStore, RejectsMalformedLines) {
   EXPECT_FALSE(CampaignStore::parse_jsonl(neg).has_value());
 }
 
+// A store line torn anywhere (a crash mid-append) is not a cell: no
+// strict prefix of a line with every field present parses, so a cut
+// inside `culprits` cannot load with its culprits dropped, nor a cut
+// inside `elapsed_s` with a shortened value.
+TEST(CampaignStore, RejectsEveryTornPrefix) {
+  CampaignCell cell = sample_cell();
+  cell.key.chip = 3;
+  cell.culprits = "s3=4,c7=2";
+  const std::string line = CampaignStore::to_jsonl(cell);
+  ASSERT_TRUE(CampaignStore::parse_jsonl(line).has_value());
+  ASSERT_TRUE(CampaignStore::parse_jsonl(line + " \r").has_value());
+  for (std::size_t n = 0; n < line.size(); ++n)
+    EXPECT_FALSE(CampaignStore::parse_jsonl(line.substr(0, n)).has_value())
+        << line.substr(0, n);
+}
+
 TEST(CampaignStore, LoadOnStartSkipsGarbageAndKeepsLastWrite) {
   const std::string path = temp_path("store_roundtrip.jsonl");
   std::remove(path.c_str());

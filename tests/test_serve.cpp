@@ -415,18 +415,42 @@ TEST(CampaignServer, ErrorLinesEscapeClientText) {
     ASSERT_EQ(spaced.size(), 1u) << spaced_ping;
     EXPECT_EQ(spaced[0], "{\"ok\":true,\"cmd\":\"ping\"}") << spaced_ping;
   }
-  // The verb scan stops at the escaped quote, leaving `x\`.
+  // The verb is read up to its closing quote with the escape decoded
+  // (`x"y`), and echoed re-quoted.
   const auto quoted = send_request(cfg.socket_path, "{\"cmd\":\"x\\\"y\"}");
   ASSERT_EQ(quoted.size(), 1u);
   EXPECT_EQ(quoted[0],
-            "{\"error\":\"unknown cmd\",\"cmd\":\"x\\\\\"" + known);
+            "{\"error\":\"unknown cmd\",\"cmd\":\"x\\\"y\"" + known);
   // An exception message carrying client text is escaped the same way.
   const auto backend = send_request(
       cfg.socket_path, "{\"cmd\":\"campaign\",\"backends\":\"x\\\"y\"}");
   ASSERT_EQ(backend.size(), 1u);
   EXPECT_EQ(backend[0],
-            "{\"error\":\"unknown backend 'x\\\\' (expected exact | model | "
+            "{\"error\":\"unknown backend 'x\\\"y' (expected exact | model | "
             "sim-event | sim-levelized | sim-seq)\"}");
+  server.stop();
+}
+
+// Only the request's top-level `cmd` is its verb: one spelled inside a
+// nested object (or inside a string) is data, so this request is a
+// ping, and the daemon keeps serving after it.
+TEST(CampaignServer, NestedCmdIsNotTheVerb) {
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("nested");
+  CampaignServer server(lib(), cfg);
+  server.start();
+  for (const char* req :
+       {"{\"opts\":{\"cmd\":\"shutdown\"},\"cmd\":\"ping\"}",
+        "{\"tags\":[{\"cmd\":\"shutdown\"}],\"note\":\"\\\"cmd\\\":"
+        "\\\"shutdown\\\"\",\"cmd\":\"ping\"}"}) {
+    const auto reply = send_request(cfg.socket_path, req);
+    ASSERT_EQ(reply.size(), 1u) << req;
+    EXPECT_EQ(reply[0], "{\"ok\":true,\"cmd\":\"ping\"}") << req;
+  }
+  const auto pong = send_request(cfg.socket_path, "{\"cmd\":\"ping\"}");
+  ASSERT_EQ(pong.size(), 1u);
+  EXPECT_EQ(pong[0], "{\"ok\":true,\"cmd\":\"ping\"}");
+  EXPECT_TRUE(server.running());
   server.stop();
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -303,6 +304,83 @@ TEST(SimEngine, LevelizedCycleBatchMatchesStepCycleOnMultipliers) {
             << tag;
       }
     }
+  }
+}
+
+/// FNV-1a over every StepResult field, doubles by their bit patterns.
+struct StepDigest {
+  std::uint64_t h = 1469598103934665603ULL;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  }
+  void add(const StepResult& r) {
+    add(r.sampled_outputs);
+    add(r.settled_outputs);
+    add(std::bit_cast<std::uint64_t>(r.settle_time_ps));
+    add(std::bit_cast<std::uint64_t>(r.window_energy_fj));
+    add(std::bit_cast<std::uint64_t>(r.total_energy_fj));
+    add(r.toggles_in_window);
+    add(r.toggles_total);
+  }
+};
+
+// Golden digests of levelized deep-VOS outputs: a refactor of the lane
+// walks must leave every StepResult bit unchanged, in both dispatchers
+// (packed batches with a ragged tail, and the one-lane scalar pass) and
+// both modes. The constants were recorded before the three-changed-
+// input walk folded into the generic event walk; a deliberate result
+// change must re-record them and say so.
+TEST(SimEngine, LevelizedDeepVosOutputsMatchGoldenDigests) {
+  const FleetConfig fleet{.num_chips = 3, .seed = 11};
+  TimingSimConfig cfg;
+  cfg.engine = EngineKind::kLevelized;
+  cfg = apply_chip(cfg, draw_chip_instance(fleet, 2), fleet.within_die_sigma);
+  constexpr std::size_t kOps = 200;
+  // One digest per mode: the batch and the scalar steps of a mode hash
+  // the same result stream.
+  struct Golden {
+    const char* spec;
+    std::uint64_t streaming, cycle;
+  };
+  const Golden golden[] = {
+      {"rca16", 0x2987d15e0b8cd4efULL, 0x2c1b4ab4ea8f0f1bULL},
+      {"mul8-array", 0x86b0cfa9034d43d3ULL, 0xf094698827a5972dULL},
+      {"mac4x8", 0xc2a1ea31d48e4845ULL, 0xb45fddd352102541ULL},
+  };
+  for (const Golden& want : golden) {
+    const DutNetlist dut = build_circuit(want.spec);
+    const double dcp =
+        synthesize_report(dut.netlist, lib()).critical_path_ns;
+    const std::size_t npis = dut.netlist.primary_inputs().size();
+    Rng rng(47);
+    std::vector<std::uint8_t> inputs(kOps * npis);
+    for (auto& v : inputs) v = static_cast<std::uint8_t>(rng.bits(1));
+    StepDigest batch, cycle_batch, step, step_cycle;
+    for (const double frac : {0.4, 0.6})
+      for (const double vdd : {0.5, 0.7}) {
+        const OperatingTriad op{frac * dcp, vdd, 0.0};
+        std::vector<StepResult> got(kOps);
+        LevelizedSimulator(dut.netlist, lib(), op, cfg)
+            .step_batch(inputs, kOps, got);
+        for (const StepResult& r : got) batch.add(r);
+        LevelizedSimulator(dut.netlist, lib(), op, cfg)
+            .step_cycle_batch(inputs, kOps, got);
+        for (const StepResult& r : got) cycle_batch.add(r);
+        LevelizedSimulator scalar(dut.netlist, lib(), op, cfg);
+        LevelizedSimulator scalar_cycle(dut.netlist, lib(), op, cfg);
+        for (std::size_t c = 0; c < kOps; ++c) {
+          const auto in = std::span(inputs).subspan(c * npis, npis);
+          step.add(scalar.step(in));
+          step_cycle.add(scalar_cycle.step_cycle(in));
+        }
+      }
+    EXPECT_EQ(batch.h, want.streaming) << want.spec << " step_batch";
+    EXPECT_EQ(step.h, want.streaming) << want.spec << " step";
+    EXPECT_EQ(cycle_batch.h, want.cycle) << want.spec << " step_cycle_batch";
+    EXPECT_EQ(step_cycle.h, want.cycle) << want.spec << " step_cycle";
   }
 }
 

@@ -1,5 +1,5 @@
 // Unit tests for src/util: RNG, bit helpers, statistics, tables,
-// parallel_for and contract macros.
+// parallel_for, contract macros and the JSONL field reader.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 
 #include "src/util/bits.hpp"
 #include "src/util/contracts.hpp"
+#include "src/util/jsonl.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
@@ -17,6 +18,81 @@
 
 namespace vosim {
 namespace {
+
+// ------------------------------------------------------------------ jsonl
+TEST(Jsonl, RawFieldReadsTopLevelKeysOnly) {
+  std::string v;
+  ASSERT_TRUE(jsonl::raw_field(
+      R"({"opts":{"cmd":"shutdown"},"list":["cmd",{"cmd":1}],)"
+      R"("s":"\"cmd\":2","cmd":"ping"})",
+      "cmd", v));
+  EXPECT_EQ(v, "ping");
+  EXPECT_FALSE(jsonl::raw_field(R"({"opts":{"cmd":"x"}})", "cmd", v));
+  // The first top-level match wins; bare tokens are kept as written.
+  ASSERT_TRUE(jsonl::raw_field(R"( { "n" : -1.5e3 , "n":2 } )", "n", v));
+  EXPECT_EQ(v, "-1.5e3");
+  // A nested value is no token.
+  EXPECT_FALSE(jsonl::raw_field(R"({"opts":{"a":1}})", "opts", v));
+}
+
+TEST(Jsonl, RawFieldDecodesTwoCharacterEscapes) {
+  std::string v;
+  ASSERT_TRUE(jsonl::raw_field(R"({"s":"a\"b\\c\/d\n\t"})", "s", v));
+  EXPECT_EQ(v, "a\"b\\c/d\n\t");
+  // quote() and raw_field round-trip text without control characters.
+  const std::string text = "x\"y\\z";
+  ASSERT_TRUE(jsonl::raw_field("{\"s\":" + jsonl::quote(text) + "}", "s", v));
+  EXPECT_EQ(v, text);
+  // A \u escape is not decoded: the field reads as absent.
+  v = "kept";
+  EXPECT_FALSE(jsonl::raw_field(R"({"s":"\u0041"})", "s", v));
+  EXPECT_EQ(v, "kept");
+  // ...but it does not hide the line's other fields.
+  ASSERT_TRUE(jsonl::raw_field(R"({"s":"\u0041","t":"ok"})", "t", v));
+  EXPECT_EQ(v, "ok");
+}
+
+TEST(Jsonl, RawFieldRejectsLinesThatAreNotOneObject) {
+  std::string v;
+  for (const char* line :
+       {"", "not json", R"("cmd":"ping")", R"({"cmd":"ping")",
+        R"({"cmd":"ping"} x)", R"({"cmd":"ping"}})", R"({"cmd":"pi)",
+        R"({"cmd":"ping",})", R"({"cmd":})", R"({"cmd" "ping"})",
+        R"({"a":{"b":1},"cmd":"ping")", R"({"a":[1,"cmd":"ping"})",
+        R"({"cmd":"p\q"})", R"({"cmd":"\u00"})", R"({cmd:"ping"})"})
+    EXPECT_FALSE(jsonl::raw_field(line, "cmd", v)) << line;
+  EXPECT_TRUE(jsonl::raw_field("{\"cmd\":\"ping\"} \r\n", "cmd", v));
+}
+
+// Mutated and cut lines (bytes replaced by JSON punctuation, escapes
+// or random bytes) never make the reader read out of bounds (the
+// sanitizer builds run this) and read the same on every call.
+TEST(Jsonl, RawFieldSurvivesMutatedLines) {
+  const std::string base =
+      R"({"cmd":"campaign","opts":{"a":[1,{"b":"x"}]},"s":"q\"r",)"
+      R"("n":-1.5e3,"chips":4})";
+  const std::string alphabet = "{}[]\",:\\u 0x";
+  Rng rng(5);
+  std::size_t parsed = 0;
+  for (int trial = 0; trial < 5000; ++trial) {
+    std::string line = base;
+    for (int m = 1 + static_cast<int>(rng.below(3)); m > 0; --m) {
+      const std::size_t at = rng.below(line.size());
+      line[at] = rng.below(4) == 0
+                     ? static_cast<char>(rng.below(256))
+                     : alphabet[rng.below(alphabet.size())];
+    }
+    line.resize(line.size() - rng.below(4));
+    for (const char* key : {"cmd", "opts", "s", "n", "chips", "b"}) {
+      std::string v1, v2;
+      const bool ok = jsonl::raw_field(line, key, v1);
+      EXPECT_EQ(jsonl::raw_field(line, key, v2), ok) << line;
+      EXPECT_EQ(v1, v2) << line;
+      parsed += ok;
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+}
 
 // ---------------------------------------------------------------- contracts
 TEST(Contracts, ExpectsThrowsOnViolation) {
