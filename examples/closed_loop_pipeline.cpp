@@ -1,7 +1,7 @@
 // Closed-loop VOS on a clocked pipeline, end to end: build pipe2-mul8,
-// characterize a small ladder, then let the controller walk it from
-// measured Razor rates while an open-loop baseline pins the
-// guard-banded rung. See DESIGN.md §10.
+// characterize and print a small Pareto ladder, then let the controller
+// walk it from measured Razor rates while an open-loop baseline pins
+// the guard-banded rung. See DESIGN.md §10.
 #include <iostream>
 
 #include "src/vosim.hpp"
@@ -30,6 +30,12 @@ int main() {
     ladder.insert(ladder.begin(),
                   TriadRung{triads[0], results[0].ber,
                             results[0].energy_per_op_fj});
+  TextTable lt({"rung", "triad", "expected BER [%]", "E/cycle [fJ]"});
+  for (std::size_t i = 0; i < ladder.size(); ++i)
+    lt.add_row({std::to_string(i), triad_label(ladder[i].triad),
+                format_double(ladder[i].expected_ber * 100.0, 2),
+                format_double(ladder[i].energy_per_op_fj, 2)});
+  lt.print(std::cout);
 
   ClosedLoopConfig cl;
   cl.op_error_margin = 0.05;

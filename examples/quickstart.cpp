@@ -78,6 +78,7 @@ int main() {
             << format_double(fr.snr_db, 1) << " dB, normalized Hamming "
             << format_double(fr.normalized_hamming, 3) << "\n";
   std::cout << "\ndone — see examples/image_blur, examples/fir_filter,"
-               " examples/adaptive_vos, examples/design_space.\n";
+               " examples/closed_loop_pipeline,"
+               " examples/design_space.\n";
   return 0;
 }

@@ -111,12 +111,13 @@ const std::vector<Workload>& workload_registry() {
       {"fir", "FIR low-pass filtering (signal processing)", "snr_db", 16,
        run_fir, run_fir_batch},
       {"blur", "Gaussian 3x3 image blur (image processing)", "psnr_db", 16,
-       run_blur},
+       run_blur, nullptr},
       {"sobel", "Sobel edge magnitude (image processing)", "psnr_db", 16,
-       run_sobel},
+       run_sobel, nullptr},
       {"kmeans", "k-means clustering (machine learning)", "accuracy", 16,
-       run_kmeans},
-      {"dot", "u8 dot products (data mining)", "mred", 16, run_dot},
+       run_kmeans, nullptr},
+      {"dot", "u8 dot products (data mining)", "mred", 16, run_dot,
+       nullptr},
   };
   return registry;
 }

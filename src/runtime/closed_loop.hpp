@@ -1,20 +1,30 @@
-// Closed-loop VOS control: climbs the TriadRung ladder from *measured*
-// per-stage Razor error rates instead of open-loop speculation. The
-// sensors are the DoubleSamplingMonitors inside the clocked pipeline
-// simulator (src/seq/seq_sim.hpp) — shadow-vs-main samples produced by
-// the simulator itself, the in-silicon feedback loop of
+// Closed-loop VOS control — the paper's run-time switching between
+// accurate and approximate triads under an error margin (Section V,
+// dynamic speculation of reference [17]): climbs the TriadRung ladder
+// from *measured* per-stage Razor error rates. The sensors are the
+// DoubleSamplingMonitors inside the clocked pipeline simulator
+// (src/seq/seq_sim.hpp) — shadow-vs-main samples produced by the
+// simulator itself, the in-silicon feedback loop of
 // timing-error-correction DVS (Kaul et al.) closed over our gate-level
-// truth.
+// truth. Combinational DUTs run under it via wrap_as_pipeline.
 #ifndef VOSIM_RUNTIME_CLOSED_LOOP_HPP
 #define VOSIM_RUNTIME_CLOSED_LOOP_HPP
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "src/runtime/speculation.hpp"
+#include "src/runtime/triad_ladder.hpp"
 #include "src/seq/seq_sim.hpp"
 
 namespace vosim {
+
+/// Decision issued after an observation.
+enum class SpeculationAction : std::uint8_t {
+  kHold,
+  kStepDown,  ///< move to a cheaper, riskier rung
+  kStepUp,    ///< back off to a safer rung
+};
 
 /// Controller tuning. The regulated signal is the worst per-stage
 /// flagged-operation rate over the Razor monitor window — a rate the

@@ -1,6 +1,6 @@
-// Triad ladder: the ordered menu of operating points the dynamic
-// speculation controller climbs between (safest/most expensive first,
-// most aggressive/cheapest last).
+// Triad ladder: the ordered menu of operating points the closed-loop
+// controller (src/runtime/closed_loop.hpp) climbs between (safest/most
+// expensive first, most aggressive/cheapest last).
 #ifndef VOSIM_RUNTIME_TRIAD_LADDER_HPP
 #define VOSIM_RUNTIME_TRIAD_LADDER_HPP
 

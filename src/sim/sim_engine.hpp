@@ -70,7 +70,7 @@ struct TimingSimConfig {
   /// engines themselves no longer record ad-hoc traces.
   bool record_trace = false;
   /// Backend built by make_engine() and the engine-generic wrappers
-  /// (VosDutSim, characterize_dut, AdaptiveVosUnit).
+  /// (VosDutSim, characterize_dut, SeqSim, ClosedLoopSeqUnit).
   EngineKind engine = EngineKind::kEvent;
 };
 

@@ -10,10 +10,10 @@
 //   4. characterize under VOS    (src/characterize/characterizer.hpp)
 //   5. train statistical models  (src/model/vos_model.hpp)
 //   6. run applications on them  (src/apps/*.hpp)
-//   7. adapt triads at runtime   (src/runtime/adaptive_unit.hpp)
-//   8. pipeline + close the loop (src/seq/*.hpp,
-//                                 src/runtime/closed_loop.hpp)
-//   9. scale to a fleet          (src/fleet/fleet.hpp — chip-instance
+//   7. pipeline + close the loop (src/seq/*.hpp,
+//                                 src/runtime/closed_loop.hpp — adapt
+//                                 triads at run time from Razor flags)
+//   8. scale to a fleet          (src/fleet/fleet.hpp — chip-instance
 //                                 Monte-Carlo, sharded campaigns;
 //                                 src/serve/server.hpp — sweep daemon)
 #ifndef VOSIM_VOSIM_HPP
@@ -57,10 +57,8 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/probe.hpp"
 #include "src/obs/trace.hpp"
-#include "src/runtime/adaptive_unit.hpp"
 #include "src/runtime/closed_loop.hpp"
 #include "src/runtime/error_monitor.hpp"
-#include "src/runtime/speculation.hpp"
 #include "src/runtime/triad_ladder.hpp"
 #include "src/serve/server.hpp"
 #include "src/seq/seq_dut.hpp"

@@ -29,7 +29,7 @@ std::uint64_t functional_add(const AdderNetlist& adder, std::uint64_t a,
 }
 
 /// Bit-level reference for the lower-part OR adder.
-std::uint64_t loa_reference(std::uint64_t a, std::uint64_t b, int n, int k) {
+std::uint64_t loa_reference(std::uint64_t a, std::uint64_t b, int k) {
   const std::uint64_t low = (a | b) & mask_n(k);
   const std::uint64_t carry = bit_of(a, k - 1) & bit_of(b, k - 1);
   const std::uint64_t hi =
@@ -42,7 +42,7 @@ TEST(LowerOrAdder, MatchesReferenceExhaustively) {
     const AdderNetlist loa = build_lower_or(8, k);
     for (std::uint64_t a = 0; a < 256; a += 3)
       for (std::uint64_t b = 0; b < 256; b += 5)
-        ASSERT_EQ(functional_add(loa, a, b), loa_reference(a, b, 8, k))
+        ASSERT_EQ(functional_add(loa, a, b), loa_reference(a, b, k))
             << "k=" << k << " a=" << a << " b=" << b;
   }
 }

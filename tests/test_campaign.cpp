@@ -433,8 +433,9 @@ TEST(CampaignRunner, SimSeqBackendRunsAndChargesRegisterEnergy) {
     EXPECT_NEAR(seq_cell.energy_per_op_fj - comb->energy_per_op_fj,
                 expected_extra, 1e-9);
     // At a relaxed triad the clocked replay is quality-equivalent.
-    if (seq_cell.key.triad.vdd_v == 1.0)
+    if (seq_cell.key.triad.vdd_v == 1.0) {
       EXPECT_NEAR(seq_cell.normalized, comb->normalized, 1e-12);
+    }
     // Savings baselines rebase per energy class: a registered cell's
     // baseline pays the flops (at the baseline triad's nominal Vdd), a
     // combinational cell's does not — the sim-seq register energy must

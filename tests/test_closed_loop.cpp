@@ -1,10 +1,17 @@
 // Closed-loop VOS control tests: ladder-walking policy in isolation,
+// the policy over synthetic Razor streams with known per-rung rates,
 // then the full loop over clocked pipelines — measured Razor rates must
 // drive the unit to cheaper rungs when safe and hold it back when not.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/characterize/characterizer.hpp"
+#include "src/netlist/dut.hpp"
 #include "src/runtime/closed_loop.hpp"
+#include "src/runtime/error_monitor.hpp"
 #include "src/runtime/triad_ladder.hpp"
 #include "src/seq/seq_dut.hpp"
 #include "src/seq/seq_report.hpp"
@@ -132,6 +139,133 @@ TEST(ClosedLoopPolicy, Validation) {
   EXPECT_THROW(ClosedLoopController(2, bad), ContractViolation);
 }
 
+// ------------------------------------------------ synthetic ladder walk
+/// Per-op flag rates of a four-rung synthetic ladder: one clean rung,
+/// then 1 %, 4 % and 20 % of operations flagged.
+const std::vector<double> kSyntheticRates{0.0, 0.01, 0.04, 0.20};
+
+struct SyntheticWalk {
+  std::vector<std::size_t> rung;  // rung each cycle ran on
+  std::vector<bool> flagged;      // whether that cycle was flagged
+  std::uint64_t switches = 0;
+  std::size_t deepest = 0;
+
+  std::size_t steady_begin() const { return rung.size() / 4; }
+  /// Flagged-cycle rate over the last three quarters of the walk.
+  double steady_rate() const {
+    return static_cast<double>(std::count(
+               flagged.begin() + steady_begin(), flagged.end(), true)) /
+           static_cast<double>(flagged.size() - steady_begin());
+  }
+  /// Share of the last three quarters of the walk spent on rung `r`.
+  double steady_share(std::size_t r) const {
+    return static_cast<double>(
+               std::count(rung.begin() + steady_begin(), rung.end(), r)) /
+           static_cast<double>(rung.size() - steady_begin());
+  }
+};
+
+/// Drives a controller from one Razor monitor (9-bit words) whose
+/// operations flag at the active rung's rate, resetting the window on
+/// every switch as ClosedLoopSeqUnit does.
+SyntheticWalk walk_synthetic(const std::vector<double>& rates,
+                             const ClosedLoopConfig& cfg,
+                             std::uint64_t seed, std::size_t cycles) {
+  ClosedLoopController ctl(rates.size(), cfg);
+  DoubleSamplingMonitor mon(9, cfg.window_cycles);
+  Rng rng(seed);
+  SyntheticWalk w;
+  for (std::size_t c = 0; c < cycles; ++c) {
+    const bool flagged = rng.flip(rates[ctl.rung()]);
+    w.rung.push_back(ctl.rung());
+    w.flagged.push_back(flagged);
+    w.deepest = std::max(w.deepest, ctl.rung());
+    mon.record_word(flagged);
+    if (ctl.observe(mon.window_op_error_rate(), mon.window_full()) !=
+        SpeculationAction::kHold)
+      mon.reset_window();
+  }
+  w.switches = ctl.switches();
+  return w;
+}
+
+ClosedLoopConfig synthetic_config(double margin, std::size_t window,
+                                  std::size_t dwell) {
+  ClosedLoopConfig cfg;
+  cfg.op_error_margin = margin;
+  cfg.window_cycles = window;
+  cfg.min_dwell_cycles = dwell;
+  return cfg;
+}
+
+// Rung 2 (4 % flagged) fits a 5 % floor and rung 3 (20 %) does not:
+// the loop settles between rungs 1 and 2, probing rung 3 only under
+// backoff, and never falls back to the guard-banded rung.
+TEST(ClosedLoopLadder, ConvergesToCheapestFeasibleRung) {
+  const ClosedLoopConfig cfg = synthetic_config(0.05, 256, 256);
+  for (std::uint64_t seed = 42; seed <= 51; ++seed) {
+    const SyntheticWalk w = walk_synthetic(kSyntheticRates, cfg, seed, 20000);
+    EXPECT_LE(w.steady_rate(), cfg.op_error_margin) << seed;
+    EXPECT_EQ(w.steady_share(0), 0.0) << seed;
+  }
+}
+
+TEST(ClosedLoopLadder, TightMarginStaysSafe) {
+  // Only the clean rung fits a 0.4 % floor: probes of rung 1 are rare
+  // and short, so the steady rate stays under the floor.
+  const ClosedLoopConfig cfg = synthetic_config(0.004, 256, 256);
+  for (std::uint64_t seed = 42; seed <= 51; ++seed) {
+    const SyntheticWalk w = walk_synthetic(kSyntheticRates, cfg, seed, 20000);
+    EXPECT_LE(w.steady_rate(), cfg.op_error_margin) << seed;
+    EXPECT_GT(w.steady_share(0), 0.5) << seed;
+  }
+}
+
+TEST(ClosedLoopLadder, LooseMarginGoesAggressive) {
+  const ClosedLoopConfig cfg = synthetic_config(0.5, 128, 128);
+  for (std::uint64_t seed = 42; seed <= 51; ++seed) {
+    const SyntheticWalk w = walk_synthetic(kSyntheticRates, cfg, seed, 20000);
+    EXPECT_EQ(w.rung.back(), kSyntheticRates.size() - 1) << seed;
+  }
+}
+
+TEST(ClosedLoopLadder, HysteresisLimitsFlapping) {
+  // The loop decides every cycle once its dwell is served, so a switch
+  // can follow every dwell; hysteresis and backoff keep it to at most
+  // half of that.
+  const ClosedLoopConfig cfg = synthetic_config(0.05, 256, 512);
+  const std::size_t cycles = 30000;
+  for (std::uint64_t seed = 42; seed <= 51; ++seed) {
+    const SyntheticWalk w = walk_synthetic(kSyntheticRates, cfg, seed, cycles);
+    EXPECT_LE(w.switches, cycles / cfg.min_dwell_cycles / 2) << seed;
+  }
+}
+
+TEST(ClosedLoopLadder, BacksOffWhenErrorsSpike) {
+  // The cheap rung flags 30 % of operations against a 5 % floor: each
+  // probe fails within one window, and every re-probe waits longer.
+  const ClosedLoopConfig cfg = synthetic_config(0.05, 128, 128);
+  for (std::uint64_t seed = 42; seed <= 51; ++seed) {
+    const SyntheticWalk w = walk_synthetic({0.0, 0.30}, cfg, seed, 20000);
+    EXPECT_EQ(w.deepest, 1u) << seed;
+    EXPECT_EQ(w.rung.back(), 0u) << seed;
+    EXPECT_EQ(w.switches, 12u) << seed;  // six probes, six retreats
+    std::vector<std::size_t> gaps;  // clean cycles before each probe
+    std::size_t run = 0;
+    for (std::size_t c = 0; c < w.rung.size(); ++c) {
+      if (w.rung[c] == 0) {
+        ++run;
+      } else if (run > 0) {
+        gaps.push_back(run);
+        run = 0;
+      }
+    }
+    ASSERT_EQ(gaps.size(), 6u) << seed;
+    for (std::size_t i = 1; i < gaps.size(); ++i)
+      EXPECT_GT(gaps[i], gaps[i - 1]) << seed << " probe " << i;
+  }
+}
+
 // ---------------------------------------------------------------- unit
 /// A guard-band-shaped ladder: one expensive clean rung (the signoff
 /// operating point) and increasingly over-scaled, increasingly
@@ -219,6 +353,48 @@ TEST(ClosedLoopUnit, MeasuredRatesComeFromRazor) {
   }
   EXPECT_TRUE(reached_cheap);
   EXPECT_TRUE(retreated);  // Razor truth exposed the lying rung
+}
+
+// A combinational DUT runs under the loop as a one-stage pipeline. A
+// forward body bias (FBB) rung at 0.8 V keeps a 1.6×CP clock
+// error-free, so the loop steps down once and stays there without a
+// single Razor flag, on both engines, below the energy of pinning the
+// nominal rung.
+TEST(ClosedLoopUnit, WrappedDutStepsToFbbRung) {
+  for (const std::string spec : {"rca8", "mul4-array"}) {
+    const SeqDut seq = wrap_as_pipeline(build_circuit(spec));
+    const double cp = seq_critical_path_ns(seq, lib());
+    const std::vector<TriadRung> ladder{
+        {{cp * 1.6, 1.0, 0.0}, 0.0, 0.0},
+        {{cp * 1.6, 0.8, 2.0}, 0.0, 0.0},
+    };
+    ClosedLoopConfig cfg;
+    cfg.op_error_margin = 0.05;
+    cfg.window_cycles = 64;
+    cfg.min_dwell_cycles = 64;
+    for (const EngineKind engine :
+         {EngineKind::kEvent, EngineKind::kLevelized}) {
+      SCOPED_TRACE(spec + (engine == EngineKind::kEvent ? " event"
+                                                        : " levelized"));
+      TimingSimConfig sim_cfg;
+      sim_cfg.engine = engine;
+      ClosedLoopSeqUnit unit(seq, lib(), ladder, cfg, sim_cfg);
+      ClosedLoopSeqUnit nominal(seq, lib(), {ladder.front()}, cfg, sim_cfg);
+      const int width = seq.operand_widths().front();
+      Rng rng(48);
+      std::uint64_t flags = 0;
+      for (int c = 0; c < 600; ++c) {
+        const std::uint64_t a = rng.bits(width);
+        const std::uint64_t b = rng.bits(width);
+        flags += unit.step_cycle(a, b).cycle.razor_flags;
+        nominal.step_cycle(a, b);
+      }
+      EXPECT_EQ(unit.controller().rung(), 1u);
+      EXPECT_EQ(unit.controller().switches(), 1u);
+      EXPECT_EQ(flags, 0u);
+      EXPECT_LT(unit.mean_energy_fj(), nominal.mean_energy_fj());
+    }
+  }
 }
 
 }  // namespace

@@ -14,15 +14,12 @@
 #include "src/netlist/multiplier.hpp"
 #include "src/sim/vos_dut.hpp"
 #include "src/sta/sta.hpp"
-#include "src/tech/library.hpp"
 #include "src/util/bits.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/rng.hpp"
 
 namespace vosim {
 namespace {
-
-const CellLibrary& lib() { return make_fdsoi28_lvt(); }
 
 /// Functional output of a DUT for given operands, via the zero-delay
 /// golden evaluator and the same pin map the simulators use.

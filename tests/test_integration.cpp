@@ -68,9 +68,10 @@ TEST(Integration, Fig8SortIsMonotone) {
   const auto sorted = sort_for_fig8(pipeline().results);
   for (std::size_t i = 1; i < sorted.size(); ++i) {
     ASSERT_GE(sorted[i].ber, sorted[i - 1].ber);
-    if (sorted[i].ber == sorted[i - 1].ber)
+    if (sorted[i].ber == sorted[i - 1].ber) {
       ASSERT_GE(sorted[i].energy_per_op_fj,
                 sorted[i - 1].energy_per_op_fj);
+    }
   }
 }
 

@@ -57,8 +57,9 @@ TEST_P(ArchPropertyTest, EnergyDropsWithSupplyWhileErrorFree) {
   ASSERT_EQ(res[0].ber, 0.0);
   ASSERT_EQ(res[1].ber, 0.0);
   EXPECT_LT(res[1].energy_per_op_fj, res[0].energy_per_op_fj);
-  if (res[2].ber == 0.0)
+  if (res[2].ber == 0.0) {
     EXPECT_LT(res[2].energy_per_op_fj, res[1].energy_per_op_fj);
+  }
 }
 
 TEST_P(ArchPropertyTest, BitwiseBerAveragesToTotalBer) {

@@ -79,8 +79,9 @@ TEST_P(ProvenanceEquivalence, BitwiseBerMatchesOutputDiffBitExactly) {
         culprit_total += p.culprits[c].bits;
         EXPECT_FALSE(p.culprits[c].name.empty());
         EXPECT_GE(p.culprits[c].level, 0);
-        if (c > 0)
+        if (c > 0) {
           EXPECT_GE(p.culprits[c - 1].bits, p.culprits[c].bits);
+        }
       }
       EXPECT_EQ(culprit_total, p.attributed_bits);
       EXPECT_LE(p.erroneous_ops, p.ops);
@@ -88,7 +89,9 @@ TEST_P(ProvenanceEquivalence, BitwiseBerMatchesOutputDiffBitExactly) {
       // max within one bucket width) but stay monotone.
       EXPECT_LE(p.slack_p50_ps, p.slack_p95_ps);
       EXPECT_GE(p.slack_max_ps, 0.0);
-      if (engine == EngineKind::kEvent) EXPECT_EQ(p.lane_words, 0u);
+      if (engine == EngineKind::kEvent) {
+        EXPECT_EQ(p.lane_words, 0u);
+      }
 
       if (p.attributed_bits > 0) {
         saw_errors = true;

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "src/runtime/closed_loop.hpp"
@@ -122,9 +123,7 @@ void expect_batch_matches_scalar(const SeqDut& seq,
     const DoubleSamplingMonitor& mb = batched.stage_monitor(k);
     EXPECT_EQ(ms.total_ops(), mb.total_ops()) << k;
     EXPECT_EQ(ms.total_flagged_ops(), mb.total_flagged_ops()) << k;
-    EXPECT_DOUBLE_EQ(ms.lifetime_ber(), mb.lifetime_ber()) << k;
     EXPECT_EQ(ms.window_fill(), mb.window_fill()) << k;
-    EXPECT_DOUBLE_EQ(ms.window_ber(), mb.window_ber()) << k;
     EXPECT_DOUBLE_EQ(ms.window_op_error_rate(),
                      mb.window_op_error_rate())
         << k;
@@ -211,25 +210,34 @@ TEST(SeqBatch, RaggedCountsMatchScalar) {
                                 7 + cycles);
 }
 
-// The monitor's word ingest is the batched path's contract: feeding
-// record_word(sampled ^ settled) must report exactly what per-op
-// observe() reports, including window semantics.
-TEST(SeqBatch, RecordWordMatchesObserve) {
-  DoubleSamplingMonitor a(16, 8);
-  DoubleSamplingMonitor b(16, 8);
+// The monitor's word ingest is the batched path's contract:
+// record_word(sampled ^ settled) flags an operation exactly when a bit
+// of the compared width differs, with sliding-window semantics.
+TEST(SeqBatch, RecordWordCountsFlaggedOps) {
+  const std::size_t window = 8;
+  DoubleSamplingMonitor mon(16, window);
+  std::deque<bool> want_window;
+  std::uint64_t want_flagged = 0;
   Rng rng(3);
   for (int i = 0; i < 40; ++i) {
     const std::uint64_t sampled = rng.bits(16);
     // Bias towards agreement so flagged and clean ops both occur.
     const std::uint64_t settled =
         (i % 3 == 0) ? sampled ^ rng.bits(4) : sampled;
-    a.observe(sampled, settled);
-    b.record_word(sampled ^ settled);
-    ASSERT_EQ(a.total_ops(), b.total_ops());
-    ASSERT_EQ(a.total_flagged_ops(), b.total_flagged_ops());
-    ASSERT_DOUBLE_EQ(a.window_ber(), b.window_ber());
-    ASSERT_DOUBLE_EQ(a.window_op_error_rate(), b.window_op_error_rate());
-    ASSERT_EQ(a.window_fill(), b.window_fill());
+    // Bits above the compared width never flag.
+    mon.record_word((sampled ^ settled) | (rng.bits(8) << 16));
+    const bool flagged = sampled != settled;
+    want_flagged += flagged;
+    want_window.push_back(flagged);
+    if (want_window.size() > window) want_window.pop_front();
+    const auto in_window =
+        std::count(want_window.begin(), want_window.end(), true);
+    ASSERT_EQ(mon.total_ops(), static_cast<std::uint64_t>(i + 1));
+    ASSERT_EQ(mon.total_flagged_ops(), want_flagged);
+    ASSERT_DOUBLE_EQ(mon.window_op_error_rate(),
+                     static_cast<double>(in_window) /
+                         static_cast<double>(want_window.size()));
+    ASSERT_EQ(mon.window_fill(), want_window.size());
   }
 }
 

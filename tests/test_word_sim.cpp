@@ -1,5 +1,6 @@
-// Generic word-operator simulation on multiplier DUTs (the paper's
-// "different arithmetic configurations" extension), plus the deprecated
+// Generic word-operator simulation (VosDutSim) on multiplier DUTs —
+// the paper's "different arithmetic configurations" extension — and its
+// operand and bus validation.
 #include <gtest/gtest.h>
 
 #include "src/netlist/dut.hpp"
