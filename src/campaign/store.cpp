@@ -81,46 +81,44 @@ std::vector<CampaignCell> CampaignStore::cells() const {
 }
 
 std::string CampaignStore::to_jsonl(const CampaignCell& cell) {
-  // Names are identifiers (registry tokens), so no string escaping is
-  // needed; parse_jsonl rejects malformed and torn lines.
-  std::ostringstream os;
-  os << "{\"workload\":\"" << cell.key.workload << "\""
-     << ",\"circuit\":\"" << cell.key.circuit << "\""
-     << ",\"backend\":\"" << cell.key.backend << "\""
-     << ",\"tclk_ns\":" << num(cell.key.triad.tclk_ns)
-     << ",\"vdd_v\":" << num(cell.key.triad.vdd_v)
-     << ",\"vbb_v\":" << num(cell.key.triad.vbb_v)
-     << ",\"seed\":" << cell.key.seed
-     << ",\"train_patterns\":" << cell.key.train_patterns
-     << ",\"characterize_patterns\":" << cell.key.characterize_patterns
-     << ",\"chip\":" << cell.key.chip
-     << ",\"metric\":\"" << cell.metric << "\""
-     << ",\"quality\":" << num(cell.quality)
-     << ",\"normalized\":" << num(cell.normalized)
-     << ",\"energy_per_op_fj\":" << num(cell.energy_per_op_fj)
-     << ",\"baseline_fj\":" << num(cell.baseline_fj)
-     << ",\"ber\":" << num(cell.ber)
-     << ",\"adds\":" << cell.adds
-     << ",\"elapsed_s\":" << num(cell.elapsed_s);
-  if (!cell.culprits.empty()) os << ",\"culprits\":\"" << cell.culprits << "\"";
-  os << "}";
-  return os.str();
+  jsonl::Writer w;
+  w.begin_object()
+      .key("workload").str(cell.key.workload)
+      .key("circuit").str(cell.key.circuit)
+      .key("backend").str(cell.key.backend)
+      .key("tclk_ns").num(cell.key.triad.tclk_ns)
+      .key("vdd_v").num(cell.key.triad.vdd_v)
+      .key("vbb_v").num(cell.key.triad.vbb_v)
+      .key("seed").u64(cell.key.seed)
+      .key("train_patterns").u64(cell.key.train_patterns)
+      .key("characterize_patterns").u64(cell.key.characterize_patterns)
+      .key("chip").u64(cell.key.chip)
+      .key("metric").str(cell.metric)
+      .key("quality").num(cell.quality)
+      .key("normalized").num(cell.normalized)
+      .key("energy_per_op_fj").num(cell.energy_per_op_fj)
+      .key("baseline_fj").num(cell.baseline_fj)
+      .key("ber").num(cell.ber)
+      .key("adds").u64(cell.adds)
+      .key("elapsed_s").num(cell.elapsed_s);
+  if (!cell.culprits.empty()) w.key("culprits").str(cell.culprits);
+  return w.end_object().take();
 }
 
 std::optional<CampaignCell> CampaignStore::parse_jsonl(
     const std::string& line) {
   const jsonl::Fields f(line);
   CampaignCell cell;
-  if (!f.raw("workload", cell.key.workload) ||
-      !f.raw("circuit", cell.key.circuit) ||
-      !f.raw("backend", cell.key.backend) ||
+  if (!f.str("workload", cell.key.workload) ||
+      !f.str("circuit", cell.key.circuit) ||
+      !f.str("backend", cell.key.backend) ||
       !f.num("tclk_ns", cell.key.triad.tclk_ns) ||
       !f.num("vdd_v", cell.key.triad.vdd_v) ||
       !f.num("vbb_v", cell.key.triad.vbb_v) ||
       !f.u64("seed", cell.key.seed) ||
       !f.u64("train_patterns", cell.key.train_patterns) ||
       !f.u64("characterize_patterns", cell.key.characterize_patterns) ||
-      !f.raw("metric", cell.metric) ||
+      !f.str("metric", cell.metric) ||
       !f.num("quality", cell.quality) ||
       !f.num("normalized", cell.normalized) ||
       !f.num("energy_per_op_fj", cell.energy_per_op_fj) ||
@@ -131,12 +129,11 @@ std::optional<CampaignCell> CampaignStore::parse_jsonl(
     return std::nullopt;
   // Pre-fleet stores have no chip field: those cells are the nominal
   // die (chip 0). A present-but-garbled chip still rejects the line.
-  std::string chip_raw;
-  if (f.raw("chip", chip_raw) && !f.u64("chip", cell.key.chip))
-    return std::nullopt;
+  if (f.has("chip") && !f.u64("chip", cell.key.chip)) return std::nullopt;
   // Optional provenance field (absent on provenance-free runs and on
   // every pre-provenance store).
-  f.raw("culprits", cell.culprits);
+  if (f.has("culprits") && !f.str("culprits", cell.culprits))
+    return std::nullopt;
   return cell;
 }
 

@@ -36,16 +36,14 @@ void write_verilog(const Netlist& netlist, std::ostream& os) {
 
   os << "// generated by vosim — structural netlist\n";
   os << "module " << sanitized(netlist.name()) << " (\n";
-  bool first = true;
+  const char* sep = "    ";  // before each port: indent, then ",\n" too
   for (const NetId pi : netlist.primary_inputs()) {
-    os << (first ? "    " : ",\n    ") << "input  wire "
-       << sanitized(netlist.net_name(pi));
-    first = false;
+    os << sep << "input  wire " << sanitized(netlist.net_name(pi));
+    sep = ",\n    ";
   }
   for (const NetId po : netlist.primary_outputs()) {
-    os << (first ? "    " : ",\n    ") << "output wire "
-       << sanitized(netlist.net_name(po));
-    first = false;
+    os << sep << "output wire " << sanitized(netlist.net_name(po));
+    sep = ",\n    ";
   }
   os << "\n);\n\n";
 

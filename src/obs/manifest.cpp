@@ -8,8 +8,6 @@
 namespace vosim::obs {
 namespace {
 
-constexpr char kMarker[] = "\"vosim_manifest\":";
-
 std::uint64_t fnv1a(const std::string& s) noexcept {
   std::uint64_t h = 1469598103934665603ULL;
   for (const char c : s) {
@@ -35,32 +33,35 @@ std::uint64_t RunManifest::config_hash() const noexcept {
 }
 
 std::string RunManifest::to_jsonl() const {
-  std::ostringstream out;
-  out << '{' << kMarker << "1,\"store_version\":" << store_version
-      << ",\"tool\":\"" << tool << "\",\"engine\":\"" << engine
-      << "\",\"lane_width\":" << lane_width << ",\"shard\":\"" << shard
-      << "\",\"config_hash\":\"" << hex64(config_hash()) << "\"}";
-  return out.str();
+  return jsonl::Writer()
+      .begin_object()
+      .key("vosim_manifest").u64(1)
+      .key("store_version").i64(store_version)
+      .key("tool").str(tool)
+      .key("engine").str(engine)
+      .key("lane_width").u64(lane_width)
+      .key("shard").str(shard)
+      .key("config_hash").str(hex64(config_hash()))
+      .end_object()
+      .take();
 }
 
 bool RunManifest::is_manifest_line(const std::string& line) {
-  return line.find(kMarker) != std::string::npos;
+  return jsonl::Fields(line).has("vosim_manifest");
 }
 
 std::optional<RunManifest> RunManifest::parse(const std::string& line) {
-  if (!is_manifest_line(line)) return std::nullopt;
   const jsonl::Fields f(line);
   RunManifest m;
+  if (!f.has("vosim_manifest") || !f.str("tool", m.tool)) return std::nullopt;
+  f.str("engine", m.engine);
+  f.str("shard", m.shard);
   std::string raw;
-  if (!f.raw("tool", raw)) return std::nullopt;
-  m.tool = raw;
-  if (f.raw("engine", raw)) m.engine = raw;
-  if (f.raw("shard", raw)) m.shard = raw;
   std::uint64_t u = 0;
   if (f.u64("lane_width", u)) m.lane_width = u;
   double v = 0.0;
   if (f.num("store_version", v)) m.store_version = static_cast<int>(v);
-  if (f.raw("config_hash", raw))
+  if (f.str("config_hash", raw))
     m.parsed_hash = std::strtoull(raw.c_str(), nullptr, 16);
   return m;
 }

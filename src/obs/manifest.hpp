@@ -39,7 +39,8 @@ struct RunManifest {
   ///  "config_hash":"deadbeef01234567"}
   std::string to_jsonl() const;
 
-  /// True when `line` is a manifest line (cheap substring probe).
+  /// True when `line` is one JSON object with a top-level
+  /// "vosim_manifest" field; a torn header is no manifest.
   static bool is_manifest_line(const std::string& line);
   /// Parses a to_jsonl() line; nullopt when it is not a manifest.
   /// `config` cannot be recovered (only its hash travels); the parsed

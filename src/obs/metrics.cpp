@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <sstream>
 
 #include "src/util/jsonl.hpp"
 
@@ -100,33 +99,24 @@ void LatencyHisto::reset() noexcept {
 }
 
 std::string MetricsSnapshot::to_json() const {
-  std::ostringstream out;
-  out << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : counters) {
-    out << (first ? "" : ",") << '"' << name << "\":" << v;
-    first = false;
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, v] : gauges) {
-    out << (first ? "" : ",") << '"' << name << "\":" << jsonl::num(v);
-    first = false;
-  }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms) {
-    out << (first ? "" : ",") << '"' << name << "\":{\"count\":" << h.count
-        << ",\"mean\":" << jsonl::num(h.mean)
-        << ",\"min\":" << jsonl::num(h.min)
-        << ",\"max\":" << jsonl::num(h.max)
-        << ",\"p50\":" << jsonl::num(h.p50)
-        << ",\"p95\":" << jsonl::num(h.p95)
-        << ",\"p99\":" << jsonl::num(h.p99) << '}';
-    first = false;
-  }
-  out << "}}";
-  return out.str();
+  jsonl::Writer w;
+  w.begin_object().key("counters").begin_object();
+  for (const auto& [name, v] : counters) w.key(name).u64(v);
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, v] : gauges) w.key(name).num(v);
+  w.end_object().key("histograms").begin_object();
+  for (const auto& [name, h] : histograms)
+    w.key(name)
+        .begin_object()
+        .key("count").u64(h.count)
+        .key("mean").num(h.mean)
+        .key("min").num(h.min)
+        .key("max").num(h.max)
+        .key("p50").num(h.p50)
+        .key("p95").num(h.p95)
+        .key("p99").num(h.p99)
+        .end_object();
+  return w.end_object().end_object().take();
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 
 #include "src/util/jsonl.hpp"
 
@@ -88,36 +87,39 @@ std::string stop_trace_json() {
   detail::g_trace_enabled.store(false, std::memory_order_relaxed);
   Session& s = session();
   std::lock_guard<std::mutex> lock(s.m);
-  std::ostringstream out;
-  out << "{\"traceEvents\":[";
-  bool first = true;
+  jsonl::Writer w;
+  w.begin_object().key("traceEvents").begin_array();
   for (const auto& buf : s.buffers) {
     // Thread-name metadata event so Perfetto labels the tracks.
-    out << (first ? "" : ",")
-        << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
-        << buf->tid << ",\"args\":{\"name\":\"vosim-" << buf->tid << "\"}}";
-    first = false;
+    w.begin_object()
+        .key("name").str("thread_name")
+        .key("ph").str("M")
+        .key("pid").u64(1)
+        .key("tid").u64(buf->tid)
+        .key("args").begin_object()
+        .key("name").str("vosim-" + std::to_string(buf->tid))
+        .end_object()
+        .end_object();
     for (const SpanEvent& e : buf->events) {
-      out << ",{\"name\":\"" << e.name << "\",\"cat\":\"" << e.cat
-          << "\",\"ph\":\"X\",\"ts\":" << jsonl::num(e.ts_us)
-          << ",\"dur\":" << jsonl::num(e.dur_us)
-          << ",\"pid\":1,\"tid\":" << e.tid;
+      w.begin_object()
+          .key("name").str(e.name)
+          .key("cat").str(e.cat)
+          .key("ph").str("X")
+          .key("ts").num(e.ts_us)
+          .key("dur").num(e.dur_us)
+          .key("pid").u64(1)
+          .key("tid").u64(e.tid);
       if (!e.args.empty()) {
-        out << ",\"args\":{";
-        bool afirst = true;
-        for (const auto& [k, v] : e.args) {
-          out << (afirst ? "" : ",") << jsonl::quote(k) << ':'
-              << jsonl::quote(v);
-          afirst = false;
-        }
-        out << '}';
+        w.key("args").begin_object();
+        for (const auto& [k, v] : e.args) w.key(k).str(v);
+        w.end_object();
       }
-      out << '}';
+      w.end_object();
     }
   }
-  out << "],\"displayTimeUnit\":\"ms\"}";
+  w.end_array().key("displayTimeUnit").str("ms").end_object();
   s.buffers.clear();
-  return out.str();
+  return w.take();
 }
 
 bool write_trace_file(const std::string& path) {

@@ -61,34 +61,85 @@ std::string read_request_line(int fd) {
   return line;
 }
 
+/// Typed reads of request fields. An absent field reads as not given
+/// (false); a present field of another type throws naming it, so a
+/// client never silently gets a default it did not ask for.
+class RequestFields {
+ public:
+  explicit RequestFields(const jsonl::Fields& f) : f_(f) {}
+
+  bool text(std::string_view name, std::string& out) const {
+    return given(name, f_.str(name, out), "a string");
+  }
+  bool count(std::string_view name, std::uint64_t& out) const {
+    return given(name, f_.u64(name, out), "an unsigned integer");
+  }
+  bool real(std::string_view name, double& out) const {
+    return given(name, f_.num(name, out), "a number");
+  }
+  /// true, false, or an unsigned integer (nonzero is true).
+  bool flag(std::string_view name, bool& out) const {
+    std::uint64_t u = 0;
+    const bool as_count = f_.u64(name, u);
+    if (as_count) out = u != 0;
+    return given(name, as_count || f_.boolean(name, out),
+                 "true, false or an unsigned integer");
+  }
+
+ private:
+  bool given(std::string_view name, bool read, const char* expected) const {
+    if (read || !f_.has(name)) return read;
+    throw std::invalid_argument("field '" + std::string(name) +
+                                "' must be " + expected);
+  }
+
+  const jsonl::Fields& f_;
+};
+
 /// The campaign request body -> CampaignConfig. Absent fields keep
 /// the campaign defaults; `default_jobs` is the daemon-wide cap.
-CampaignConfig parse_campaign_request(const jsonl::Fields& f,
+CampaignConfig parse_campaign_request(const RequestFields& f,
                                       unsigned default_jobs) {
   CampaignConfig cfg;
   cfg.jobs = default_jobs;
-  std::string raw;
-  if (f.raw("workloads", raw)) cfg.workloads = split_list(raw);
-  if (f.raw("circuits", raw)) cfg.circuits = split_list(raw);
-  if (f.raw("backends", raw)) {
+  std::string text;
+  if (f.text("workloads", text)) cfg.workloads = split_list(text);
+  if (f.text("circuits", text)) cfg.circuits = split_list(text);
+  if (f.text("backends", text)) {
     cfg.backends.clear();
-    for (const std::string& name : split_list(raw))
+    for (const std::string& name : split_list(text))
       cfg.backends.push_back(parse_arith_backend(name));
   }
   std::uint64_t u = 0;
-  if (f.u64("seed", u)) cfg.seed = u;
-  if (f.u64("patterns", u)) cfg.characterize_patterns = u;
-  if (f.u64("train_patterns", u)) cfg.train_patterns = u;
-  if (f.u64("max_triads", u)) cfg.max_triads = u;
-  if (f.u64("jobs", u)) cfg.jobs = static_cast<unsigned>(u);
-  if (f.u64("chips", u)) cfg.fleet.num_chips = u;
-  if (f.u64("fleet_seed", u)) cfg.fleet.seed = u;
+  if (f.count("seed", u)) cfg.seed = u;
+  if (f.count("patterns", u)) cfg.characterize_patterns = u;
+  if (f.count("train_patterns", u)) cfg.train_patterns = u;
+  if (f.count("max_triads", u)) cfg.max_triads = u;
+  if (f.count("jobs", u)) cfg.jobs = static_cast<unsigned>(u);
+  if (f.count("chips", u)) cfg.fleet.num_chips = u;
+  if (f.count("fleet_seed", u)) cfg.fleet.seed = u;
   double d = 0.0;
-  if (f.num("speed_sigma", d)) cfg.fleet.speed_sigma = d;
-  if (f.num("leakage_sigma", d)) cfg.fleet.leakage_sigma = d;
-  if (f.u64("provenance", u)) cfg.provenance = u != 0;
-  if (f.u64("top_culprits", u)) cfg.top_culprits = u;
+  if (f.real("speed_sigma", d)) cfg.fleet.speed_sigma = d;
+  if (f.real("leakage_sigma", d)) cfg.fleet.leakage_sigma = d;
+  f.flag("provenance", cfg.provenance);
+  if (f.count("top_culprits", u)) cfg.top_culprits = u;
   return cfg;
+}
+
+/// {"ok":true,"cmd":<verb>}: a verb's acknowledgement.
+std::string ack(std::string_view verb) {
+  return jsonl::Writer()
+      .begin_object()
+      .key("ok").boolean(true)
+      .key("cmd").str(verb)
+      .end_object()
+      .take();
+}
+
+/// {"error":<message>}
+std::string error_line(std::string_view message) {
+  return jsonl::Writer().begin_object().key("error").str(message)
+      .end_object().take();
 }
 
 /// Decrements a gauge on scope exit (watcher lifetime accounting).
@@ -190,63 +241,37 @@ bool CampaignServer::dispatch(int fd, std::uint64_t& bytes) {
   const std::string line = read_request_line(fd);
   const jsonl::Fields request(line);
   std::string cmd;
-  if (!request.raw("cmd", cmd)) {
+  if (!request.str("cmd", cmd)) {
     obs::metrics().counter("serve.errors").add();
-    return send_line("{\"error\":\"missing cmd\"}");
+    return send_line(error_line(request.has("cmd")
+                                    ? "field 'cmd' must be a string"
+                                    : "missing cmd"));
   }
   requests_.fetch_add(1);
   obs::ScopedSpan span("serve.request", "serve");
   span.arg("cmd", cmd);
-  if (cmd == "ping") {
-    return send_line("{\"ok\":true,\"cmd\":\"ping\"}");
-  }
-  if (cmd == "shutdown") {
-    const bool ok = send_line("{\"ok\":true,\"cmd\":\"shutdown\"}");
-    shutdown_requested_.store(true);
-    wait_cv_.notify_all();
-    // Wake watchers so open `watch` streams drain their footer and
-    // close; the empty critical section orders the store above against
-    // a watcher's predicate check (no lost wakeup).
-    { std::lock_guard<std::mutex> lock(watch_m_); }
-    watch_cv_.notify_all();
-    return ok;
-  }
-  if (cmd == "stats") {
-    const double uptime =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      started_)
-            .count();
-    // One snapshot serves both the metrics blob and the provenance
-    // census, so the two never disagree within a line.
-    const obs::MetricsSnapshot snap = obs::metrics().snapshot();
-    std::size_t provenance_counters = 0;
-    for (const auto& [name, value] : snap.counters)
-      if (name.rfind("provenance.", 0) == 0) ++provenance_counters;
-    std::ostringstream out;
-    out << "{\"ok\":true,\"cmd\":\"stats\",\"uptime_s\":"
-        << jsonl::num(uptime)
-        << ",\"requests_served\":" << requests_.load()
-        << ",\"active_connections\":"
-        << static_cast<std::int64_t>(
-               obs::metrics().gauge("serve.connections.active").value())
-        << ",\"watchers\":"
-        << static_cast<std::int64_t>(
-               obs::metrics().gauge("serve.watchers.active").value())
-        << ",\"watch_events\":" << watch_events_.load()
-        << ",\"store_cells\":" << store_.size()
-        << ",\"provenance_counters\":" << provenance_counters
-        << ",\"manifest\":" << manifest_.to_jsonl()
-        << ",\"metrics\":" << snap.to_json() << "}";
-    return send_line(out.str());
-  }
-  if (cmd == "watch") {
-    std::uint64_t limit = 0;  // 0 = follow until shutdown
-    request.u64("limit", limit);
-    return serve_watch(fd, limit, bytes);
-  }
-  if (cmd == "campaign") {
-    try {
-      CampaignConfig cfg = parse_campaign_request(request, config_.jobs);
+  try {
+    const RequestFields fields(request);
+    if (cmd == "ping") return send_line(ack("ping"));
+    if (cmd == "shutdown") {
+      const bool ok = send_line(ack("shutdown"));
+      shutdown_requested_.store(true);
+      wait_cv_.notify_all();
+      // Wake watchers so open `watch` streams drain their footer and
+      // close; the empty critical section orders the store above
+      // against a watcher's predicate check (no lost wakeup).
+      { std::lock_guard<std::mutex> lock(watch_m_); }
+      watch_cv_.notify_all();
+      return ok;
+    }
+    if (cmd == "stats") return send_line(stats_line());
+    if (cmd == "watch") {
+      std::uint64_t limit = 0;  // 0 = follow until shutdown
+      fields.count("limit", limit);
+      return serve_watch(fd, limit, bytes);
+    }
+    if (cmd == "campaign") {
+      CampaignConfig cfg = parse_campaign_request(fields, config_.jobs);
       // Every computed cell fans out to the watch log as it finishes,
       // so `watch` clients follow any in-flight campaign live.
       cfg.on_cell = [this](const CampaignCell& cell) {
@@ -262,23 +287,61 @@ bool CampaignServer::dispatch(int fd, std::uint64_t& bytes) {
         if (!send_line(CampaignStore::to_jsonl(stored ? *stored : cell)))
           return false;  // client went away mid-stream
       }
-      std::ostringstream footer;
-      footer << "{\"done\":true,\"cells\":" << outcome.cells.size()
-             << ",\"reused\":" << outcome.reused
-             << ",\"computed\":" << outcome.computed << "}";
-      return send_line(footer.str());
-    } catch (const std::exception& e) {
-      obs::metrics().counter("serve.errors").add();
-      return send_line("{\"error\":" + jsonl::quote(e.what()) + "}");
+      return send_line(jsonl::Writer()
+                           .begin_object()
+                           .key("done").boolean(true)
+                           .key("cells").u64(outcome.cells.size())
+                           .key("reused").u64(outcome.reused)
+                           .key("computed").u64(outcome.computed)
+                           .end_object()
+                           .take());
     }
+  } catch (const std::exception& e) {
+    obs::metrics().counter("serve.errors").add();
+    return send_line(error_line(e.what()));
   }
   // Unknown verbs get a structured, self-diagnosing error line (verb
   // echoed back plus the supported set) instead of a bare message.
   obs::metrics().counter("serve.errors").add();
-  return send_line(
-      "{\"error\":\"unknown cmd\",\"cmd\":" + jsonl::quote(cmd) +
-      ",\"known\":[\"campaign\",\"ping\",\"shutdown\",\"stats\","
-      "\"watch\"]}");
+  jsonl::Writer error;
+  error.begin_object()
+      .key("error").str("unknown cmd")
+      .key("cmd").str(cmd)
+      .key("known").begin_array();
+  for (const char* verb : {"campaign", "ping", "shutdown", "stats", "watch"})
+    error.str(verb);
+  return send_line(error.end_array().end_object().take());
+}
+
+std::string CampaignServer::stats_line() const {
+  const double uptime =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    started_)
+          .count();
+  // One snapshot serves both the metrics blob and the provenance
+  // census, so the two never disagree within a line.
+  const obs::MetricsSnapshot snap = obs::metrics().snapshot();
+  std::uint64_t provenance_counters = 0;
+  for (const auto& [name, value] : snap.counters)
+    if (name.rfind("provenance.", 0) == 0) ++provenance_counters;
+  const auto gauge = [](const char* name) {
+    return static_cast<std::int64_t>(obs::metrics().gauge(name).value());
+  };
+  return jsonl::Writer()
+      .begin_object()
+      .key("ok").boolean(true)
+      .key("cmd").str("stats")
+      .key("uptime_s").num(uptime)
+      .key("requests_served").u64(requests_.load())
+      .key("active_connections").i64(gauge("serve.connections.active"))
+      .key("watchers").i64(gauge("serve.watchers.active"))
+      .key("watch_events").u64(watch_events_.load())
+      .key("store_cells").u64(store_.size())
+      .key("provenance_counters").u64(provenance_counters)
+      .key("manifest").raw(manifest_.to_jsonl())
+      .key("metrics").raw(snap.to_json())
+      .end_object()
+      .take();
 }
 
 void CampaignServer::publish_event(const std::string& line) {
@@ -315,7 +378,7 @@ bool CampaignServer::serve_watch(int fd, std::uint64_t limit,
     cursor = watch_base_;   // start with the retained backlog
     dropped = watch_base_;  // evictions that predate this watcher
   }
-  if (!send_line("{\"ok\":true,\"cmd\":\"watch\"}")) return false;
+  if (!send_line(ack("watch"))) return false;
   std::uint64_t sent = 0;
   bool stopping = false;
   while (!stopping && (limit == 0 || sent < limit)) {
@@ -343,10 +406,14 @@ bool CampaignServer::serve_watch(int fd, std::uint64_t limit,
     }
   }
   reg.counter("serve.watch.events_streamed").add(sent);
-  std::ostringstream footer;
-  footer << "{\"done\":true,\"cmd\":\"watch\",\"events\":" << sent
-         << ",\"dropped\":" << dropped << "}";
-  return send_line(footer.str());
+  return send_line(jsonl::Writer()
+                       .begin_object()
+                       .key("done").boolean(true)
+                       .key("cmd").str("watch")
+                       .key("events").u64(sent)
+                       .key("dropped").u64(dropped)
+                       .end_object()
+                       .take());
 }
 
 void CampaignServer::wait() {

@@ -13,9 +13,11 @@
 //      "backends":"model","seed":1,"patterns":2000,
 //      "train_patterns":4000,"max_triads":3,"chips":0,"jobs":0,
 //      "provenance":1,"top_culprits":4}
-//     Only top-level keys are read (jsonl::Fields): a "cmd" inside a
-//     nested object is data, string escapes are decoded, and a line
-//     that is not one JSON object reads as having no fields.
+//     Any valid JSON encoding of the object is accepted (whitespace,
+//     \uXXXX escapes, "provenance":true). Only top-level keys are read
+//     (jsonl::Fields): a "cmd" inside a nested object is data, and a
+//     line that is not one JSON object reads as having no fields. The
+//     lists are comma-list strings, the counts unsigned integers.
 //   server streams back:
 //     campaign — one CampaignStore::to_jsonl line per cell (canonical
 //       grid order, the *stored* form with the shard-independent
@@ -49,7 +51,9 @@
 //     unknown verbs answer {"error":"unknown cmd","cmd":"<verb>",
 //     "known":["campaign","ping","shutdown","stats","watch"]} rather
 //     than silently dropping the connection, so misspelled clients can
-//     self-diagnose; other failures answer {"error":"<message>"}.
+//     self-diagnose; a present field of another type answers
+//     {"error":"field '<name>' must be <type>"} instead of running
+//     with a default; other failures answer {"error":"<message>"}.
 #ifndef VOSIM_SERVE_SERVER_HPP
 #define VOSIM_SERVE_SERVER_HPP
 
@@ -133,6 +137,8 @@ class CampaignServer {
   /// Parses and answers one request; returns false when the client
   /// went away mid-stream. `bytes` accumulates payload written.
   bool dispatch(int fd, std::uint64_t& bytes);
+  /// The answer to the stats verb.
+  std::string stats_line() const;
   /// Appends one event line to the bounded watch log and wakes every
   /// watcher. Called from pool worker threads (campaign on_cell).
   void publish_event(const std::string& line);

@@ -73,13 +73,9 @@ std::vector<double> contamination_delays_ps(const Netlist& netlist,
   const std::vector<double> load = netlist.compute_net_loads(lib);
   for (const GateId gid : netlist.topo_order()) {
     const Gate& g = netlist.gate(gid);
-    double in_arr = 0.0;
-    bool first = true;
-    for (std::uint8_t i = 0; i < g.num_inputs; ++i) {
-      const double a = earliest[g.in[i]];
-      in_arr = first ? a : std::min(in_arr, a);
-      first = false;
-    }
+    double in_arr = g.num_inputs > 0 ? earliest[g.in[0]] : 0.0;
+    for (std::uint8_t i = 1; i < g.num_inputs; ++i)
+      in_arr = std::min(in_arr, earliest[g.in[i]]);
     const double d = gate_delay_ps(lib.cell(g.kind), load[g.out],
                                    lib.transistor_model(), op);
     earliest[g.out] = in_arr + d;

@@ -40,18 +40,44 @@ void TextTable::add_row_values(std::initializer_list<double> values,
   add_row(std::move(row));
 }
 
+namespace {
+
+/// Display width of a UTF-8 cell: its code points (continuation bytes
+/// do not count), so `±` pads like one character.
+std::size_t display_width(const std::string& cell) {
+  return static_cast<std::size_t>(
+      std::count_if(cell.begin(), cell.end(), [](char c) {
+        return (static_cast<unsigned char>(c) & 0xC0) != 0x80;
+      }));
+}
+
+/// One CSV field: quoted (inner quotes doubled) when it holds a comma,
+/// a quote or a line break (RFC 4180), as it is otherwise.
+std::string csv_field(const std::string& cell) {
+  if (cell.find_first_of(",\"\r\n") == std::string::npos) return cell;
+  std::string out = "\"";
+  for (const char c : cell) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  return out + '"';
+}
+
+}  // namespace
+
 void TextTable::print(std::ostream& os) const {
   std::vector<std::size_t> width(header_.size());
-  for (std::size_t c = 0; c < header_.size(); ++c) width[c] = header_[c].size();
+  for (std::size_t c = 0; c < header_.size(); ++c)
+    width[c] = display_width(header_[c]);
   for (const auto& row : rows_)
     for (std::size_t c = 0; c < row.size(); ++c)
-      width[c] = std::max(width[c], row[c].size());
+      width[c] = std::max(width[c], display_width(row[c]));
 
   auto print_row = [&](const std::vector<std::string>& row) {
     os << "|";
     for (std::size_t c = 0; c < row.size(); ++c)
-      os << ' ' << std::setw(static_cast<int>(width[c])) << std::left
-         << row[c] << " |";
+      os << ' ' << row[c]
+         << std::string(width[c] - display_width(row[c]), ' ') << " |";
     os << '\n';
   };
 
@@ -67,7 +93,7 @@ void TextTable::print_csv(std::ostream& os) const {
   auto emit = [&](const std::vector<std::string>& row) {
     for (std::size_t c = 0; c < row.size(); ++c) {
       if (c != 0) os << ',';
-      os << row[c];
+      os << csv_field(row[c]);
     }
     os << '\n';
   };

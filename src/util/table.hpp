@@ -28,10 +28,13 @@ class TextTable {
 
   std::size_t row_count() const noexcept { return rows_.size(); }
 
-  /// Renders with padded columns, `|` separators and a dashed rule.
+  /// Renders with columns padded to their widest cell in UTF-8 code
+  /// points, `|` separators and a dashed rule.
   void print(std::ostream& os) const;
 
-  /// Renders as CSV (no padding, comma separated, header first).
+  /// Renders as CSV (no padding, comma separated, header first); a
+  /// field holding a comma, a quote or a line break is quoted with its
+  /// quotes doubled (RFC 4180).
   void print_csv(std::ostream& os) const;
 
  private:

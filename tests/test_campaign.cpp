@@ -776,6 +776,43 @@ TEST(CampaignStore, MergeExcludesManifestHeaders) {
   for (const std::string& p : {a, b, out}) std::remove(p.c_str());
 }
 
+// A manifest header torn mid-append is garbage like a torn cell: no
+// prefix of it is a manifest, the store loads none from it (so
+// write_header still writes a whole one), and merge-store counts it as
+// a skipped line, not a header.
+TEST(CampaignStore, TornManifestHeaderIsSkipped) {
+  const std::string path = temp_path("store_torn_manifest.jsonl");
+  const std::string out = temp_path("store_torn_manifest_out.jsonl");
+  obs::RunManifest m;
+  m.tool = "campaign";
+  m.config = "campaign --store=x";
+  const std::string header = m.to_jsonl();
+  for (std::size_t n = 0; n < header.size(); ++n)
+    EXPECT_FALSE(obs::RunManifest::is_manifest_line(header.substr(0, n)))
+        << header.substr(0, n);
+  const std::string torn =
+      header.substr(0, header.find(",\"store_version\"") + 5);
+  ASSERT_EQ(torn, "{\"vosim_manifest\":1,\"sto");
+  {
+    std::ofstream f(path, std::ios::trunc);
+    f << torn << "\n" << CampaignStore::to_jsonl(sample_cell()) << "\n";
+  }
+  {
+    CampaignStore store(path);
+    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.manifest_line(), "");
+    store.write_header(header);
+    EXPECT_EQ(store.manifest_line(), header);
+  }
+  EXPECT_EQ(CampaignStore(path).manifest_line(), header);
+  const MergeStats stats = merge_stores({path}, out);
+  EXPECT_EQ(stats.lines, 3u);
+  EXPECT_EQ(stats.manifests, 1u);
+  EXPECT_EQ(stats.skipped, 1u);
+  EXPECT_EQ(stats.cells, 1u);
+  for (const std::string& p : {path, out}) std::remove(p.c_str());
+}
+
 TEST(CampaignRunner, ShardedFleetCampaignMergesBitIdentical) {
   // The sharded-store contract end to end: an N-shard fleet campaign,
   // merged, must be byte-for-byte the canonicalized single-process

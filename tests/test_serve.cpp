@@ -15,6 +15,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/campaign/runner.hpp"
@@ -22,6 +23,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/serve/server.hpp"
 #include "src/tech/library.hpp"
+#include "src/util/jsonl.hpp"
 
 namespace vosim {
 namespace {
@@ -398,7 +400,7 @@ TEST(CampaignServer, UnknownVerbReturnsStructuredError) {
 // and parses like the compact form, and a string value spelled like the
 // key is not taken for it.
 TEST(CampaignServer, ErrorLinesEscapeClientText) {
-  EXPECT_EQ(jsonl::quote("a\"b\\c\n\x01" "d"),
+  EXPECT_EQ(jsonl::Writer().str("a\"b\\c\n\x01" "d").text(),
             "\"a\\\"b\\\\c\\u000a\\u0001d\"");
 
   ServeConfig cfg;
@@ -522,6 +524,99 @@ TEST(CampaignServer, WatchVerbStreamsComputedCellsWithBacklog) {
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_NE(stats[0].find("\"watchers\":0"), std::string::npos);
   EXPECT_NE(stats[0].find("\"watch_events\":4"), std::string::npos);
+  server.stop();
+}
+
+/// The "error" message of a one-line reply, "" when the reply is not
+/// one JSON object line with a string "error" field.
+std::string error_of(const std::vector<std::string>& reply) {
+  std::string message;
+  if (reply.size() != 1 || !jsonl::Fields(reply[0]).str("error", message))
+    return "";
+  return message;
+}
+
+// A request field that is present but does not read as its type gets
+// one error line naming it (counted in serve.errors) instead of the
+// campaign default: an array where a comma list belongs, a quoted
+// number, a negative count, a non-boolean provenance flag, a quoted
+// watch limit, a cmd that is no string.
+TEST(CampaignServer, MistypedRequestFieldsAreNamedNotDefaulted) {
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("typed");
+  CampaignServer server(lib(), cfg);
+  server.start();
+  const std::uint64_t errors0 =
+      obs::metrics().counter("serve.errors").value();
+  // Each campaign also names an unknown circuit (or workload), so a
+  // daemon that defaulted the bad field would fail fast on that
+  // instead of running the default grid.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"cmd":"campaign","workloads":["fir"],"circuits":"x"})",
+       "'workloads'"},
+      {R"({"cmd":"campaign","circuits":{"rca16":1},"workloads":"x"})",
+       "'circuits'"},
+      {R"({"cmd":"campaign","seed":"7","circuits":"x"})", "'seed'"},
+      {R"({"cmd":"campaign","jobs":-1,"circuits":"x"})", "'jobs'"},
+      {R"({"cmd":"campaign","max_triads":1.5,"circuits":"x"})",
+       "'max_triads'"},
+      {R"({"cmd":"campaign","speed_sigma":"0.1","circuits":"x"})",
+       "'speed_sigma'"},
+      {R"({"cmd":"campaign","provenance":"yes","circuits":"x"})",
+       "'provenance'"},
+      {R"({"cmd":5})", "'cmd'"},
+      {R"({"cmd":"watch","limit":"2"})", "'limit'"}};
+  for (const auto& [req, names] : cases) {
+    const auto reply = send_request(cfg.socket_path, req);
+    EXPECT_NE(error_of(reply).find(names), std::string::npos)
+        << req << " -> " << (reply.empty() ? "" : reply[0]);
+  }
+  EXPECT_EQ(obs::metrics().counter("serve.errors").value() - errors0,
+            std::size(cases));
+  // A \u-escaped name is decoded before it reaches the registry, which
+  // rejects it by its decoded (UTF-8) spelling.
+  const auto escaped = send_request(
+      cfg.socket_path,
+      R"({"cmd":"campaign","workloads":"f\u0131r","circuits":"rca16"})");
+  EXPECT_NE(error_of(escaped).find("unknown workload 'f\xc4\xb1r'"),
+            std::string::npos)
+      << (escaped.empty() ? "" : escaped[0]);
+  // The daemon still answers after all of them.
+  EXPECT_EQ(send_request(cfg.socket_path, R"({"cmd":"ping"})"),
+            std::vector<std::string>{R"({"ok":true,"cmd":"ping"})"});
+  server.stop();
+}
+
+// Python's json.dumps writes flags as true/false, spaces after `:` and
+// `,`, and non-ASCII text as \u escapes; such a request runs the same
+// campaign as its compact form, and "provenance":true turns
+// attribution on.
+TEST(CampaignServer, PythonStyleRequestsRunTheSameCampaign) {
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("python");
+  CampaignServer server(lib(), cfg);
+  server.start();
+  const std::string grid =
+      R"("workloads": "fir", "circuits": "rca16", "backends": )"
+      R"("sim-levelized", "max_triads": 12, "patterns": 200)";
+  const auto with = send_request(
+      cfg.socket_path,
+      "{\"cmd\": \"campaign\", " + grid + ", \"provenance\": true}");
+  ASSERT_EQ(with.size(), 13u);
+  std::size_t with_culprits = 0;
+  for (std::size_t i = 0; i + 1 < with.size(); ++i) {
+    ASSERT_TRUE(CampaignStore::parse_jsonl(with[i]).has_value()) << with[i];
+    with_culprits += with[i].find("\"culprits\"") != std::string::npos;
+  }
+  EXPECT_GT(with_culprits, 0u);
+  // "provenance": false, with the verb spelled in \u escapes, is the
+  // same grid without attribution: every cell comes from the store.
+  const auto without = send_request(
+      cfg.socket_path, "{\"cmd\": \"\\u0063ampaign\", " + grid +
+                           ", \"provenance\": false}");
+  ASSERT_EQ(without.size(), 13u);
+  EXPECT_EQ(without.back(),
+            R"({"done":true,"cells":12,"reused":12,"computed":0})");
   server.stop();
 }
 

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -35,21 +37,185 @@ TEST(Jsonl, RawFieldReadsTopLevelKeysOnly) {
   EXPECT_FALSE(jsonl::raw_field(R"({"opts":{"a":1}})", "opts", v));
 }
 
-TEST(Jsonl, RawFieldDecodesTwoCharacterEscapes) {
+TEST(Jsonl, RawFieldDecodesEscapes) {
   std::string v;
   ASSERT_TRUE(jsonl::raw_field(R"({"s":"a\"b\\c\/d\n\t"})", "s", v));
   EXPECT_EQ(v, "a\"b\\c/d\n\t");
-  // quote() and raw_field round-trip text without control characters.
-  const std::string text = "x\"y\\z";
-  ASSERT_TRUE(jsonl::raw_field("{\"s\":" + jsonl::quote(text) + "}", "s", v));
-  EXPECT_EQ(v, text);
-  // A \u escape is not decoded: the field reads as absent.
-  v = "kept";
-  EXPECT_FALSE(jsonl::raw_field(R"({"s":"\u0041"})", "s", v));
-  EXPECT_EQ(v, "kept");
-  // ...but it does not hide the line's other fields.
-  ASSERT_TRUE(jsonl::raw_field(R"({"s":"\u0041","t":"ok"})", "t", v));
-  EXPECT_EQ(v, "ok");
+  // \u escapes decode to UTF-8, a surrogate pair to one code point.
+  ASSERT_TRUE(jsonl::raw_field(R"({"s":"\u0041\u00e9\u20AC\ud83d\ude00"})",
+                               "s", v));
+  EXPECT_EQ(v, "A\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
+  // Keys decode too.
+  ASSERT_TRUE(jsonl::raw_field(R"({"\u0063md":"ping"})", "cmd", v));
+  EXPECT_EQ(v, "ping");
+  // A lone surrogate makes the whole line unreadable.
+  for (const char* line :
+       {R"({"s":"\ud83d","t":1})", R"({"s":"\ude00","t":1})",
+        R"({"s":"\ud83dx","t":1})", R"({"s":"\ud83d\u0041","t":1})"})
+    EXPECT_FALSE(jsonl::raw_field(line, "t", v)) << line;
+}
+
+TEST(Jsonl, TypedReadsTakeOnlyTheirType) {
+  const std::string line =
+      R"({"s":"7","n":7,"neg":-1,"f":1.5,"big":18446744073709551615,)"
+      R"("over":18446744073709551616,"t":true,"z":null,"o":{"a":1},)"
+      R"("a":[1]})";
+  const jsonl::Fields f(line);
+  std::string text;
+  std::uint64_t u = 0;
+  double d = 0.0;
+  bool b = false;
+  EXPECT_TRUE(f.str("s", text));
+  EXPECT_EQ(text, "7");
+  EXPECT_FALSE(f.str("n", text));
+  EXPECT_FALSE(f.u64("s", u));  // a quoted number is a string
+  ASSERT_TRUE(f.u64("n", u));
+  EXPECT_EQ(u, 7u);
+  EXPECT_FALSE(f.u64("neg", u));
+  EXPECT_FALSE(f.u64("f", u));
+  ASSERT_TRUE(f.u64("big", u));
+  EXPECT_EQ(u, 18446744073709551615ULL);
+  EXPECT_FALSE(f.u64("over", u));
+  ASSERT_TRUE(f.num("neg", d));
+  EXPECT_EQ(d, -1.0);
+  EXPECT_FALSE(f.num("s", d));
+  EXPECT_FALSE(f.num("t", d));
+  ASSERT_TRUE(f.boolean("t", b));
+  EXPECT_TRUE(b);
+  EXPECT_FALSE(f.boolean("n", b));
+  EXPECT_FALSE(f.boolean("z", b));
+  // raw() is false only for an absent field, an object or an array.
+  for (const char* key : {"s", "n", "f", "t", "z"})
+    EXPECT_TRUE(f.raw(key, text)) << key;
+  EXPECT_EQ(text, "null");
+  for (const char* key : {"o", "a", "missing"}) {
+    EXPECT_FALSE(f.raw(key, text)) << key;
+    EXPECT_EQ(f.has(key), std::string_view(key) != "missing") << key;
+  }
+}
+
+TEST(Jsonl, WriterPlacesSeparatorsAndEscapes) {
+  jsonl::Writer w;
+  w.begin_object()
+      .key("a").begin_array().u64(1).i64(-2).boolean(false).end_array()
+      .key("o").begin_object().end_object()
+      .key("e").begin_array().end_array()
+      .key("n").raw(R"({"x":[1,2]})")
+      .key("d").num(0.1)
+      .key("inf").num(std::numeric_limits<double>::infinity())
+      .key("k\"\\").str("q\"b\\s\n\x01\x7f")
+      .end_object();
+  EXPECT_EQ(w.text(),
+            R"({"a":[1,-2,false],"o":{},"e":[],"n":{"x":[1,2]},"d":0.1,)"
+            R"("inf":null,"k\"\\":"q\"b\\s\u000a\u0001)"
+            "\x7f\"}");
+  // Valid UTF-8 passes through; each byte that is not part of it
+  // becomes \ufffd: a stray continuation byte, a truncated sequence,
+  // an overlong form, a surrogate, a code point past U+10FFFF.
+  const auto quoted = [](std::string_view s) {
+    return jsonl::Writer().str(s).take();
+  };
+  EXPECT_EQ(quoted("\xc2\xb1\xe2\x82\xac\xf0\x9f\x98\x80"),
+            "\"\xc2\xb1\xe2\x82\xac\xf0\x9f\x98\x80\"");
+  EXPECT_EQ(quoted("a\x80z"), "\"a\\ufffdz\"");
+  EXPECT_EQ(quoted("\xe2\x82"), "\"\\ufffd\\ufffd\"");
+  EXPECT_EQ(quoted("\xc0\xaf"), "\"\\ufffd\\ufffd\"");
+  EXPECT_EQ(quoted("\xed\xa0\x80"), "\"\\ufffd\\ufffd\\ufffd\"");
+  EXPECT_EQ(quoted("\xf4\x90\x80\x80"),
+            "\"\\ufffd\\ufffd\\ufffd\\ufffd\"");
+}
+
+/// A random valid UTF-8 string: ASCII (quotes, backslashes and control
+/// characters included) mixed with 2-, 3- and 4-byte code points.
+std::string random_utf8(Rng& rng, std::vector<std::uint32_t>& code_points) {
+  std::string s;
+  code_points.clear();
+  for (std::size_t n = rng.below(24); n > 0; --n) {
+    std::uint32_t cp = 0;
+    switch (rng.below(6)) {
+      case 0: cp = static_cast<std::uint32_t>(rng.below(0x20)); break;
+      case 1: cp = rng.below(2) ? '"' : '\\'; break;
+      case 2: case 3:
+        cp = 0x20 + static_cast<std::uint32_t>(rng.below(0x60));
+        break;
+      case 4:
+        cp = 0x80 + static_cast<std::uint32_t>(rng.below(0xD800 - 0x80));
+        break;
+      default:
+        cp = rng.below(2) ? 0xE000 + static_cast<std::uint32_t>(
+                                         rng.below(0x10000 - 0xE000))
+                          : 0x10000 + static_cast<std::uint32_t>(
+                                          rng.below(0x100000));
+    }
+    code_points.push_back(cp);
+    if (cp < 0x80) {
+      s += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+      s += static_cast<char>(0xC0 | (cp >> 6));
+      s += static_cast<char>(0x80 | (cp & 0x3F));
+    } else if (cp < 0x10000) {
+      s += static_cast<char>(0xE0 | (cp >> 12));
+      s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      s += static_cast<char>(0x80 | (cp & 0x3F));
+    } else {
+      s += static_cast<char>(0xF0 | (cp >> 18));
+      s += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+      s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      s += static_cast<char>(0x80 | (cp & 0x3F));
+    }
+  }
+  return s;
+}
+
+/// `code_points` as a JSON string the way Python's json.dumps writes
+/// it by default: every non-ASCII code point as \uXXXX, those past
+/// U+FFFF as a surrogate pair.
+std::string ascii_escaped(const std::vector<std::uint32_t>& code_points) {
+  std::string out = "\"";
+  char buf[16];
+  for (std::uint32_t cp : code_points) {
+    if (cp == '"' || cp == '\\') {
+      out += '\\';
+      out += static_cast<char>(cp);
+    } else if (cp >= 0x20 && cp < 0x7F) {
+      out += static_cast<char>(cp);
+    } else if (cp < 0x10000) {
+      std::snprintf(buf, sizeof buf, "\\u%04X", cp);
+      out += buf;
+    } else {
+      cp -= 0x10000;
+      std::snprintf(buf, sizeof buf, "\\u%04x\\u%04x", 0xD800 + (cp >> 10),
+                    0xDC00 + (cp & 0x3FF));
+      out += buf;
+    }
+  }
+  return out + "\"";
+}
+
+// Whatever valid UTF-8 text the writer is given, as a key or a value,
+// Fields reads back exactly; the same text sent with every non-ASCII
+// code point as a \u escape reads back the same.
+TEST(Jsonl, RandomStringsRoundTrip) {
+  Rng rng(2024);
+  std::vector<std::uint32_t> code_points;
+  for (int trial = 0; trial < 10000; ++trial) {
+    const std::string text = random_utf8(rng, code_points);
+    const std::string line = jsonl::Writer()
+                                 .begin_object()
+                                 .key("s").str(text)
+                                 .key(text).u64(7)
+                                 .end_object()
+                                 .take();
+    const jsonl::Fields f(line);
+    std::string back;
+    ASSERT_TRUE(f.str("s", back)) << line;
+    ASSERT_EQ(back, text) << line;
+    std::uint64_t u = 0;
+    ASSERT_TRUE(text == "s" || (f.u64(text, u) && u == 7)) << line;
+    const std::string python = "{\"s\": " + ascii_escaped(code_points) + "}";
+    ASSERT_TRUE(jsonl::raw_field(python, "s", back)) << python;
+    ASSERT_EQ(back, text) << python;
+  }
 }
 
 TEST(Jsonl, RawFieldRejectsLinesThatAreNotOneObject) {
@@ -59,9 +225,23 @@ TEST(Jsonl, RawFieldRejectsLinesThatAreNotOneObject) {
         R"({"cmd":"ping"} x)", R"({"cmd":"ping"}})", R"({"cmd":"pi)",
         R"({"cmd":"ping",})", R"({"cmd":})", R"({"cmd" "ping"})",
         R"({"a":{"b":1},"cmd":"ping")", R"({"a":[1,"cmd":"ping"})",
-        R"({"cmd":"p\q"})", R"({"cmd":"\u00"})", R"({cmd:"ping"})"})
+        R"({"cmd":"p\q"})", R"({"cmd":"\u00"})", R"({cmd:"ping"})",
+        // Values that are not JSON: bare words, malformed numbers, raw
+        // control characters, broken nesting, nesting past 64 levels.
+        R"({"cmd":ping})", R"({"cmd":"ping","n":01})",
+        R"({"cmd":"ping","n":1.})", R"({"cmd":"ping","n":-})",
+        R"({"cmd":"ping","n":nan})", R"({"cmd":"ping","n":tru})",
+        "{\"cmd\":\"pi\tng\"}", R"({"cmd":"ping","a":[1,,2]})",
+        R"({"cmd":"ping","a":{"b"}})", R"({"cmd":"ping","a":[1 2]})"})
     EXPECT_FALSE(jsonl::raw_field(line, "cmd", v)) << line;
   EXPECT_TRUE(jsonl::raw_field("{\"cmd\":\"ping\"} \r\n", "cmd", v));
+  const auto nested = [](int depth) {
+    return "{\"cmd\":\"ping\",\"a\":" + std::string(depth, '[') +
+           std::string(depth, ']') + "}";
+  };
+  EXPECT_TRUE(jsonl::raw_field(nested(63), "cmd", v));
+  EXPECT_FALSE(jsonl::raw_field(nested(64), "cmd", v));
+  EXPECT_FALSE(jsonl::raw_field(nested(100000), "cmd", v));
 }
 
 // Mutated and cut lines (bytes replaced by JSON punctuation, escapes
@@ -432,12 +612,32 @@ TEST(Table, PrintAlignsColumns) {
   EXPECT_NE(s.find("| longer | 22 |"), std::string::npos);
 }
 
+// Plain fields stay bare; a field holding a comma, a quote or a line
+// break is quoted with its quotes doubled (RFC 4180), so a row keeps
+// its header's field count.
 TEST(Table, CsvRoundTripShape) {
   TextTable t({"a", "b"});
   t.add_row_values({1.25, 2.0});
+  t.add_row({"0.563,0.5,\xc2\xb1" "2", "say \"hi\"\nbye"});
   std::ostringstream os;
   t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1.25,2.0\n");
+  EXPECT_EQ(os.str(),
+            "a,b\n1.25,2.0\n\"0.563,0.5,\xc2\xb1" "2\",\"say \"\"hi\"\"\nbye\"\n");
+}
+
+// Cells pad by UTF-8 code points: a `±` cell ends at the same column
+// as its ASCII neighbours, so every row's borders line up.
+TEST(Table, PrintPadsUtf8ByCodePoints) {
+  TextTable t({"rung", "triad"});
+  t.add_row({"0", "0.563,0.5,0"});
+  t.add_row({"1", "0.563,0.5,\xc2\xb1" "2"});
+  std::ostringstream os;
+  t.print(os);
+  EXPECT_EQ(os.str(),
+            "| rung | triad        |\n"
+            "|------|--------------|\n"
+            "| 0    | 0.563,0.5,0  |\n"
+            "| 1    | 0.563,0.5,\xc2\xb1" "2 |\n");
 }
 
 TEST(Table, RowArityEnforced) {

@@ -2,7 +2,9 @@
 // cell, a run manifest, a metrics snapshot, a trace document and the
 // serve daemon's acks, footers and unknown-verb error. Each expected
 // string is a literal, so any change to the emitted bytes — separators,
-// number forms, key order, escaping — fails here first.
+// number forms, key order, escaping — fails here first. Then a
+// malformed-input corpus: mutated store lines and requests get only
+// rejections, or single valid-JSON error lines from the daemon.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -16,6 +18,8 @@
 #include "src/obs/trace.hpp"
 #include "src/serve/server.hpp"
 #include "src/tech/library.hpp"
+#include "src/util/jsonl.hpp"
+#include "src/util/rng.hpp"
 
 namespace vosim {
 namespace {
@@ -150,6 +154,117 @@ TEST(WireFormat, DaemonAcksFootersAndErrorBytes) {
   EXPECT_EQ(ask("{\"cmd\":\"shutdown\"}"),
             std::vector<std::string>{"{\"ok\":true,\"cmd\":\"shutdown\"}"});
   server.wait();
+  server.stop();
+}
+
+/// `line` with one to three bytes replaced by JSON punctuation, escape
+/// material or random bytes, and up to three bytes cut off its end.
+std::string mutate(const std::string& line, Rng& rng) {
+  static const std::string alphabet = "{}[]\",:\\u 0x-e.";
+  std::string out = line;
+  for (int m = 1 + static_cast<int>(rng.below(3)); m > 0; --m) {
+    const std::size_t at = rng.below(out.size());
+    out[at] = rng.below(4) == 0 ? static_cast<char>(rng.below(256))
+                                : alphabet[rng.below(alphabet.size())];
+  }
+  out.resize(out.size() - rng.below(4));
+  return out;
+}
+
+/// True when `s` is valid UTF-8 (shortest forms, no surrogates, at
+/// most U+10FFFF).
+bool valid_utf8(const std::string& s) {
+  for (std::size_t i = 0; i < s.size();) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    const std::size_t n = c < 0x80 ? 1 : c < 0xC2 ? 0 : c < 0xE0 ? 2
+                          : c < 0xF0 ? 3 : c < 0xF5 ? 4 : 0;
+    if (n == 0 || i + n > s.size()) return false;
+    std::uint32_t cp = n == 1 ? c : c & (0x7F >> n);
+    for (std::size_t k = 1; k < n; ++k) {
+      const unsigned char t = static_cast<unsigned char>(s[i + k]);
+      if ((t & 0xC0) != 0x80) return false;
+      cp = (cp << 6) | (t & 0x3F);
+    }
+    const std::uint32_t min[] = {0, 0, 0x80, 0x800, 0x10000};
+    if (cp < min[n] || (cp >= 0xD800 && cp < 0xE000) || cp > 0x10FFFF)
+      return false;
+    i += n;
+  }
+  return true;
+}
+
+// A store line mutated anywhere is rejected, or read as a cell that
+// writes back as a valid UTF-8 line; nothing crashes (the sanitizer
+// builds run this).
+TEST(WireFormat, MutatedStoreLinesAreRejectedOrReadConsistently) {
+  CampaignCell cell;
+  cell.key = {"fir", "rca16", "model", {0.53, 0.5, 2.0}, 7, 4000, 2000, 3};
+  cell.metric = "snr_db";
+  cell.quality = 31.5;
+  cell.normalized = 1.0 / 3;
+  cell.culprits = "s0=12,c3=4";
+  const std::string line = CampaignStore::to_jsonl(cell);
+  Rng rng(11);
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 5000; ++trial) {
+    const std::string bad = mutate(line, rng);
+    const auto parsed = CampaignStore::parse_jsonl(bad);
+    if (!parsed) {
+      ++rejected;
+      continue;
+    }
+    // Bytes of the line that are no UTF-8 are written as \ufffd, which
+    // reads back as U+FFFD; from there the line is a fixed point.
+    const std::string again = CampaignStore::to_jsonl(*parsed);
+    ASSERT_TRUE(valid_utf8(again)) << bad;
+    const auto reparsed = CampaignStore::parse_jsonl(again);
+    ASSERT_TRUE(reparsed.has_value()) << bad;
+    EXPECT_EQ(reparsed->key.seed, parsed->key.seed) << bad;
+    const std::string stable = CampaignStore::to_jsonl(*reparsed);
+    const auto last = CampaignStore::parse_jsonl(stable);
+    ASSERT_TRUE(last.has_value()) << bad;
+    EXPECT_EQ(last->key, reparsed->key) << bad;
+    EXPECT_EQ(CampaignStore::to_jsonl(*last), stable) << bad;
+  }
+  EXPECT_GT(rejected, 2500u);
+}
+
+// Every malformed request gets exactly one line back: one valid UTF-8
+// JSON object carrying a string "error". The corpus is hand-written
+// cases plus mutations of a request whose verb no mutation can turn
+// into a known one, so no campaign runs.
+TEST(WireFormat, MalformedRequestsGetOneValidJsonErrorLine) {
+  ServeConfig cfg;
+  cfg.socket_path =
+      "/tmp/vosim_test_corpus_" + std::to_string(::getpid()) + ".sock";
+  CampaignServer server(make_fdsoi28_lvt(), cfg);
+  server.start();
+  std::vector<std::string> corpus = {
+      "", "{", "}", "[]", "null", "\"cmd\"", "{\"cmd\"}", "{\"cmd\":}",
+      "{\"cmd\":ping}", "{\"cmd\":\"ping\",}", "{\"cmd\":\"ping\"}}",
+      "{\"cmd\":\"\\ud800\"}", "{\"cmd\":\"\\udc00\"}",
+      "{\"cmd\":\"p\x01\"}", "{\"cmd\":\"\xff\xfe\"}",
+      "{\"cmd\":\"\xc0\xaf\"}", "{\"cmd\":[\"ping\"]}",
+      "{\"cmd\":{\"cmd\":\"ping\"}}", "{\"cmd\":\"campaign\",\"jobs\":1e3}",
+      "{\"cmd\":\"campaign\",\"backends\":\"\\u0000\"}",
+      "{\"cmd\":\"\\ud83d\\ude00\"}",
+      "{\"cmd\":\"" + std::string(70000, 'x') + "\"}",
+      "{\"a\":" + std::string(100, '[') + std::string(100, ']') + "}"};
+  Rng rng(29);
+  const std::string base =
+      R"({"cmd":"nope","opts":{"a":[1,{"b":"x"}]},"s":"q\"r\u00e9",)"
+      R"("n":-1.5e3})";
+  for (int trial = 0; trial < 400; ++trial)
+    corpus.push_back(mutate(base, rng));
+  for (const std::string& req : corpus) {
+    const auto reply = send_request(cfg.socket_path, req);
+    ASSERT_EQ(reply.size(), 1u) << req;
+    std::string error;
+    EXPECT_TRUE(jsonl::Fields(reply[0]).str("error", error))
+        << req << " -> " << reply[0];
+    EXPECT_TRUE(valid_utf8(reply[0])) << req << " -> " << reply[0];
+  }
+  EXPECT_TRUE(server.running());
   server.stop();
 }
 

@@ -33,7 +33,10 @@
 #                   single-process store (DESIGN.md §11).
 #   serve_smoke     the vosim_cli daemon on a Unix socket answers two
 #                   concurrent campaign requests; the streamed cells must
-#                   be bit-identical to the same grids run offline.
+#                   be bit-identical to the same grids run offline. A
+#                   Python client (skipped without python3) then sends
+#                   json.dumps requests and parses every answer with
+#                   json.loads; its campaign cells must match too.
 #
 # Finally the BENCH_*.json set is copied to the repo root so the perf
 # trajectory is tracked in-tree.
@@ -425,6 +428,55 @@ if [ "${run_serve}" -eq 1 ]; then
       p2=$!
       wait "${p1}" || sv_status=1
       wait "${p2}" || sv_status=1
+      if command -v python3 >/dev/null 2>&1; then
+        # Requests as Python's json.dumps writes them (spaces after `:`
+        # and `,`, non-ASCII as \u escapes, flags as true/false).
+        python3 - "${sock}" "${sv_dir}/py_cells.jsonl" >>"${log}" 2>&1 <<'PY' || {
+import json, socket, sys
+
+sock_path, cells_path = sys.argv[1], sys.argv[2]
+
+def ask(request):
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+        s.connect(sock_path)
+        s.sendall((json.dumps(request) + "\n").encode("ascii"))
+        data = b""
+        while chunk := s.recv(65536):
+            data += chunk
+    lines = data.decode("utf-8").splitlines()
+    return lines, [json.loads(line) for line in lines]
+
+def check(ok, what):
+    if not ok:
+        sys.exit("python client: " + what)
+
+_, answer = ask({"cmd": "ping"})
+check(answer == [{"ok": True, "cmd": "ping"}], "ping answered %r" % answer)
+_, answer = ask({"cmd": "p\u00efng"})
+check(len(answer) == 1 and answer[0].get("error") == "unknown cmd"
+      and answer[0].get("cmd") == "p\u00efng",
+      "unknown verb answered %r" % answer)
+_, answer = ask({"cmd": "stats"})
+check(len(answer) == 1 and answer[0].get("ok") is True
+      and "manifest" in answer[0] and "metrics" in answer[0],
+      "stats answered %r" % answer)
+lines, answer = ask({"cmd": "campaign", "workloads": "fir,dot",
+                     "circuits": "rca16", "backends": "model",
+                     "max_triads": 2, "patterns": 300,
+                     "train_patterns": 800, "chips": 3,
+                     "provenance": False})
+check(len(answer) > 1 and answer[-1].get("done") is True
+      and answer[-1].get("cells") == len(answer) - 1,
+      "campaign footer %r" % answer[-1:])
+with open(cells_path, "w") as f:
+    f.write("\n".join(lines[:-1]) + "\n")
+PY
+          echo "FAIL serve_smoke: python client" >&2
+          sv_status=1
+        }
+      else
+        echo "note serve_smoke: python3 not found, python client skipped"
+      fi
       "${cli}" request --socket "${sock}" --json '{"cmd":"shutdown"}' \
         >>"${log}" 2>&1 || sv_status=1
     fi
@@ -449,6 +501,15 @@ if [ "${run_serve}" -eq 1 ]; then
          "${sv_dir}/offline_canon.jsonl"; then
       echo "FAIL serve_smoke: served cells differ from the offline campaign" >&2
       sv_status=1
+    fi
+    if [ -f "${sv_dir}/py_cells.jsonl" ]; then
+      (cd "${sv_dir}" && "${cli}" merge-store py_canon.jsonl \
+         py_cells.jsonl --strip-timing >>"${log}" 2>&1) || sv_status=1
+      if ! cmp -s "${sv_dir}/py_canon.jsonl" \
+           "${sv_dir}/offline_canon.jsonl"; then
+        echo "FAIL serve_smoke: python client's cells differ from the offline campaign" >&2
+        sv_status=1
+      fi
     fi
   else
     echo "FAIL serve_smoke: missing ${cli}" >&2

@@ -678,9 +678,13 @@ int run(const ArgParser& args) {
         std::cerr << "error: cannot write metrics " << tmp_path << "\n";
         return;
       }
-      out << "{\"manifest\":" << make_manifest(args, command).to_jsonl()
-          << ",\"metrics\":" << obs::metrics().snapshot().to_json()
-          << "}\n";
+      out << jsonl::Writer()
+                 .begin_object()
+                 .key("manifest").raw(make_manifest(args, command).to_jsonl())
+                 .key("metrics").raw(obs::metrics().snapshot().to_json())
+                 .end_object()
+                 .text()
+          << "\n";
       out.flush();
       if (!out) {
         std::cerr << "error: cannot write metrics " << tmp_path << "\n";
