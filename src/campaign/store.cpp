@@ -1,7 +1,7 @@
 #include "src/campaign/store.hpp"
 
+#include <charconv>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "src/obs/manifest.hpp"
@@ -10,13 +10,36 @@ namespace vosim {
 
 using jsonl::num;
 
+namespace {
+
+/// Appends `v` in decimal.
+void append_decimal(std::string& out, std::uint64_t v) {
+  char digits[20];  // UINT64_MAX has 20
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
+}
+
+}  // namespace
+
 std::string CampaignCellKey::to_string() const {
-  std::ostringstream os;
-  os << workload << '|' << circuit << '|' << backend << '|'
-     << num(triad.tclk_ns) << ',' << num(triad.vdd_v) << ','
-     << num(triad.vbb_v) << '|' << seed << '|' << train_patterns << '|'
-     << characterize_patterns << '|' << chip;
-  return os.str();
+  const std::string tclk = num(triad.tclk_ns);
+  const std::string vdd = num(triad.vdd_v);
+  const std::string vbb = num(triad.vbb_v);
+  std::string key;
+  // Nine separators and four counts of at most 20 digits each.
+  key.reserve(workload.size() + circuit.size() + backend.size() +
+              tclk.size() + vdd.size() + vbb.size() + 9 + 4 * 20);
+  key.append(workload).append(1, '|').append(circuit).append(1, '|')
+      .append(backend).append(1, '|')
+      .append(tclk).append(1, ',').append(vdd).append(1, ',')
+      .append(vbb).append(1, '|');
+  append_decimal(key, seed);
+  key += '|';
+  append_decimal(key, train_patterns);
+  key += '|';
+  append_decimal(key, characterize_patterns);
+  key += '|';
+  append_decimal(key, chip);
+  return key;
 }
 
 CampaignStore::CampaignStore(std::string path) : path_(std::move(path)) {
@@ -26,7 +49,7 @@ CampaignStore::CampaignStore(std::string path) : path_(std::move(path)) {
   while (std::getline(in, line)) {
     const auto cell = parse_jsonl(line);
     if (cell.has_value()) {
-      cells_.insert_or_assign(cell->key.to_string(), *cell);
+      cells_.insert_or_assign(cell->key.to_string(), Entry{*cell, {}});
     } else if (obs::RunManifest::is_manifest_line(line)) {
       manifest_line_ = line;  // last manifest wins, like cells
     }
@@ -55,15 +78,27 @@ std::size_t CampaignStore::size() const {
 
 std::optional<CampaignCell> CampaignStore::find(
     const CampaignCellKey& key) const {
+  const std::string k = key.to_string();
   std::lock_guard<std::mutex> lock(m_);
-  const auto it = cells_.find(key.to_string());
+  const auto it = cells_.find(k);
   if (it == cells_.end()) return std::nullopt;
-  return it->second;
+  return it->second.cell;
+}
+
+std::optional<std::string> CampaignStore::line(const CampaignCellKey& key) {
+  const std::string k = key.to_string();
+  std::lock_guard<std::mutex> lock(m_);
+  const auto it = cells_.find(k);
+  if (it == cells_.end()) return std::nullopt;
+  Entry& e = it->second;
+  if (e.line.empty()) e.line = to_jsonl(e.cell);
+  return e.line;
 }
 
 void CampaignStore::insert(const CampaignCell& cell) {
+  std::string k = cell.key.to_string();
   std::lock_guard<std::mutex> lock(m_);
-  cells_.insert_or_assign(cell.key.to_string(), cell);
+  cells_.insert_or_assign(std::move(k), Entry{cell, {}});
   if (path_.empty()) return;
   std::ofstream out(path_, std::ios::app);
   if (!out)
@@ -76,7 +111,7 @@ std::vector<CampaignCell> CampaignStore::cells() const {
   std::lock_guard<std::mutex> lock(m_);
   std::vector<CampaignCell> out;
   out.reserve(cells_.size());
-  for (const auto& [key, cell] : cells_) out.push_back(cell);
+  for (const auto& [key, entry] : cells_) out.push_back(entry.cell);
   return out;
 }
 

@@ -82,6 +82,15 @@ class CampaignStore {
   /// Finished cell for this key, or nullopt.
   std::optional<CampaignCell> find(const CampaignCellKey& key) const;
 
+  /// The cell's canonical line, to_jsonl(*find(key)), or nullopt: the
+  /// parsed cell re-serialized, never the bytes its file held. The
+  /// first call for a key serializes the line and keeps it beside the
+  /// cell, so a daemon serves a warm cell without re-serializing it;
+  /// an insert of the key replaces the entry and drops its line. Load
+  /// and insert never fill it, so a store nobody serves holds no lines
+  /// and a served one at most one per cell. Thread-safe.
+  std::optional<std::string> line(const CampaignCellKey& key);
+
   /// Records a finished cell: indexes it and (when file-backed) appends
   /// its JSONL line immediately, so a killed campaign keeps everything
   /// completed so far. Thread-safe.
@@ -108,10 +117,15 @@ class CampaignStore {
   static std::optional<CampaignCell> parse_jsonl(const std::string& line);
 
  private:
+  struct Entry {
+    CampaignCell cell;
+    std::string line;  ///< to_jsonl(cell) once line() asked; else ""
+  };
+
   mutable std::mutex m_;
   std::string path_;
   std::string manifest_line_;
-  std::map<std::string, CampaignCell> cells_;
+  std::map<std::string, Entry> cells_;
 };
 
 /// merge_stores accounting.

@@ -46,18 +46,28 @@ bool write_line(int fd, const std::string& line) {
   return write_all(fd, line + "\n");
 }
 
-/// Reads until the first newline, EOF or read timeout (the request is
-/// one line).
+/// A request line longer than this is cut one byte past it (a sane
+/// request is a few hundred bytes).
+constexpr std::size_t kMaxRequestBytes = 1 << 16;
+/// A campaign answer is sent once its buffered lines reach this size.
+constexpr std::size_t kAnswerFlushBytes = 1 << 16;
+
+/// Reads until the first newline, EOF or read timeout, 4 KiB per
+/// read(); bytes after the newline are dropped (the request is one
+/// line, one per connection).
 std::string read_request_line(int fd) {
   std::string line;
-  char c = 0;
-  while (true) {
-    const ssize_t n = ::read(fd, &c, 1);
-    if (n <= 0 || c == '\n') break;
-    line.push_back(c);
-    if (line.size() > 1 << 16)
-      break;  // a sane request is a few hundred bytes
+  char buf[4096];
+  while (line.size() <= kMaxRequestBytes) {
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n <= 0) break;
+    const auto size = static_cast<std::size_t>(n);
+    const auto* nl = static_cast<const char*>(std::memchr(buf, '\n', size));
+    line.append(buf, nl != nullptr ? static_cast<std::size_t>(nl - buf)
+                                   : size);
+    if (nl != nullptr) break;
   }
+  if (line.size() > kMaxRequestBytes) line.resize(kMaxRequestBytes + 1);
   return line;
 }
 
@@ -232,11 +242,14 @@ void CampaignServer::handle_connection(int fd) {
 }
 
 bool CampaignServer::dispatch(int fd, std::uint64_t& bytes) {
-  // Successful lines count toward serve.bytes.streamed (+1: newline).
-  const auto send_line = [fd, &bytes](const std::string& line) {
-    if (!write_line(fd, line)) return false;
-    bytes += line.size() + 1;
+  // Successful writes count toward serve.bytes.streamed.
+  const auto send = [fd, &bytes](const std::string& data) {
+    if (!write_all(fd, data)) return false;
+    bytes += data.size();
     return true;
+  };
+  const auto send_line = [&send](const std::string& line) {
+    return send(line + "\n");
   };
   const std::string line = read_request_line(fd);
   const jsonl::Fields request(line);
@@ -278,23 +291,30 @@ bool CampaignServer::dispatch(int fd, std::uint64_t& bytes) {
         publish_event(CampaignStore::to_jsonl(cell));
       };
       const CampaignOutcome outcome = run_campaign(lib_, cfg, store_);
-      // Stream the *stored* form of each cell, not the in-memory
+      // Answer with the *stored* form of each cell, not the in-memory
       // post-rebase view: stored lines carry the shard-independent
       // baseline, so a served stream is byte-comparable (modulo
-      // elapsed_s) with any offline store of the same grid.
+      // elapsed_s) with any offline store of the same grid. The lines
+      // and the footer go out in one write per kAnswerFlushBytes.
+      std::string answer;
       for (const CampaignCell& cell : outcome.cells) {
-        const auto stored = store_.find(cell.key);
-        if (!send_line(CampaignStore::to_jsonl(stored ? *stored : cell)))
-          return false;  // client went away mid-stream
+        const auto stored = store_.line(cell.key);
+        answer += stored ? *stored : CampaignStore::to_jsonl(cell);
+        answer += '\n';
+        if (answer.size() < kAnswerFlushBytes) continue;
+        if (!send(answer)) return false;  // client went away mid-stream
+        answer.clear();
       }
-      return send_line(jsonl::Writer()
-                           .begin_object()
-                           .key("done").boolean(true)
-                           .key("cells").u64(outcome.cells.size())
-                           .key("reused").u64(outcome.reused)
-                           .key("computed").u64(outcome.computed)
-                           .end_object()
-                           .take());
+      answer += jsonl::Writer()
+                    .begin_object()
+                    .key("done").boolean(true)
+                    .key("cells").u64(outcome.cells.size())
+                    .key("reused").u64(outcome.reused)
+                    .key("computed").u64(outcome.computed)
+                    .end_object()
+                    .take();
+      answer += '\n';
+      return send(answer);
     }
   } catch (const std::exception& e) {
     obs::metrics().counter("serve.errors").add();
@@ -467,18 +487,20 @@ std::vector<std::string> send_request(const std::string& socket_path,
   }
   std::vector<std::string> lines;
   std::string current;
-  char buf[4096];
+  char buf[1 << 16];
   while (true) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    const ssize_t n = ::read(fd, buf, sizeof buf);
     if (n <= 0) break;
-    for (ssize_t i = 0; i < n; ++i) {
-      if (buf[i] == '\n') {
-        lines.push_back(current);
-        current.clear();
-      } else {
-        current.push_back(buf[i]);
-      }
+    const char* p = buf;
+    const char* const end = p + n;
+    while (const auto* nl = static_cast<const char*>(
+               std::memchr(p, '\n', static_cast<std::size_t>(end - p)))) {
+      current.append(p, nl);
+      lines.push_back(std::move(current));
+      current.clear();
+      p = nl + 1;
     }
+    current.append(p, end);
   }
   if (!current.empty()) lines.push_back(current);
   ::close(fd);

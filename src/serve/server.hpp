@@ -18,12 +18,18 @@
 //     (jsonl::Fields): a "cmd" inside a nested object is data, and a
 //     line that is not one JSON object reads as having no fields. The
 //     lists are comma-list strings, the counts unsigned integers.
+//     The daemon reads the line 4 KiB per read() up to its first
+//     newline; bytes after it are ignored, and a line longer than
+//     64 KiB is cut one byte past that.
 //   server streams back:
 //     campaign — one CampaignStore::to_jsonl line per cell (canonical
 //       grid order, the *stored* form with the shard-independent
 //       baseline, so streams are byte-comparable with offline stores
 //       modulo elapsed_s), then a footer
-//       {"done":true,"cells":N,"reused":R,"computed":C}
+//       {"done":true,"cells":N,"reused":R,"computed":C}. A cell's line
+//       is CampaignStore::line(), serialized once per stored cell; the
+//       lines and the footer go out in one write (one per 64 KiB of
+//       answer). Every other verb writes one line per write.
 //     ping — {"ok":true,"cmd":"ping"}
 //     stats — one line with daemon introspection (DESIGN.md §12):
 //       {"ok":true,"cmd":"stats","uptime_s":...,"requests_served":N,

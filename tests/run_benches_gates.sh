@@ -139,18 +139,26 @@ rm -f "${build}/bench_fig8_ber_energy.code"
 
 # Stand-in vosim_cli: "campaign" stores one stub cell per chip of its
 # shard (--shard i/N) unless the store already holds them, sleeps
-# FAKE_SINGLE_S unsharded or FAKE_SHARD_S sharded, and reports how many
-# cells it found stored; "merge-store OUT IN..." sorts the inputs into OUT.
+# FAKE_SINGLE_S unsharded or FAKE_SHARD_S sharded (a list: one sleep per
+# fleet_shard pair, cycled), and reports how many cells it found stored;
+# "merge-store OUT IN..." sorts the inputs into OUT. An unsharded run
+# starts the next pair; in pair FAKE_BAD_PAIR the shard merge gains a
+# stray line.
 cat >"${build}/vosim_cli" <<'EOF'
 #!/usr/bin/env bash
 cmd="$1"
 shift
+pair_file="$0.pair"
+pair=$(cat "${pair_file}" 2>/dev/null || echo 0)
 if [ "${cmd}" = merge-store ]; then
   dst="$1"
   shift
   ins=()
   for a in "$@"; do [ "${a}" = --strip-timing ] || ins+=("${a}"); done
   sort "${ins[@]}" >"${dst}"
+  if [ "${dst}" = merged.jsonl ] && [ "${pair}" = "${FAKE_BAD_PAIR:-}" ]; then
+    echo stray >>"${dst}"
+  fi
   exit
 fi
 chips=8 store="" shard=""
@@ -164,7 +172,13 @@ while [ "$#" -gt 0 ]; do
   esac
   shift
 done
-if [ -z "${shard}" ]; then sleep "${FAKE_SINGLE_S:-0}"; else sleep "${FAKE_SHARD_S:-0}"; fi
+if [ -z "${shard}" ]; then
+  echo $((pair + 1)) >"${pair_file}"
+  sleep "${FAKE_SINGLE_S:-0}"
+else
+  read -r -a naps <<<"${FAKE_SHARD_S:-0}"
+  sleep "${naps[$(((pair - 1) % ${#naps[@]}))]}"
+fi
 reused=0
 if [ -s "${store}" ]; then
   reused=$(wc -l <"${store}")
@@ -176,6 +190,7 @@ echo "campaign: $(wc -l <"${store}") cells (${reused} reused, 0 computed)"
 EOF
 chmod +x "${build}/vosim_cli"
 pseudo_run() {
+  rm -f "${build}/vosim_cli.pair"
   VOSIM_PATTERNS=200 "${tmp}/tools/run_benches.sh" "${build}" "$1" >"${out}" 2>&1
 }
 
@@ -184,12 +199,17 @@ expect pass "campaign_smoke: record keys and order" has_keys \
   "${build}/BENCH_campaign_smoke.json" "${common} grid_cells resumed_cells" \
   "cache_hit_rate trace store provenance_store provenance_metrics telemetry"
 
-export FAKE_SINGLE_S=0.8 FAKE_SHARD_S=0.2
-expect pass "fleet_shard: efficiency ~1 passes" pseudo_run fleet_shard
+# The gated efficiency is the median of 3 pairs: one slow sharded run
+# among them does not fail it.
+export FAKE_SINGLE_S=0.8 FAKE_SHARD_S="0.2 0.8 0.2"
+expect pass "fleet_shard: efficiency ~1 in 2 of 3 pairs passes" pseudo_run fleet_shard
 expect pass "fleet_shard: record keys and order" has_keys \
-  "${build}/BENCH_fleet_shard.json" bench chips shards grid_cells \
-  single_process_seconds sharded_wall_seconds shard_efficiency wall_seconds \
-  exit_code timestamp_utc log store
+  "${build}/BENCH_fleet_shard.json" bench chips shards pairs grid_cells \
+  single_process_seconds sharded_wall_seconds pair_efficiencies \
+  shard_efficiency wall_seconds exit_code timestamp_utc log store
+expect pass "fleet_shard: one reading per pair" \
+  grep -q '"pair_efficiencies": \[[0-9.]*,[0-9.]*,[0-9.]*\]' \
+  "${build}/BENCH_fleet_shard.json"
 # Four shard processes only run in parallel on >= 4 cores; below that the
 # efficiency is recorded, not gated.
 export FAKE_SINGLE_S=0.2 FAKE_SHARD_S=0.8
@@ -198,7 +218,12 @@ if [ "$(nproc 2>/dev/null || echo 1)" -ge 4 ]; then
 else
   expect pass "fleet_shard: efficiency ~0.06 only noted on < 4 cores" pseudo_run fleet_shard
 fi
-unset FAKE_SINGLE_S FAKE_SHARD_S
+# Every pair's merge is compared, not only the last one's.
+export FAKE_SINGLE_S=0 FAKE_SHARD_S=0 FAKE_BAD_PAIR=2
+expect fail "fleet_shard: a merge differing in pair 2 fails" pseudo_run fleet_shard
+expect pass "fleet_shard: the differing pair is named" \
+  grep -q "FAIL fleet_shard: pair 2: 4-shard merge differs" "${out}"
+unset FAKE_SINGLE_S FAKE_SHARD_S FAKE_BAD_PAIR
 
 mv "${build}/vosim_cli" "${build}/vosim_cli.off"
 expect fail "serve_smoke: missing vosim_cli fails" pseudo_run serve_smoke

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -157,14 +158,9 @@ TEST(CampaignStore, JsonlRoundTripIsExact) {
   EXPECT_EQ(parsed->elapsed_s, cell.elapsed_s);
 }
 
-// A stored line re-spaced after every `:` and `,` (as a JSON
-// pretty-printer or another client might write it) parses to the same
-// cell.
-TEST(CampaignStore, JsonlParsesRespacedLine) {
-  CampaignCell cell = sample_cell();
-  cell.key.chip = 3;
-  cell.culprits = "s3=4,c7=2";
-  const std::string line = CampaignStore::to_jsonl(cell);
+/// `line` with whitespace after every `:` and `,` outside strings, as a
+/// JSON pretty-printer or another client might write it.
+std::string respaced(const std::string& line) {
   std::string spaced;
   bool in_string = false;
   for (const char c : line) {
@@ -172,6 +168,16 @@ TEST(CampaignStore, JsonlParsesRespacedLine) {
     if (c == '"') in_string = !in_string;
     if (!in_string && (c == ':' || c == ',')) spaced += " \t";
   }
+  return spaced;
+}
+
+// A re-spaced stored line parses to the same cell.
+TEST(CampaignStore, JsonlParsesRespacedLine) {
+  CampaignCell cell = sample_cell();
+  cell.key.chip = 3;
+  cell.culprits = "s3=4,c7=2";
+  const std::string line = CampaignStore::to_jsonl(cell);
+  const std::string spaced = respaced(line);
   ASSERT_NE(spaced, line);
   const auto parsed = CampaignStore::parse_jsonl(spaced);
   ASSERT_TRUE(parsed.has_value()) << spaced;
@@ -237,6 +243,42 @@ TEST(CampaignStore, LoadOnStartSkipsGarbageAndKeepsLastWrite) {
   const auto hit = reopened.find(sample_cell().key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->quality, 99.0);  // last occurrence wins
+  std::remove(path.c_str());
+}
+
+// The cache key's bytes: names, num() doubles (0.1 + 0.2 needs 17
+// digits) and decimal counts, separated by `|` and `,`.
+TEST(CampaignStore, KeyStringBytesArePinned) {
+  CampaignCellKey key = sample_cell().key;
+  key.characterize_patterns = 2000;
+  key.chip = UINT64_MAX;
+  EXPECT_EQ(key.to_string(),
+            "fir|rca16|model|0.30000000000000004,0.7,2|42|4000|2000|"
+            "18446744073709551615");
+  EXPECT_EQ(CampaignCellKey{}.to_string(), "|||0,1,0|0|0|0|0");
+}
+
+// line() is to_jsonl of the parsed cell, whatever spacing the file held
+// and however often it is asked for, and an insert of its key replaces
+// it.
+TEST(CampaignStore, LineIsCanonicalAndFollowsInserts) {
+  const std::string path = temp_path("store_line.jsonl");
+  std::remove(path.c_str());
+  const CampaignCell cell = sample_cell();
+  const std::string canonical = CampaignStore::to_jsonl(cell);
+  {
+    std::ofstream f(path);
+    f << respaced(canonical) << "\n";
+  }
+  CampaignStore store(path);
+  EXPECT_FALSE(store.line(CampaignCellKey{}).has_value());
+  EXPECT_EQ(store.line(cell.key), canonical);
+  EXPECT_EQ(store.line(cell.key), canonical);
+  CampaignCell updated = cell;
+  updated.quality = 99.0;
+  store.insert(updated);
+  EXPECT_EQ(store.line(cell.key), CampaignStore::to_jsonl(updated));
+  EXPECT_EQ(store.find(cell.key)->quality, 99.0);
   std::remove(path.c_str());
 }
 

@@ -8,11 +8,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -78,37 +80,6 @@ double vm_size_mb() {
     if (line.rfind("VmSize:", 0) == 0)
       return std::stod(line.substr(7)) / 1024.0;  // kB
   return 0.0;
-}
-
-// Long uptime: every connection runs on its own thread, and a finished
-// one must be joined (its stack released) long before stop() — else
-// each sequential ping leaks a thread and its ~8 MB stack mapping.
-TEST(CampaignServer, SequentialPingsKeepThreadsAndMemoryFlat) {
-#ifdef M_ARENA_MAX
-  // glibc reserves a 64 MB malloc arena whenever a starting thread finds
-  // every arena attached — with sequential connections that happens a
-  // few times, at random pings, then never again. Capping the arena
-  // count keeps those bounded one-offs out of the VmSize reading, which
-  // is meant to see thread stacks.
-  mallopt(M_ARENA_MAX, 1);
-#endif
-  ServeConfig cfg;
-  cfg.socket_path = socket_path("uptime");
-  CampaignServer server(lib(), cfg);
-  server.start();
-  const auto ping = [&] {
-    const auto pong = send_request(cfg.socket_path, "{\"cmd\":\"ping\"}");
-    ASSERT_EQ(pong.size(), 1u);
-  };
-  for (int i = 0; i < 20; ++i) ping();  // warm-up
-  const std::size_t threads0 = thread_count();
-  const double vm0 = vm_size_mb();
-  for (int i = 0; i < 2000; ++i) ping();
-  // At most the last connection's thread is still awaiting its join.
-  EXPECT_LE(thread_count(), threads0 + 1);
-  EXPECT_LT(vm_size_mb() - vm0, 64.0);
-  server.stop();
-  EXPECT_EQ(server.requests_served(), 2020u);
 }
 
 TEST(CampaignServer, ConcurrentRequestsMatchOfflineExecution) {
@@ -618,6 +589,321 @@ TEST(CampaignServer, PythonStyleRequestsRunTheSameCampaign) {
   EXPECT_EQ(without.back(),
             R"({"done":true,"cells":12,"reused":12,"computed":0})");
   server.stop();
+}
+
+/// Everything the daemon writes to `fd` until it closes the connection.
+std::string read_all(int fd) {
+  std::string out;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::read(fd, buf, sizeof buf)) > 0)
+    out.append(buf, static_cast<std::size_t>(n));
+  return out;
+}
+
+/// Sends `request` unchanged (no newline added) on a fresh connection and
+/// returns the whole answer.
+std::string exchange_raw(const std::string& path, const std::string& request) {
+  const int fd = connect_raw(path);
+  if (fd < 0) return "";
+  const bool sent = ::write(fd, request.data(), request.size()) ==
+                    static_cast<ssize_t>(request.size());
+  std::string answer = sent ? read_all(fd) : "";
+  ::close(fd);
+  return answer;
+}
+
+// The request line is read in chunks up to its first newline: a line
+// that arrives in pieces is the same request, bytes after the newline
+// are not read as a second one, a line longer than 64 KiB is cut there
+// (so it reads as no JSON object at all), and a long valid line is
+// still one request.
+TEST(CampaignServer, RequestLineIsReadInChunksUpToItsNewline) {
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("reader");
+  CampaignServer server(lib(), cfg);
+  server.start();
+  const std::string pong = "{\"ok\":true,\"cmd\":\"ping\"}";
+
+  const int fd = connect_raw(cfg.socket_path);
+  ASSERT_GE(fd, 0);
+  for (const char* piece : {"{\"cmd\"", ":\"pi", "ng\"}\n"}) {
+    ASSERT_EQ(::write(fd, piece, std::strlen(piece)),
+              static_cast<ssize_t>(std::strlen(piece)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  }
+  EXPECT_EQ(read_all(fd), exchange_raw(cfg.socket_path, pong + "\n"));
+  ::close(fd);
+
+  EXPECT_EQ(exchange_raw(cfg.socket_path,
+                         "{\"cmd\":\"ping\"}\n{\"cmd\":\"shutdown\"}\n"),
+            pong + "\n");
+  EXPECT_TRUE(server.running());
+
+  const std::string unterminated =
+      "{\"cmd\":\"ping\",\"pad\":\"" + std::string(70 * 1024, 'x');
+  EXPECT_EQ(exchange_raw(cfg.socket_path, unterminated),
+            "{\"error\":\"missing cmd\"}\n");
+
+  const std::string padded =
+      "{\"cmd\":\"ping\",\"pad\":\"" + std::string(60000, 'x') + "\"}";
+  for (int i = 0; i < 20; ++i)
+    EXPECT_EQ(send_request(cfg.socket_path, padded),
+              std::vector<std::string>{pong});
+  server.stop();
+  EXPECT_EQ(server.requests_served(), 23u);
+}
+
+/// The exact-backend grid the store tests preload: fir on rca16 at its
+/// first `triads` VOS triads, on `chips` fleet chips (0: the nominal die).
+CampaignConfig exact_grid(std::size_t triads, std::uint64_t seed,
+                          std::uint64_t chips = 0) {
+  CampaignConfig cfg;
+  cfg.workloads = {"fir"};
+  cfg.circuits = {"rca16"};
+  cfg.backends = {ArithBackend::kExact};
+  cfg.max_triads = triads;
+  cfg.characterize_patterns = 300;
+  cfg.seed = seed;
+  cfg.fleet.num_chips = chips;
+  return cfg;
+}
+
+/// The campaign request for exact_grid(triads, seed, chips).
+std::string exact_request(std::size_t triads, std::uint64_t seed,
+                          std::uint64_t chips = 0) {
+  return "{\"cmd\":\"campaign\",\"workloads\":\"fir\",\"circuits\":"
+         "\"rca16\",\"backends\":\"exact\",\"max_triads\":" +
+         std::to_string(triads) + ",\"patterns\":300,\"seed\":" +
+         std::to_string(seed) + ",\"chips\":" + std::to_string(chips) + "}";
+}
+
+/// What the daemon answers a warm request over `store`: the offline
+/// to_jsonl(*store.find(key)) line of every cell, then the footer.
+std::vector<std::string> warm_answer(CampaignStore& store,
+                                     const CampaignConfig& cfg) {
+  const CampaignOutcome out = run_campaign(lib(), cfg, store);
+  std::vector<std::string> lines;
+  for (const CampaignCell& cell : out.cells)
+    lines.push_back(CampaignStore::to_jsonl(*store.find(cell.key)));
+  lines.push_back("{\"done\":true,\"cells\":" +
+                  std::to_string(out.cells.size()) + ",\"reused\":" +
+                  std::to_string(out.reused) + ",\"computed\":0}");
+  return lines;
+}
+
+/// A store file holding exact_grid(triads, 1, chips), computed offline.
+std::string preloaded_store(const std::string& tag, std::size_t triads,
+                            std::uint64_t chips = 0) {
+  const std::string path = testing::TempDir() + "serve_" + tag + ".jsonl";
+  std::remove(path.c_str());
+  CampaignStore store(path);
+  run_campaign(lib(), exact_grid(triads, 1, chips), store);
+  return path;
+}
+
+// A served cell is to_jsonl of the cell the store parsed, never the
+// bytes its file held: a line re-spaced the way Python's json.dumps
+// writes it is served compact, and of a key written twice the last
+// line wins.
+TEST(CampaignServer, ServedLinesAreCanonicalNotFileBytes) {
+  const std::string path = preloaded_store("canonical", 2);
+  std::vector<std::string> stored;
+  {
+    std::ifstream in(path);
+    for (std::string l; std::getline(in, l);) stored.push_back(l);
+  }
+  ASSERT_EQ(stored.size(), 2u);
+  const auto dumps_style = [](std::string l) {
+    for (const std::string_view sep : {"\":", ",\""})
+      for (auto at = l.find(sep); at != std::string::npos;
+           at = l.find(sep, at + 3))
+        l.insert(at + 1, " ");
+    return l;
+  };
+  CampaignCell first = *CampaignStore::parse_jsonl(stored[0]);
+  first.quality += 1.0;
+  const std::vector<std::string> file = {
+      CampaignStore::to_jsonl(first), dumps_style(stored[1]),
+      dumps_style(stored[0])};
+  {
+    std::ofstream out(path, std::ios::trunc);
+    for (const std::string& l : file) out << l << "\n";
+  }
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("canonical");
+  cfg.store_path = path;
+  CampaignServer server(lib(), cfg);
+  server.start();
+  const auto answer = send_request(cfg.socket_path, exact_request(2, 1));
+  server.stop();
+  ASSERT_EQ(answer.size(), 3u);
+  EXPECT_EQ(answer[2], R"({"done":true,"cells":2,"reused":2,"computed":0})");
+  std::map<std::string, std::string> last;  // key -> its last file line
+  for (const std::string& l : file)
+    last[CampaignStore::parse_jsonl(l)->key.to_string()] = l;
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto cell = CampaignStore::parse_jsonl(answer[i]);
+    ASSERT_TRUE(cell.has_value()) << answer[i];
+    const std::string& raw = last.at(cell->key.to_string());
+    EXPECT_EQ(answer[i],
+              CampaignStore::to_jsonl(*CampaignStore::parse_jsonl(raw)));
+    EXPECT_NE(answer[i], raw);
+  }
+  // Which are the lines the offline run stored.
+  std::vector<std::string> served(answer.begin(), answer.end() - 1);
+  std::sort(served.begin(), served.end());
+  std::sort(stored.begin(), stored.end());
+  EXPECT_EQ(served, stored);
+  std::remove(path.c_str());
+}
+
+// Inserting a key again (the append a computed cell makes) replaces the
+// line a warm request had memoized, so the next answer carries it.
+TEST(CampaignServer, ReinsertedKeyIsServedWithItsNewLine) {
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("reinsert");
+  CampaignServer server(lib(), cfg);
+  server.start();
+  const std::string req = exact_request(2, 1);
+  const auto cold = send_request(cfg.socket_path, req);
+  const auto warm = send_request(cfg.socket_path, req);
+  ASSERT_EQ(warm.size(), 3u);
+  EXPECT_EQ(std::vector<std::string>(cold.begin(), cold.end() - 1),
+            std::vector<std::string>(warm.begin(), warm.end() - 1));
+
+  CampaignCell cell = *CampaignStore::parse_jsonl(warm[0]);
+  cell.elapsed_s += 1.0;
+  cell.quality += 1.0;
+  server.store().insert(cell);
+  const auto after = send_request(cfg.socket_path, req);
+  server.stop();
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_EQ(after[0], CampaignStore::to_jsonl(cell));
+  EXPECT_EQ(after[1], warm[1]);
+}
+
+// Warm clients racing a cold one (which inserts beside their line
+// reads) each get the offline store's lines byte for byte; the cold
+// client gets the offline campaign's cells up to elapsed_s.
+TEST(CampaignServer, ConcurrentWarmAndColdClientsGetOfflineLines) {
+  const std::string path = preloaded_store("concurrent", 4);
+  std::vector<std::string> expected;
+  {
+    CampaignStore offline(path);
+    expected = warm_answer(offline, exact_grid(4, 1));
+  }
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("concurrent");
+  cfg.store_path = path;
+  CampaignServer server(lib(), cfg);
+  server.start();
+
+  constexpr int kWarmClients = 4;
+  constexpr int kRequests = 10;
+  std::vector<std::vector<std::vector<std::string>>> warm(kWarmClients);
+  std::vector<std::string> cold;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kWarmClients; ++c)
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kRequests; ++i)
+        warm[c].push_back(send_request(cfg.socket_path, exact_request(4, 1)));
+    });
+  clients.emplace_back(
+      [&] { cold = send_request(cfg.socket_path, exact_request(3, 7)); });
+  for (std::thread& t : clients) t.join();
+  server.stop();
+
+  for (int c = 0; c < kWarmClients; ++c)
+    for (const auto& answer : warm[c]) EXPECT_EQ(answer, expected);
+  CampaignStore fresh;
+  const CampaignOutcome offline = run_campaign(lib(), exact_grid(3, 7), fresh);
+  ASSERT_EQ(cold.size(), offline.cells.size() + 1);
+  const auto strip = [](const std::string& line) {
+    return line.substr(0, line.find("\"elapsed_s\""));
+  };
+  for (std::size_t i = 0; i < offline.cells.size(); ++i)
+    EXPECT_EQ(strip(cold[i]), strip(CampaignStore::to_jsonl(
+                                  *fresh.find(offline.cells[i].key))));
+  EXPECT_EQ(cold.back(), R"({"done":true,"cells":3,"reused":0,"computed":3})");
+  std::remove(path.c_str());
+}
+
+// An answer longer than one 64 KiB write (fir at all 43 triads on 6
+// chips: 258 cells) arrives whole and in grid order, and
+// serve.bytes.streamed counts every byte of it.
+TEST(CampaignServer, AnswerPastOneWriteArrivesWhole) {
+  const std::string path = preloaded_store("large", 43, 6);
+  std::vector<std::string> expected;
+  {
+    CampaignStore offline(path);
+    expected = warm_answer(offline, exact_grid(43, 1, 6));
+  }
+  std::uint64_t bytes = 0;
+  for (const std::string& l : expected) bytes += l.size() + 1;
+  ASSERT_EQ(expected.size(), 259u);
+  ASSERT_GT(bytes, 1u << 16);
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("large");
+  cfg.store_path = path;
+  CampaignServer server(lib(), cfg);
+  server.start();
+  obs::Counter& streamed = obs::metrics().counter("serve.bytes.streamed");
+  const std::uint64_t streamed0 = streamed.value();
+  EXPECT_EQ(send_request(cfg.socket_path, exact_request(43, 1, 6)),
+            expected);
+  server.stop();
+  EXPECT_EQ(streamed.value() - streamed0, bytes);
+  std::remove(path.c_str());
+}
+
+// Long uptime on a preloaded store: 10,000 sequential connections, every
+// tenth a warm campaign request and the rest pings. Every connection
+// runs on its own thread, and a finished one must be joined (its ~8 MB
+// stack mapping released) long before stop(). Past a 1,000-connection
+// warm-up the thread count stays flat and VmSize stays put: neither
+// thread stacks nor the served-line memo (one line per stored cell)
+// grow with requests.
+TEST(CampaignServer, TenThousandConnectionsKeepThreadsAndMemoryFlat) {
+#ifdef M_ARENA_MAX
+  // glibc reserves a 64 MB malloc arena whenever a starting thread finds
+  // every arena attached — with sequential connections that happens a
+  // few times, at random connections, then never again. Capping the
+  // arena count keeps those bounded one-offs out of the VmSize reading,
+  // which is meant to see thread stacks and the memo.
+  mallopt(M_ARENA_MAX, 1);
+#endif
+  const std::string path = preloaded_store("uptime10k", 4);
+  std::vector<std::string> expected;
+  {
+    CampaignStore offline(path);
+    expected = warm_answer(offline, exact_grid(4, 1));
+  }
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("uptime10k");
+  cfg.store_path = path;
+  CampaignServer server(lib(), cfg);
+  server.start();
+  const std::string warm = exact_request(4, 1);
+  const std::vector<std::string> pong = {R"({"ok":true,"cmd":"ping"})"};
+  std::size_t wrong = 0;
+  const auto connect = [&](int i) {
+    if (i % 10 == 0)
+      wrong += send_request(cfg.socket_path, warm) != expected;
+    else
+      wrong += send_request(cfg.socket_path, R"({"cmd":"ping"})") != pong;
+  };
+  int i = 0;
+  for (; i < 1000; ++i) connect(i);  // warm-up
+  const std::size_t threads0 = thread_count();
+  const double vm0 = vm_size_mb();
+  for (; i < 10000; ++i) connect(i);
+  EXPECT_LE(thread_count(), threads0 + 1);
+  EXPECT_LT(vm_size_mb() - vm0, 16.0);
+  server.stop();
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(server.requests_served(), 10000u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -28,9 +28,10 @@
 #                   a gate-level --provenance pass must publish its
 #                   counters (DESIGN.md §9, §12, §13).
 #   fleet_shard     a 1000-chip fleet campaign run single-process and as
-#                   4 concurrent shard processes; the merged shard stores
-#                   must be bit-identical to the canonicalized
-#                   single-process store (DESIGN.md §11).
+#                   4 concurrent shard processes, in 3 interleaved pairs;
+#                   each pair's merged shard stores must be bit-identical
+#                   to its canonicalized single-process store, and the
+#                   shard efficiency is the pairs' median (DESIGN.md §11).
 #   serve_smoke     the vosim_cli daemon on a Unix socket answers two
 #                   concurrent campaign requests; the streamed cells must
 #                   be bit-identical to the same grids run offline. A
@@ -117,6 +118,12 @@ num_re='^-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?$'
 secs() { awk -v a="$1" -v b="$2" 'BEGIN{printf "%.3f", (b-a)/1e9}'; }
 # One ',\n  "KEY": VALUE' record fragment.
 kv() { printf ',\n  "%s": %s' "$1" "$2"; }
+# A JSON array of the arguments.
+arr() { local IFS=,; printf '[%s]' "$*"; }
+# The median of an odd number of arguments (0 when there are none).
+median() {
+  printf '%s\n' "${@:-0}" | sort -g | awk '{v[NR] = $1} END{print v[(NR + 1) / 2]}'
+}
 
 # check NAME KEY VALUE OP BOUND: succeeds when VALUE is present, a finite
 # decimal (any string for "text") and within OP BOUND; else says why.
@@ -320,12 +327,16 @@ fi
 # processes. Chip corners and the shard partition are content-hashed
 # (DESIGN.md §11), so the merged shard stores must be bit-identical to
 # the canonicalized single-process store; elapsed_s is the only
-# legitimately differing field and --strip-timing zeroes it.
+# legitimately differing field and --strip-timing zeroes it. Three
+# interleaved (single-process, sharded) pairs run on fresh stores; every
+# pair's merge is checked, and the gated efficiency is the median of the
+# pairs' single / (4 x sharded) ratios.
 if [ "${run_fleet_shard}" -eq 1 ]; then
   fs_status=0
   fs_dir="${out_dir}/fleet_shard"
   log="${out_dir}/fleet_shard.log"
   fs_chips=1000
+  fs_pairs=3
   fs_args=(campaign --workloads fir --circuits rca16
            --backends sim-levelized --max-triads 1
            --chips "${fs_chips}" --patterns 300 --jobs 1)
@@ -333,62 +344,69 @@ if [ "${run_fleet_shard}" -eq 1 ]; then
   mkdir -p "${fs_dir}"
   : >"${log}"
   cells=0
-  single_s=0
-  shard_s=0
+  single_s=()
+  shard_s=()
+  effs=()
   start_ns=$(date +%s%N)
   if [ -x "${cli}" ]; then
-    t0=$(date +%s%N)
-    (cd "${fs_dir}" && "${cli}" "${fs_args[@]}" --store single.jsonl \
-       >>"${log}" 2>&1) || fs_status=1
-    t1=$(date +%s%N)
-    # The shard processes run concurrently: shard wall time vs the
-    # single-process time is the parallel-efficiency measurement.
-    pids=()
-    shard_files=()
-    for i in $(seq 0 $((fs_shards - 1))); do
-      (cd "${fs_dir}" && "${cli}" "${fs_args[@]}" \
-         --shard "${i}/${fs_shards}" --store "shard${i}.jsonl" \
-         >>"${log}" 2>&1) &
-      pids+=($!)
-      shard_files+=("shard${i}.jsonl")
+    for pair in $(seq 1 "${fs_pairs}"); do
+      rm -f "${fs_dir}"/*.jsonl
+      t0=$(date +%s%N)
+      (cd "${fs_dir}" && "${cli}" "${fs_args[@]}" --store single.jsonl \
+         >>"${log}" 2>&1) || fs_status=1
+      t1=$(date +%s%N)
+      # The shard processes run concurrently: shard wall time vs the
+      # single-process time is the parallel-efficiency measurement.
+      pids=()
+      shard_files=()
+      for i in $(seq 0 $((fs_shards - 1))); do
+        (cd "${fs_dir}" && "${cli}" "${fs_args[@]}" \
+           --shard "${i}/${fs_shards}" --store "shard${i}.jsonl" \
+           >>"${log}" 2>&1) &
+        pids+=($!)
+        shard_files+=("shard${i}.jsonl")
+      done
+      for pid in "${pids[@]}"; do
+        wait "${pid}" || fs_status=1
+      done
+      t2=$(date +%s%N)
+      single_s+=("$(secs "${t0}" "${t1}")")
+      shard_s+=("$(secs "${t1}" "${t2}")")
+      effs+=("$(awk -v s="${single_s[-1]}" -v p="${shard_s[-1]}" \
+                -v n="${fs_shards}" 'BEGIN{printf "%.3f", (p > 0) ? s / (n * p) : 0}')")
+      (cd "${fs_dir}" && "${cli}" merge-store merged.jsonl \
+         "${shard_files[@]}" --strip-timing >>"${log}" 2>&1) || fs_status=1
+      (cd "${fs_dir}" && "${cli}" merge-store canonical.jsonl single.jsonl \
+         --strip-timing >>"${log}" 2>&1) || fs_status=1
+      if ! cmp -s "${fs_dir}/merged.jsonl" "${fs_dir}/canonical.jsonl"; then
+        echo "FAIL fleet_shard: pair ${pair}: ${fs_shards}-shard merge differs from the single-process store" >&2
+        fs_status=1
+      fi
+      cells=$(wc -l <"${fs_dir}/canonical.jsonl" 2>/dev/null || echo 0)
+      if [ "${cells:-0}" -lt "${fs_chips}" ]; then
+        echo "FAIL fleet_shard: pair ${pair}: ${cells} cells < ${fs_chips} chip instances" >&2
+        fs_status=1
+      fi
     done
-    for pid in "${pids[@]}"; do
-      wait "${pid}" || fs_status=1
-    done
-    t2=$(date +%s%N)
-    single_s=$(secs "${t0}" "${t1}")
-    shard_s=$(secs "${t1}" "${t2}")
-    (cd "${fs_dir}" && "${cli}" merge-store merged.jsonl \
-       "${shard_files[@]}" --strip-timing >>"${log}" 2>&1) || fs_status=1
-    (cd "${fs_dir}" && "${cli}" merge-store canonical.jsonl single.jsonl \
-       --strip-timing >>"${log}" 2>&1) || fs_status=1
-    if ! cmp -s "${fs_dir}/merged.jsonl" "${fs_dir}/canonical.jsonl"; then
-      echo "FAIL fleet_shard: ${fs_shards}-shard merge differs from the single-process store" >&2
-      fs_status=1
-    fi
-    cells=$(wc -l <"${fs_dir}/canonical.jsonl" 2>/dev/null || echo 0)
-    if [ "${cells:-0}" -lt "${fs_chips}" ]; then
-      echo "FAIL fleet_shard: ${cells} cells < ${fs_chips} chip instances" >&2
-      fs_status=1
-    fi
     cp -f "${fs_dir}/merged.jsonl" "${out_dir}/fleet_shard_merged.jsonl"
   else
     echo "FAIL fleet_shard: missing ${cli}" >&2
     fs_status=1
   fi
   wall_s=$(secs "${start_ns}" "$(date +%s%N)")
-  eff=$(awk -v s="${single_s}" -v p="${shard_s}" -v n="${fs_shards}" \
-        'BEGIN{printf "%.3f", (p > 0) ? s / (n * p) : 0}')
+  eff=$(median "${effs[@]}")
   echo "SHARD_EFFICIENCY ${eff}" >>"${log}"
   gate fleet_shard "${log}" || fs_status=1
   [ "${shard_op}" != record ] || \
     echo "note fleet_shard: efficiency ${eff} reported, gate skipped (${cores} < ${fs_shards} cores)"
   write_record fleet_shard "${fs_status}" \
     "$(kv chips "${fs_chips}")$(kv shards "${fs_shards}")$(
-      kv grid_cells "${cells:-0}")$(kv single_process_seconds "${single_s}")$(
-      kv sharded_wall_seconds "${shard_s}")${fields}" \
+      kv pairs "${fs_pairs}")$(kv grid_cells "${cells:-0}")$(
+      kv single_process_seconds "$(arr "${single_s[@]}")")$(
+      kv sharded_wall_seconds "$(arr "${shard_s[@]}")")$(
+      kv pair_efficiencies "$(arr "${effs[@]}")")${fields}" \
     "$(kv store '"fleet_shard_merged.jsonl"')" \
-    ", ${cells} cells, efficiency ${eff}"
+    ", ${cells} cells, efficiency ${eff} (median of ${fs_pairs} pairs: ${effs[*]:-none})"
 fi
 
 # ---- serve_smoke: the daemon answers concurrent requests exactly ----
