@@ -6,6 +6,7 @@
 // suite (DESIGN.md §7/§8).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -211,20 +212,133 @@ TEST(DutEngines, MultiplierTriadSweepMetrics) {
 }
 
 // An external golden function (exact product) must agree with the
-// settled-function default on an exact multiplier.
+// settled-function default on an exact multiplier, field for field, on
+// both engines: the levelized run takes the grid sweep's golden path.
 TEST(DutEngines, GoldenOverrideMatchesSettledOnExactCircuit) {
   const DutNetlist dut = build_circuit("mul4-array");
   const double cp = critical_path_ns(dut.netlist, {1.0, 1.0, 0.0});
-  const std::vector<OperatingTriad> triads{{0.55 * cp, 1.0, 0.0}};
-  CharacterizeConfig cfg;
-  cfg.num_patterns = 1500;
-  const auto settled_ref = characterize_dut(dut, lib(), triads, cfg);
-  cfg.golden = [](std::span<const std::uint64_t> ops) {
-    return ops[0] * ops[1];
+  const std::vector<OperatingTriad> triads{{0.55 * cp, 1.0, 0.0},
+                                           {0.7 * cp, 0.8, 0.0}};
+  for (const EngineKind engine : {EngineKind::kEvent, EngineKind::kLevelized}) {
+    CharacterizeConfig cfg;
+    cfg.num_patterns = 1500;
+    cfg.engine = engine;
+    const auto settled_ref = characterize_dut(dut, lib(), triads, cfg);
+    cfg.golden = [](std::span<const std::uint64_t> ops) {
+      return ops[0] * ops[1];
+    };
+    const auto exact_ref = characterize_dut(dut, lib(), triads, cfg);
+    ASSERT_EQ(settled_ref.size(), exact_ref.size());
+    for (std::size_t t = 0; t < triads.size(); ++t) {
+      const TriadResult& a = settled_ref[t];
+      const TriadResult& b = exact_ref[t];
+      const std::string tag = engine_kind_name(engine) + " " +
+                              triad_label(triads[t]);
+      EXPECT_EQ(a.ber, b.ber) << tag;
+      EXPECT_EQ(a.bitwise_ber, b.bitwise_ber) << tag;
+      EXPECT_EQ(a.op_error_rate, b.op_error_rate) << tag;
+      EXPECT_EQ(a.mse, b.mse) << tag;
+      EXPECT_EQ(a.mred, b.mred) << tag;
+      EXPECT_EQ(a.energy_per_op_fj, b.energy_per_op_fj) << tag;
+      EXPECT_EQ(a.dynamic_energy_fj, b.dynamic_energy_fj) << tag;
+      EXPECT_EQ(a.leakage_energy_fj, b.leakage_energy_fj) << tag;
+      EXPECT_EQ(a.mean_settle_ps, b.mean_settle_ps) << tag;
+      EXPECT_EQ(a.patterns, b.patterns) << tag;
+      EXPECT_GT(a.ber, 0.0) << tag;
+    }
+  }
+}
+
+/// FNV-1a over every TriadResult field, doubles by their bit patterns.
+struct TriadDigest {
+  std::uint64_t h = 1469598103934665603ULL;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(const TriadResult& r) {
+    add(r.triad.tclk_ns);
+    add(r.triad.vdd_v);
+    add(r.triad.vbb_v);
+    add(r.ber);
+    add(static_cast<std::uint64_t>(r.bitwise_ber.size()));
+    for (const double p : r.bitwise_ber) add(p);
+    add(r.op_error_rate);
+    add(r.mse);
+    add(r.mred);
+    add(r.energy_per_op_fj);
+    add(r.dynamic_energy_fj);
+    add(r.leakage_energy_fj);
+    add(r.mean_settle_ps);
+    add(static_cast<std::uint64_t>(r.patterns));
+    const ProvenanceSummary& pv = r.provenance;
+    add(pv.ops);
+    add(pv.erroneous_ops);
+    add(pv.attributed_bits);
+    add(pv.lane_words);
+    add(static_cast<std::uint64_t>(pv.bitwise_ber.size()));
+    add(static_cast<std::uint64_t>(pv.culprits.size()));
+    add(pv.slack_p50_ps);
+    add(pv.slack_p95_ps);
+    add(pv.slack_max_ps);
+  }
+};
+
+// Golden digests of the levelized grid sweep (characterize_dut on the
+// multi-threshold pass): a change to the sweep's engine pass, its
+// scoring or its accumulator must leave every TriadResult bit
+// unchanged. Each circuit runs its make_circuit_triads grid at 2,000
+// patterns; the sweep cuts the stream into one segment per thread, and
+// per-segment energy sums merge in segment order, so each thread count
+// has its own digest. Two cases score against an external golden: an
+// approximate adder against exact addition, and an exact adder whose
+// golden sets a bit above the output width on odd `a` (such a lane is
+// numerically wrong even when every output bit matches). The constants
+// were recorded before the sweep was scored by lane word; a deliberate
+// result change must re-record them and say so.
+TEST(Characterize, LevelizedSweepMatchesGoldenDigests) {
+  struct Golden {
+    const char* spec;
+    GoldenFn golden;
+    std::uint64_t threads1, threads4;
   };
-  const auto exact_ref = characterize_dut(dut, lib(), triads, cfg);
-  EXPECT_DOUBLE_EQ(settled_ref[0].ber, exact_ref[0].ber);
-  EXPECT_GT(settled_ref[0].ber, 0.0);
+  const auto exact_add = [](std::span<const std::uint64_t> ops) {
+    return ops[0] + ops[1];
+  };
+  const auto high_bit_add = [](std::span<const std::uint64_t> ops) {
+    return ops[0] + ops[1] + ((ops[0] & 1ULL) << 17);
+  };
+  const Golden golden[] = {
+      {"rca16", {}, 0x4a519d92d06799b3ULL, 0x8d63f7b39ac3d290ULL},
+      {"ksa16", {}, 0xabfc6f632636e30bULL, 0x2c5b93042d3dbff5ULL},
+      {"mul8-array", {}, 0xb35d3065602cc28fULL, 0x26f52cabb1281623ULL},
+      {"mac4x8", {}, 0xfb7ae1b7465840ccULL, 0x61156683466ef5ffULL},
+      {"loa8-4", exact_add, 0x5dc2fea2982f1ac4ULL, 0x6f70639c70d0dc8cULL},
+      {"rca16", high_bit_add, 0x65f0f1d819b8fbacULL, 0x709c35bf81225bddULL},
+  };
+  for (const Golden& want : golden) {
+    const DutNetlist dut = build_circuit(want.spec);
+    const std::vector<OperatingTriad> triads = make_circuit_triads(
+        dut, synthesize_report(dut.netlist, lib()).critical_path_ns);
+    CharacterizeConfig cfg;
+    cfg.num_patterns = 2000;
+    cfg.engine = EngineKind::kLevelized;
+    cfg.golden = want.golden;
+    for (const unsigned threads : {1u, 4u}) {
+      cfg.threads = threads;
+      TriadDigest d;
+      for (const TriadResult& r : characterize_dut(dut, lib(), triads, cfg))
+        d.add(r);
+      const std::uint64_t expect = threads == 1 ? want.threads1
+                                                : want.threads4;
+      EXPECT_EQ(d.h, expect)
+          << want.spec << (want.golden ? " (external golden)" : "")
+          << " threads " << threads << ": 0x" << std::hex << d.h;
+    }
+  }
 }
 
 }  // namespace
