@@ -9,9 +9,14 @@
 // parallel on the shared persistent ThreadPool; each finished cell is
 // appended to the CampaignStore, so interrupted or re-run campaigns
 // recompute only the missing cells. Results are bit-deterministic for
-// a fixed config across runs and thread counts: every cell derives its
-// own Rng from the campaign seed and the cell's content key, never
-// from scheduling order.
+// a fixed config across runs: every cell derives its own Rng from the
+// campaign seed and the cell's content key, never from scheduling
+// order. Across thread counts (--jobs) they are not yet: the per-circuit
+// characterization splits its combinational sweep into one segment per
+// worker and merges segment energy sums in that order (see
+// characterize_dut), so energy_per_op_fj and baseline_fj can differ in
+// their last bits between --jobs 1 and --jobs 4 until ROADMAP item 1
+// fixes the split.
 #ifndef VOSIM_CAMPAIGN_RUNNER_HPP
 #define VOSIM_CAMPAIGN_RUNNER_HPP
 

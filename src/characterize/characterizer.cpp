@@ -61,15 +61,6 @@ std::size_t segment_count(const CharacterizeConfig& config, std::size_t n,
       std::min<std::size_t>(workers, n / min_segment), 1, 64);
 }
 
-/// Reference output for one pattern: the user-provided golden function,
-/// or the DUT's own settled value (timing errors only — correct for
-/// approximate units and non-adders alike).
-std::uint64_t golden_of(const CharacterizeConfig& config,
-                        std::span<const std::uint64_t> ops,
-                        std::uint64_t settled) {
-  return config.golden ? config.golden(ops) : settled;
-}
-
 /// Grid fast path for the levelized engine: supply and body bias scale
 /// every gate delay by one common factor (delay_scale), and the
 /// levelized engine's inertial/glitch decisions are invariant under
@@ -81,6 +72,10 @@ std::uint64_t golden_of(const CharacterizeConfig& config,
 /// is split into segments with exact warm starts (the streaming state
 /// is purely functional: the previous pattern's settled values), so
 /// segment-parallel results are bit-identical to the sequential chain.
+/// Results stay in lane words from the pass to the accumulators: each
+/// 64-pattern word's references are transposed once, and every triad
+/// adds its sampled output words for the whole word at once
+/// (ErrorAccumulator::add_lanes) — bit-identical to per-pattern adds.
 /// Nothing in the pass depends on the DUT being an adder — the same
 /// code serves multipliers and MAC trees.
 std::vector<TriadResult> characterize_levelized_sweep(
@@ -125,6 +120,7 @@ std::vector<TriadResult> characterize_levelized_sweep(
   const DutPinMap pins(dut);
   const std::size_t nops = pins.num_operands();
   const int out_bits = pins.output_width();
+  const std::span<const std::size_t> out_slots = pins.output_slots();
   const std::size_t npis = dut.netlist.primary_inputs().size();
 
   // Segment the stream across the pool. The segment count fixes the
@@ -164,7 +160,8 @@ std::vector<TriadResult> characterize_levelized_sweep(
         eng.reset(in);
 
         std::vector<std::uint8_t> bytes(kChunk * npis, 0);
-        std::vector<StepResult> res(kChunk * nthr);
+        std::vector<std::uint64_t> golden(kChunk);
+        std::vector<std::uint64_t> bits(static_cast<std::size_t>(out_bits));
         std::vector<Partial>& seg = parts[s];
 
         for (std::size_t c = begin; c < end; c += kChunk) {
@@ -173,27 +170,34 @@ std::vector<TriadResult> characterize_levelized_sweep(
           for (std::size_t i = 0; i < n; ++i)
             pins.fill_inputs({pats.data() + (c + i) * nops, nops},
                              bytes.data() + i * npis);
-          eng.step_batch_sweep({bytes.data(), n * npis}, n, sorted_tau,
-                               res);
-          for (std::size_t i = 0; i < n; ++i) {
-            const std::span<const std::uint64_t> ops{
-                pats.data() + (c + i) * nops, nops};
-            // Settled outputs are functional, hence identical across
-            // the thresholds of one pattern — read them once.
-            const std::uint64_t settled =
-                pins.gather_output(res[i * nthr].settled_outputs);
-            const std::uint64_t golden =
-                golden_of(config, ops, settled);
-            for (std::size_t t = 0; t < nthr; ++t) {
-              const StepResult& st = res[i * nthr + pos[t]];
-              const std::uint64_t sampled =
-                  pins.gather_output(st.sampled_outputs);
-              Partial& acc = seg[t];
-              acc.acc.add(golden, sampled);
-              const double win = st.window_energy_fj * escale[t];
+          const LevelizedSimulator::SweepWord sw = eng.step_batch_sweep(
+              {bytes.data(), n * npis}, n, sorted_tau);
+          // The references of the word, shared by every triad: the
+          // settled outputs (functional, hence the same at every
+          // threshold) or the golden function of each pattern.
+          LaneReferences ref;
+          if (config.golden) {
+            for (std::size_t i = 0; i < n; ++i)
+              golden[i] =
+                  config.golden({pats.data() + (c + i) * nops, nops});
+            ref = LaneReferences::from_values({golden.data(), n}, out_bits);
+          } else {
+            for (std::size_t i = 0; i < bits.size(); ++i)
+              bits[i] = sw.settled(out_slots[i]);
+            ref = LaneReferences::from_bits(bits, n);
+          }
+          for (std::size_t t = 0; t < nthr; ++t) {
+            const std::size_t j = pos[t];
+            for (std::size_t i = 0; i < bits.size(); ++i)
+              bits[i] = sw.sampled(out_slots[i], j);
+            Partial& acc = seg[t];
+            acc.acc.add_lanes(ref, bits);
+            const double* win_e = sw.window_energy_fj(j);
+            for (std::size_t k = 0; k < n; ++k) {
+              const double win = win_e[k] * escale[t];
               acc.energy += win + leak_fj[t];
               acc.dyn += win;
-              acc.settle += st.settle_time_ps * sscale[t];
+              acc.settle += sw.settle_ps[k] * sscale[t];
             }
           }
         }
@@ -550,9 +554,13 @@ std::vector<TriadResult> characterize_dut(
           sim.apply_batch(ops_flat, n, {r_buf.data(), n});
           for (std::size_t i = 0; i < n; ++i) {
             const VosOpResult& r = r_buf[i];
-            const std::span<const std::uint64_t> ops =
-                ops_flat.subspan(i * nops, nops);
-            acc.add(golden_of(config, ops, r.settled), r.sampled);
+            // Reference: the golden function, or the DUT's own settled
+            // value (timing errors only — correct for approximate units
+            // and non-adders alike).
+            acc.add(config.golden
+                        ? config.golden(ops_flat.subspan(i * nops, nops))
+                        : r.settled,
+                    r.sampled);
             energy += r.energy_fj;
             dyn += r.energy_fj - sim.leakage_energy_fj();
             settle += r.settle_time_ps;

@@ -65,9 +65,10 @@ struct CharacterizeConfig {
   /// Opt-in error provenance: attach an ErrorProvenance observer per
   /// triad (per stage for pipelines) and fill TriadResult::provenance.
   /// Forces the generic per-triad sweep — the levelized grid fast
-  /// paths (step_batch_sweep / normalized-seq) never dispatch
-  /// observers — so a provenance sweep costs roughly one fast sweep
-  /// per triad instead of one pass total (DESIGN.md §13).
+  /// paths (LevelizedSimulator::step_batch_sweep, scored by lane word,
+  /// and the normalized-seq replays) never dispatch observers — so a
+  /// provenance sweep costs roughly one fast sweep per triad instead of
+  /// one pass total (DESIGN.md §13).
   bool provenance = false;
   /// Culprit nets kept per TriadResult and published per sweep when
   /// provenance is on.
@@ -100,7 +101,14 @@ struct TriadResult {
 /// on the shared persistent thread pool and bit-deterministic for a
 /// fixed config (including across engines at generous Tclk). With the
 /// levelized engine the whole Tclk/Vdd/Vbb grid collapses into one
-/// normalized timing pass (step_batch_sweep) regardless of the DUT.
+/// normalized timing pass (step_batch_sweep) regardless of the DUT,
+/// scored one 64-pattern lane word at a time. Exception: that pass
+/// splits the stream into one segment per worker (config.threads, or
+/// the hardware default when 0) and merges per-segment sums in segment
+/// order, so the floating-point results (energies, mean_settle_ps,
+/// mse, mred) can differ in their last bits between thread counts; the
+/// counted ones (ber, bitwise_ber, op_error_rate) do not. ROADMAP
+/// item 1 removes the worker count from the split.
 std::vector<TriadResult> characterize_dut(
     const DutNetlist& dut, const CellLibrary& lib,
     const std::vector<OperatingTriad>& triads,

@@ -3,10 +3,33 @@
 #ifndef VOSIM_CHARACTERIZE_METRICS_HPP
 #define VOSIM_CHARACTERIZE_METRICS_HPP
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace vosim {
+
+/// The references of one lane word of ops (lane k is op k), transposed
+/// once so that ErrorAccumulator::add_lanes can score many actual
+/// words against them — the levelized grid sweep scores one per triad.
+struct LaneReferences {
+  std::size_t lanes = 0;
+  std::array<std::uint64_t, 64> value{};  ///< reference of lane k
+  std::array<std::uint64_t, 64> bit{};    ///< lane word of bit i
+  /// Lanes whose reference has a bit at or above the compared width:
+  /// numerically wrong whatever their compared bits are.
+  std::uint64_t wide = 0;
+
+  /// From per-lane reference words (lanes = values.size() ≤ 64)
+  /// compared over `nbits` bits.
+  static LaneReferences from_values(std::span<const std::uint64_t> values,
+                                    int nbits);
+  /// From reference bit words: bit i of lane k is lane k of bits[i];
+  /// lanes at or above `lanes` are ignored. No lane is wide.
+  static LaneReferences from_bits(std::span<const std::uint64_t> bits,
+                                  std::size_t lanes);
+};
 
 /// Accumulates reference/actual word pairs and derives the paper's
 /// statistics. `nbits` is the compared word width (adders: width+1,
@@ -16,6 +39,11 @@ class ErrorAccumulator {
   explicit ErrorAccumulator(int nbits);
 
   void add(std::uint64_t reference, std::uint64_t actual);
+  /// Adds the ops of one lane word: lane k's reference is ref.value[k]
+  /// and bit i of its actual word is lane k of actual_bits[i] (nbits
+  /// words). Bit-identical to add() per lane in ascending lane order.
+  void add_lanes(const LaneReferences& ref,
+                 std::span<const std::uint64_t> actual_bits);
   void merge(const ErrorAccumulator& other);
 
   int nbits() const noexcept { return nbits_; }
@@ -46,6 +74,10 @@ class ErrorAccumulator {
   double mred() const noexcept;
 
  private:
+  /// The error terms of one op: squared, absolute and relative error
+  /// and the max (sum_ref_sq_ is the caller's).
+  void add_numeric(double reference, double actual);
+
   int nbits_;
   std::uint64_t ops_ = 0;
   std::uint64_t bit_errors_ = 0;

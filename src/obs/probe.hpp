@@ -18,8 +18,9 @@
 //              transposed out of the lane words) and on_lane_word once
 //              per packed pass. No per-transition callbacks — the
 //              levelized model has no global event wheel — and the
-//              multi-threshold sweep path (step_batch_sweep) does not
-//              dispatch at all (characterize_dut's provenance mode
+//              multi-threshold sweep path (step_batch_sweep, which
+//              returns lane words, not per-pattern StepResults) does
+//              not dispatch at all (characterize_dut's provenance mode
 //              routes around it).
 #ifndef VOSIM_OBS_PROBE_HPP
 #define VOSIM_OBS_PROBE_HPP

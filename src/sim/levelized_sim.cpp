@@ -8,6 +8,7 @@
 #include "src/netlist/eval.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/probe.hpp"
+#include "src/sim/threshold_buckets.hpp"
 #include "src/sta/sta.hpp"
 #include "src/tech/cell.hpp"
 #include "src/tech/gate_timing.hpp"
@@ -36,10 +37,6 @@ struct SingleThresholdAcct {
   double* tot_e;         // null when kWindowOnly
   std::uint32_t* tot_t;  // null when kWindowOnly
 
-  /// Word-commit eligible: launch-edge (t = 0) commits account a whole
-  /// lane word per call instead of per-lane commits.
-  static constexpr bool kWordCommit = true;
-
   bool commit(NetId /*net*/, std::size_t k, double tc, double energy) {
     if constexpr (!kWindowOnly) {
       ++tot_t[k];
@@ -60,7 +57,8 @@ struct SingleThresholdAcct {
   /// bitwise-identity no-ops — += 0.0 (the accumulators are sums of
   /// non-negative terms, never -0.0) and a tout self-assign — so each
   /// lane holds exactly what per-lane commit() calls would produce.
-  void commit_word_zero(Word m, double energy, double* tout) {
+  void commit_word_zero(NetId /*net*/, Word m, double energy,
+                        double* tout) {
     double* __restrict we = win_e;
     double* __restrict to = tout;
     std::uint32_t* __restrict wt = win_t;
@@ -84,38 +82,46 @@ struct SingleThresholdAcct {
 
 /// Accounting policy for a whole ascending threshold set: every commit
 /// lands in the bucket of the first threshold it misses, so one prefix
-/// pass later yields per-threshold window energy/toggle counts, and an
+/// pass later yields per-threshold window energies, and an
 /// XOR-difference per primary output yields per-threshold sampled
 /// words (a net's sampled value at τ is its stale value XOR the parity
 /// of its commits before τ).
 struct MultiThresholdAcct {
-  static constexpr bool kWordCommit = false;  // every commit is bucketed
   static constexpr std::size_t kLanes = lanes::kWordLanes;
 
-  std::span<const double> thresholds_ps;
+  const ThresholdBuckets& bucket;
+  std::size_t nthr;
+  std::size_t nlanes;
   double* ediff;              // (nthr+1) × kLanes, bucket-major
-  std::uint32_t* tdiff;       // (nthr+1) × kLanes
   Word* sdiff;                // nPO × (nthr+1)
-  double* tot_e;              // per lane
-  std::uint32_t* tot_t;       // per lane
   double* settle;             // per lane
   const std::int32_t* po_index;
 
+  /// Word commit at t = 0 (primary-input launch commits): every
+  /// threshold is positive, so each lands in bucket 0, and settle =
+  /// max(settle, 0) is a no-op. Inactive lanes add +0.0 and
+  /// self-assign their time, as in SingleThresholdAcct, so each lane
+  /// holds exactly what per-lane commit() calls would produce.
+  void commit_word_zero(NetId net, Word m, double energy, double* tout) {
+    double* __restrict e0 = ediff;
+    double* __restrict to = tout;
+    for (std::size_t k = 0; k < nlanes; ++k) {
+      const bool a = ((m >> k) & 1ULL) != 0;
+      e0[k] += a ? energy : 0.0;
+      to[k] = a ? 0.0 : to[k];
+    }
+    const std::int32_t po = po_index[net];
+    if (po >= 0) sdiff[static_cast<std::size_t>(po) * (nthr + 1)] ^= m;
+  }
+
   bool commit(NetId net, std::size_t k, double tc, double energy) {
-    const auto b = static_cast<std::size_t>(
-        std::upper_bound(thresholds_ps.begin(), thresholds_ps.end(), tc) -
-        thresholds_ps.begin());
+    const std::size_t b = bucket(tc);
     ediff[b * kLanes + k] += energy;
-    ++tdiff[b * kLanes + k];
-    tot_e[k] += energy;
-    ++tot_t[k];
     settle[k] = std::max(settle[k], tc);
     const std::int32_t po = po_index[net];
     if (po >= 0)
-      lanes::toggle_lane(
-          sdiff[static_cast<std::size_t>(po) * (thresholds_ps.size() + 1) +
-                b],
-          k);
+      lanes::toggle_lane(sdiff[static_cast<std::size_t>(po) * (nthr + 1) + b],
+                         k);
     return false;  // no single sampled word is maintained in sweep mode
   }
 };
@@ -499,13 +505,20 @@ void LevelizedSimulator::step_cycle_batch(
   run_packed(inputs, count, results, /*cycle_mode=*/true);
 }
 
-void LevelizedSimulator::step_batch_sweep(
+LevelizedSimulator::SweepWord LevelizedSimulator::step_batch_sweep(
     std::span<const std::uint8_t> inputs, std::size_t count,
-    std::span<const double> thresholds_ps, std::span<StepResult> results) {
+    std::span<const double> thresholds_ps) {
+  VOSIM_EXPECTS(count >= 1 && count <= kLanes);
   VOSIM_EXPECTS(!thresholds_ps.empty());
   VOSIM_EXPECTS(std::is_sorted(thresholds_ps.begin(), thresholds_ps.end()));
   VOSIM_EXPECTS(thresholds_ps.front() > 0.0);
-  run_packed(inputs, count, results, /*cycle_mode=*/false, thresholds_ps);
+  run_packed(inputs, count, {}, /*cycle_mode=*/false, thresholds_ps);
+  return SweepWord{count,
+                   thresholds_ps.size(),
+                   sweep_settled_.data(),
+                   sweep_sdiff_.data(),
+                   sweep_ediff_.data(),
+                   sweep_settle_.data()};
 }
 
 void LevelizedSimulator::run_packed(std::span<const std::uint8_t> inputs,
@@ -515,9 +528,9 @@ void LevelizedSimulator::run_packed(std::span<const std::uint8_t> inputs,
                                     std::span<const double> thresholds_ps) {
   const auto pis = netlist_.primary_inputs();
   const std::size_t npis = pis.size();
-  const std::size_t nthr = thresholds_ps.size();
+  const bool sweep = !thresholds_ps.empty();
   VOSIM_EXPECTS(inputs.size() == count * npis);
-  VOSIM_EXPECTS(results.size() >= count * std::max<std::size_t>(nthr, 1));
+  VOSIM_EXPECTS(sweep || results.size() >= count);
   // Per-call throughput accounting: one relaxed add per call (not per
   // pattern), cached refs so the registry mutex is never on the hot
   // path.
@@ -538,11 +551,10 @@ void LevelizedSimulator::run_packed(std::span<const std::uint8_t> inputs,
         if (inputs[(done + k) * npis + j]) lanes::set_lane(w, k);
       settled_w_[pis[j]] = w;
     }
-    if (nthr == 0)
+    if (!sweep)
       run_lanes(lanes, results.subspan(done, lanes), cycle_mode);
     else
-      run_lanes_sweep(lanes, thresholds_ps,
-                      results.subspan(done * nthr, lanes * nthr));
+      run_lanes_sweep(lanes, thresholds_ps);
     done += lanes;
   }
 }
@@ -569,20 +581,10 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     const double energy = net_energy_fj_[pi];
     double* t = &time_ps_[static_cast<std::size_t>(pi) * kLanes];
     const Word m = settled ^ stale;
-    if constexpr (Acct::kWordCommit) {
-      // Every launch commit is in-window, so the sampled word is just
-      // the settled word.
-      if (lanes::any(m)) acct.commit_word_zero(m, energy, t);
-      sampled_w_[pi] = settled;
-    } else {
-      Word sampled = stale;
-      lanes::for_each_lane(m, [&](std::size_t k) {
-        t[k] = 0.0;
-        if (acct.commit(pi, k, 0.0, energy))
-          lanes::toggle_lane(sampled, k);
-      });
-      sampled_w_[pi] = sampled;
-    }
+    // Every launch commit is in-window, so the sampled word is just
+    // the settled word.
+    if (lanes::any(m)) acct.commit_word_zero(pi, m, energy, t);
+    sampled_w_[pi] = settled;
   }
 
   // One levelized pass. Values: packed kLanes-lane evaluation per
@@ -1087,66 +1089,42 @@ void LevelizedSimulator::dispatch_observers(
 }
 
 void LevelizedSimulator::run_lanes_sweep(
-    std::size_t lanes, std::span<const double> thresholds_ps,
-    std::span<StepResult> results) {
+    std::size_t lanes, std::span<const double> thresholds_ps) {
   const std::size_t nthr = thresholds_ps.size();
   const auto pos = netlist_.primary_outputs();
   const std::size_t npo = pos.size();
 
   sweep_ediff_.assign((nthr + 1) * kLanes, 0.0);
-  sweep_tdiff_.assign((nthr + 1) * kLanes, 0);
   sweep_sdiff_.assign(npo * (nthr + 1), Word{});
-  sweep_tot_e_.assign(kLanes, 0.0);
-  sweep_tot_t_.assign(kLanes, 0);
   sweep_settle_.assign(kLanes, 0.0);
 
-  MultiThresholdAcct acct{thresholds_ps,        sweep_ediff_.data(),
-                          sweep_tdiff_.data(),  sweep_sdiff_.data(),
-                          sweep_tot_e_.data(),  sweep_tot_t_.data(),
-                          sweep_settle_.data(), po_index_.data()};
+  const ThresholdBuckets bucket(thresholds_ps);
+  MultiThresholdAcct acct{bucket,
+                          nthr,
+                          lanes,
+                          sweep_ediff_.data(),
+                          sweep_sdiff_.data(),
+                          sweep_settle_.data(),
+                          po_index_.data()};
   run_lanes_impl<false>(lanes, acct);
 
   // Prefix over buckets: threshold j sees every commit in buckets ≤ j.
-  // sweep_ediff_/tdiff_ become per-threshold window sums in place;
+  // sweep_ediff_ becomes per-threshold window energies in place;
   // sweep_sdiff_ becomes per-threshold sampled words (base: stale).
+  // The pass leaves every lane word zero above `lanes`, and so do the
+  // copies.
   for (std::size_t j = 1; j < nthr; ++j) {
     double* ej = &sweep_ediff_[j * kLanes];
     const double* ep = &sweep_ediff_[(j - 1) * kLanes];
-    std::uint32_t* tj = &sweep_tdiff_[j * kLanes];
-    const std::uint32_t* tp = &sweep_tdiff_[(j - 1) * kLanes];
-    for (std::size_t k = 0; k < lanes; ++k) {
-      ej[k] += ep[k];
-      tj[k] += tp[k];
-    }
+    for (std::size_t k = 0; k < lanes; ++k) ej[k] += ep[k];
   }
+  sweep_settled_.resize(npo);
   for (std::size_t p = 0; p < npo; ++p) {
+    sweep_settled_[p] = settled_w_[pos[p]];
     Word run = stale_w_[pos[p]];
     for (std::size_t j = 0; j < nthr; ++j) {
       run ^= sweep_sdiff_[p * (nthr + 1) + j];
       sweep_sdiff_[p * (nthr + 1) + j] = run;
-    }
-  }
-
-  for (std::size_t k = 0; k < lanes; ++k) {
-    std::uint64_t settled = 0;
-    for (std::size_t p = 0; p < npo; ++p)
-      settled |= static_cast<std::uint64_t>(
-                     lanes::lane_bit(settled_w_[pos[p]], k))
-                 << p;
-    for (std::size_t j = 0; j < nthr; ++j) {
-      StepResult& r = results[k * nthr + j];
-      std::uint64_t sampled = 0;
-      for (std::size_t p = 0; p < npo; ++p)
-        sampled |= static_cast<std::uint64_t>(lanes::lane_bit(
-                       sweep_sdiff_[p * (nthr + 1) + j], k))
-                   << p;
-      r.sampled_outputs = sampled;
-      r.settled_outputs = settled;
-      r.window_energy_fj = sweep_ediff_[j * kLanes + k];
-      r.toggles_in_window = sweep_tdiff_[j * kLanes + k];
-      r.total_energy_fj = sweep_tot_e_[k];
-      r.toggles_total = sweep_tot_t_[k];
-      r.settle_time_ps = sweep_settle_[k];
     }
   }
   carry_state(lanes);

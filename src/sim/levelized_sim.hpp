@@ -89,23 +89,48 @@ class LevelizedSimulator final : public SimEngine {
                         std::size_t count,
                         std::span<StepResult> results) override;
 
-  /// One timing pass, many capture thresholds: simulates the batch with
-  /// this simulator's delays and evaluates every pattern against each
-  /// clock threshold (ps, ascending), filling
-  /// results[i * thresholds.size() + j] exactly as if step_batch had
-  /// run with Tclk = thresholds[j]. Because supply and body bias scale
-  /// every gate delay by one common factor (gate_delay_ps = nominal ×
-  /// delay_scale(Vdd, Vbb)) and the inertial pulse-survival rule is
-  /// scale-invariant, a whole Tclk/Vdd/Vbb characterization grid
-  /// reduces to one normalized timing pass per die: triad (T, V, B)
-  /// is threshold T·1e3·delay_scale(ref)/delay_scale(V, B) with window
-  /// energies scaled by (V/V_ref)² — see characterize_dut.
-  /// Leakage is NOT included in the energies (it is per-triad).
-  /// After this call sampled_values() reflects no single threshold.
-  void step_batch_sweep(std::span<const std::uint8_t> inputs,
-                        std::size_t count,
-                        std::span<const double> thresholds_ps,
-                        std::span<StepResult> results);
+  /// One multi-threshold pass as the engine leaves it: views into the
+  /// engine's per-pass scratch, valid until its next pass. Lane k is
+  /// pattern k of the call (k < lanes; higher lanes read zero), and
+  /// threshold j indexes the call's ascending threshold set.
+  struct SweepWord {
+    std::size_t lanes = 0;
+    std::size_t thresholds = 0;
+    const lanes::Word* settled_po = nullptr;  ///< per primary output
+    const lanes::Word* sampled_po = nullptr;  ///< nPO × (thresholds+1)
+    const double* window_energy = nullptr;    ///< (thresholds+1) × kLanes
+    const double* settle_ps = nullptr;        ///< latest commit per lane
+
+    /// Settled (functional) lane word of primary output `po`.
+    lanes::Word settled(std::size_t po) const { return settled_po[po]; }
+    /// Lane word primary output `po` samples at threshold `j`.
+    lanes::Word sampled(std::size_t po, std::size_t j) const {
+      return sampled_po[po * (thresholds + 1) + j];
+    }
+    /// Window energy (fJ) of every lane at threshold `j`.
+    const double* window_energy_fj(std::size_t j) const {
+      return window_energy + j * kLanes;
+    }
+  };
+
+  /// One timing pass, many capture thresholds: simulates up to one
+  /// lane word of patterns (1 ≤ count ≤ kLanes) with this simulator's
+  /// delays and evaluates every pattern against each clock threshold
+  /// (ps, ascending): lane k sampled at threshold j is exactly what
+  /// step_batch would sample with Tclk = thresholds[j], and its window
+  /// energy is that run's window_energy_fj. Because supply and body
+  /// bias scale every gate delay by one common factor (gate_delay_ps =
+  /// nominal × delay_scale(Vdd, Vbb)) and the inertial pulse-survival
+  /// rule is scale-invariant, a whole Tclk/Vdd/Vbb characterization
+  /// grid reduces to one normalized timing pass per die: triad (T, V,
+  /// B) is threshold T·1e3·delay_scale(ref)/delay_scale(V, B) with
+  /// window energies scaled by (V/V_ref)² — see characterize_dut.
+  /// Leakage is NOT included in the energies (it is per-triad). Toggle
+  /// counts and total energies are not tracked. After this call
+  /// sampled_values() reflects no single threshold.
+  SweepWord step_batch_sweep(std::span<const std::uint8_t> inputs,
+                             std::size_t count,
+                             std::span<const double> thresholds_ps);
 
   /// Moves the capture threshold on the same die: rescales leakage to
   /// the new period and recomputes cycle-safety against the cached STA
@@ -147,8 +172,8 @@ class LevelizedSimulator final : public SimEngine {
   /// patterns (or, with `cycle_mode`, cycles) and lane words in the
   /// metrics registry. With thresholds_ps empty each pass is
   /// run_lanes at this simulator's Tclk and results[k] is pattern k;
-  /// otherwise each is run_lanes_sweep and results is count ×
-  /// thresholds pattern-major.
+  /// otherwise each is run_lanes_sweep, results is unused and the
+  /// pass leaves its outputs in the sweep scratch.
   void run_packed(std::span<const std::uint8_t> inputs, std::size_t count,
                   std::span<StepResult> results, bool cycle_mode,
                   std::span<const double> thresholds_ps = {});
@@ -182,10 +207,9 @@ class LevelizedSimulator final : public SimEngine {
   void run_lanes(std::size_t lanes, std::span<StepResult> results,
                  bool cycle_mode);
 
-  /// Multi-threshold pass; results is lanes × thresholds pattern-major.
+  /// Multi-threshold pass into the sweep scratch (see SweepWord).
   void run_lanes_sweep(std::size_t lanes,
-                       std::span<const double> thresholds_ps,
-                       std::span<StepResult> results);
+                       std::span<const double> thresholds_ps);
 
   /// Carries the last lane's settled (and sampled) values into state_;
   /// with `truncate` the sampled values become state_ (step_cycle).
@@ -264,13 +288,11 @@ class LevelizedSimulator final : public SimEngine {
   std::vector<int> obs_level_;
 
   // Sweep support: primary-output index per net (-1 if not a PO) and
-  // per-batch threshold-bucket scratch (sized on first sweep call).
+  // the per-pass outputs a SweepWord views (sized on first sweep call).
   std::vector<std::int32_t> po_index_;
-  std::vector<double> sweep_ediff_;        // (nthr+1) × kLanes
-  std::vector<std::uint32_t> sweep_tdiff_;  // (nthr+1) × kLanes
+  std::vector<double> sweep_ediff_;         // (nthr+1) × kLanes
   std::vector<lanes::Word> sweep_sdiff_;    // nPO × (nthr+1)
-  std::vector<double> sweep_tot_e_;         // per lane
-  std::vector<std::uint32_t> sweep_tot_t_;  // per lane
+  std::vector<lanes::Word> sweep_settled_;  // per PO
   std::vector<double> sweep_settle_;        // per lane
 };
 

@@ -198,8 +198,10 @@ class SimEngine {
   /// that cycle's inputs, as after reset() — whatever state the cycle
   /// launched from. A scalar call reports lane 0; a batch reports its
   /// last pass of up to 64 cycles (lane k = cycle 64·⌊(count−1)/64⌋+k);
-  /// after step_batch_sweep the word is meaningless. Backends that do
-  /// not track it return 0: no lane is known to be settled.
+  /// after LevelizedSimulator::step_batch_sweep (one lane word, many
+  /// thresholds, no single sampled value per net) the word is
+  /// meaningless. Backends that do not track it return 0: no lane is
+  /// known to be settled.
   virtual std::uint64_t settled_lanes() const noexcept { return 0; }
 
   /// Per-operation leakage energy at this triad (fJ): leakage power
@@ -220,8 +222,10 @@ class SimEngine {
   /// off: with no observers attached every hot-path dispatch site pays
   /// exactly one !observers_.empty() branch. Attaching twice is a
   /// no-op. Note: the levelized multi-threshold sweep
-  /// (step_batch_sweep) does not dispatch — observer consumers must
-  /// route through step/step_batch/step_cycle_batch.
+  /// (LevelizedSimulator::step_batch_sweep) does not dispatch — it
+  /// hands back lane words, never per-pattern StepResults — so
+  /// observer consumers must route through step/step_batch/
+  /// step_cycle_batch.
   void attach_observer(SimObserver* obs);
   /// Unregisters a previously attached observer (no-op when absent).
   void detach_observer(SimObserver* obs);

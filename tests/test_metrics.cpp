@@ -3,9 +3,13 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "src/characterize/metrics.hpp"
 #include "src/util/contracts.hpp"
+#include "src/util/lanes.hpp"
+#include "src/util/rng.hpp"
 
 namespace vosim {
 namespace {
@@ -102,6 +106,64 @@ TEST(Metrics, EmptyAccumulatorSafe) {
   EXPECT_EQ(acc.ber(), 0.0);
   EXPECT_EQ(acc.mse(), 0.0);
   EXPECT_EQ(acc.op_error_rate(), 0.0);
+}
+
+// add_lanes over one lane word equals add() per lane in lane order,
+// bit for bit in every getter: random references and actual words at
+// widths 1, 17 and 64 and word fills of 1, 37 and 64 lanes, with zero
+// references (MRED's divide-by-one branch), exact lanes, and — from
+// per-lane values — references with bits above the compared width.
+TEST(Metrics, LaneWordAddMatchesPerOpAdds) {
+  Rng rng(29);
+  for (const int nbits : {1, 17, 64})
+    for (const std::size_t lanes : {1u, 37u, 64u})
+      for (const bool wide : {false, true}) {
+        ErrorAccumulator per_op(nbits), by_word(nbits);
+        for (int word = 0; word < 20; ++word) {
+          std::vector<std::uint64_t> ref(lanes), actual(lanes);
+          for (std::size_t k = 0; k < lanes; ++k) {
+            ref[k] = rng.bits(nbits);
+            if (k % 5 == 0) ref[k] = 0;
+            actual[k] = rng.bits(nbits);
+            if (k % 3 == 2) actual[k] = ref[k];  // an exact lane
+            if (wide && nbits < 64 && k % 4 == 3)
+              ref[k] |= rng.bits(64 - nbits) << nbits;
+            per_op.add(ref[k], actual[k]);
+          }
+          // Bits above `lanes` must not count: fill them with noise.
+          std::vector<std::uint64_t> ref_bits(nbits), actual_bits(nbits);
+          for (int i = 0; i < nbits; ++i) {
+            ref_bits[i] = rng() & ~lanes::mask(lanes);
+            actual_bits[i] = rng() & ~lanes::mask(lanes);
+            for (std::size_t k = 0; k < lanes; ++k) {
+              ref_bits[i] |= ((ref[k] >> i) & 1ULL) << k;
+              actual_bits[i] |= ((actual[k] >> i) & 1ULL) << k;
+            }
+          }
+          const LaneReferences refs =
+              wide ? LaneReferences::from_values(ref, nbits)
+                   : LaneReferences::from_bits(ref_bits, lanes);
+          by_word.add_lanes(refs, actual_bits);
+        }
+        const std::string tag = "nbits " + std::to_string(nbits) +
+                                " lanes " + std::to_string(lanes) +
+                                (wide ? " from values" : " from bits");
+        EXPECT_EQ(by_word.ops(), per_op.ops()) << tag;
+        EXPECT_EQ(by_word.ber(), per_op.ber()) << tag;
+        EXPECT_EQ(by_word.bitwise_error_probability(),
+                  per_op.bitwise_error_probability())
+            << tag;
+        EXPECT_EQ(by_word.op_error_rate(), per_op.op_error_rate()) << tag;
+        EXPECT_EQ(by_word.mse(), per_op.mse()) << tag;
+        EXPECT_EQ(by_word.snr_db(), per_op.snr_db()) << tag;
+        EXPECT_EQ(by_word.mean_hamming(), per_op.mean_hamming()) << tag;
+        EXPECT_EQ(by_word.normalized_hamming(), per_op.normalized_hamming())
+            << tag;
+        EXPECT_EQ(by_word.mean_abs_error(), per_op.mean_abs_error()) << tag;
+        EXPECT_EQ(by_word.max_abs_error(), per_op.max_abs_error()) << tag;
+        EXPECT_EQ(by_word.mred(), per_op.mred()) << tag;
+        EXPECT_GT(per_op.op_error_rate(), 0.0) << tag;
+      }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "src/sim/event_sim.hpp"
 #include "src/sim/levelized_sim.hpp"
 #include "src/sim/sim_engine.hpp"
+#include "src/sim/threshold_buckets.hpp"
 #include "src/netlist/dut.hpp"
 #include "src/sim/vos_dut.hpp"
 #include "src/sta/sta.hpp"
@@ -589,6 +591,104 @@ TEST(SimEngine, LevelizedCountersCoverEveryPath) {
   // Clocked traffic counts as cycles, never as patterns.
   EXPECT_EQ(patterns.value() - patterns0,
             kScalar + kBatch + ccfg.num_patterns);
+}
+
+// The sweep's threshold bucket is upper_bound's index on any ascending
+// set: duplicates, a single threshold, an all-equal set, a span wide
+// enough to leave most grid cells empty, and times exactly at, just
+// beside, below and above the thresholds.
+TEST(SimEngine, ThresholdBucketsMatchUpperBound) {
+  Rng rng(3);
+  std::vector<std::vector<double>> sets{{5.0}, {7.0, 7.0, 7.0}, {1e-3, 1e9}};
+  for (const std::size_t n : {2u, 43u, 300u}) {
+    std::vector<double> thr(n);
+    for (double& t : thr) t = 10.0 + 500.0 * rng.uniform();
+    thr[n / 2] = thr[n / 3];  // a duplicate
+    std::sort(thr.begin(), thr.end());
+    sets.push_back(std::move(thr));
+  }
+  for (const std::vector<double>& thr : sets) {
+    const ThresholdBuckets bucket(thr);
+    std::vector<double> times{0.0, -1.0, 1e300,
+                              std::numeric_limits<double>::infinity()};
+    for (const double t : thr)
+      times.insert(times.end(),
+                   {t, std::nextafter(t, 0.0), std::nextafter(t, 1e300)});
+    for (int i = 0; i < 2000; ++i)
+      times.push_back(thr.back() * 1.2 * rng.uniform());
+    for (const double tc : times)
+      EXPECT_EQ(bucket(tc),
+                static_cast<std::size_t>(
+                    std::upper_bound(thr.begin(), thr.end(), tc) -
+                    thr.begin()))
+          << "tc " << tc << " on " << thr.size() << " thresholds";
+  }
+}
+
+// One step_batch_sweep word per threshold equals a step_batch at that
+// Tclk on the same die: settled and sampled output words and settle
+// times bit for bit; window energies to rounding, because the sweep
+// sums a lane's energies bucket by bucket instead of in commit order.
+// Calls of 64, 64 and 22 patterns stream on from each other like the
+// passes of one 150-pattern step_batch.
+TEST(SimEngine, SweepWordMatchesStepBatchPerThreshold) {
+  const DutNetlist dut = build_circuit("mul8-array");
+  const OperatingTriad ref{1.0, 1.0, 0.0};
+  const double cp_ps = critical_path_ns(dut.netlist, ref) * 1e3;
+  std::vector<double> thr;
+  for (int j = 0; j < 12; ++j) thr.push_back(cp_ps * (0.15 + 0.08 * j));
+  thr.push_back(thr.back());
+  TimingSimConfig cfg;
+  cfg.engine = EngineKind::kLevelized;
+  cfg.variation_sigma = 0.03;
+  const std::size_t npis = dut.netlist.primary_inputs().size();
+  const std::size_t npo = dut.netlist.primary_outputs().size();
+  constexpr std::size_t kOps = 150;
+  Rng rng(19);
+  std::vector<std::uint8_t> inputs(kOps * npis);
+  for (auto& v : inputs) v = static_cast<std::uint8_t>(rng.bits(1));
+
+  std::vector<std::vector<StepResult>> per_thr;
+  for (const double t : thr) {
+    std::vector<StepResult> got(kOps);
+    LevelizedSimulator(dut.netlist, lib(), {t * 1e-3, 1.0, 0.0}, cfg)
+        .step_batch(inputs, kOps, got);
+    per_thr.push_back(std::move(got));
+  }
+  LevelizedSimulator sweep(dut.netlist, lib(), ref, cfg);
+  std::size_t late = 0;  // (threshold, pattern) pairs sampled wrong
+  for (std::size_t c = 0; c < kOps; c += 64) {
+    const std::size_t n = std::min<std::size_t>(64, kOps - c);
+    const LevelizedSimulator::SweepWord w = sweep.step_batch_sweep(
+        std::span(inputs).subspan(c * npis, n * npis), n, thr);
+    ASSERT_EQ(w.lanes, n);
+    for (std::size_t j = 0; j < thr.size(); ++j)
+      for (std::size_t k = 0; k < n; ++k) {
+        const StepResult& r = per_thr[j][c + k];
+        std::uint64_t sampled = 0, settled = 0;
+        for (std::size_t p = 0; p < npo; ++p) {
+          sampled |= std::uint64_t{lanes::lane_bit(w.sampled(p, j), k)} << p;
+          settled |= std::uint64_t{lanes::lane_bit(w.settled(p), k)} << p;
+        }
+        const std::string tag = "threshold " + std::to_string(j) +
+                                " pattern " + std::to_string(c + k);
+        late += sampled != settled;
+        EXPECT_EQ(sampled, r.sampled_outputs) << tag;
+        EXPECT_EQ(settled, r.settled_outputs) << tag;
+        EXPECT_EQ(w.settle_ps[k], r.settle_time_ps) << tag;
+        EXPECT_NEAR(w.window_energy_fj(j)[k], r.window_energy_fj,
+                    1e-12 * (1.0 + r.window_energy_fj))
+            << tag;
+      }
+    for (std::size_t p = 0; p < npo; ++p) {
+      EXPECT_EQ(w.settled(p) & ~lanes::mask(n), 0u);
+      for (std::size_t j = 0; j < thr.size(); ++j)
+        EXPECT_EQ(w.sampled(p, j) & ~lanes::mask(n), 0u);
+    }
+  }
+  // The set spans error-free and mostly wrong thresholds.
+  EXPECT_GT(late, kOps);
+  EXPECT_LT(late, kOps * (thr.size() - 2));
 }
 
 // Deep over-scaling: when every path misses the clock, each operation
