@@ -2,9 +2,11 @@
 // simulator, fidelity, determinism and serialization.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <sstream>
 
 #include "src/model/evaluation.hpp"
+#include "src/model/segmented_model.hpp"
 #include "src/model/vos_model.hpp"
 #include "src/netlist/dut.hpp"
 #include "src/sim/vos_dut.hpp"
@@ -82,6 +84,92 @@ TEST(VosModel, BatchedOracleTrainsTheScalarTable) {
         train_carry_table(16, sampled_batch_oracle(batch_sim), cfg);
     EXPECT_FALSE(want.is_identity()) << engine_kind_name(engine);
     EXPECT_TRUE(got == want) << engine_kind_name(engine);
+  }
+}
+
+/// FNV-1a over 64-bit words, doubles by their bit patterns.
+struct ModelDigest {
+  std::uint64_t h = 1469598103934665603ULL;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  }
+  void add(const CarryChainProbTable& t) {
+    for (int l = 0; l <= t.width(); ++l)
+      for (int k = 0; k <= t.width(); ++k)
+        add(std::bit_cast<std::uint64_t>(t.prob(k, l)));
+  }
+  /// 10,000 adds of a fixed operand stream with a fixed model Rng.
+  template <class Model>
+  void add_outputs(const Model& model) {
+    Rng operands(11);
+    Rng rng(13);
+    for (int i = 0; i < 10000; ++i) {
+      const std::uint64_t a = operands.bits(model.width());
+      const std::uint64_t b = operands.bits(model.width());
+      add(model.add(a, b, rng));
+    }
+  }
+};
+
+// Golden digests of trained models: every probability of every table,
+// then 10,000 add outputs. Each 16-bit adder sits at one deep triad
+// where roughly a third of its operations err (the prefix adders fail
+// every operation at the ripple adder's 0.7 CP / 0.7 V); 4,000 training
+// patterns from the event engine, trained with one carry window and
+// with three equal segments. A change to the trainer, the table or
+// windowed addition must leave every bit unchanged; a deliberate
+// behaviour change re-records the constants.
+TEST(VosModel, TrainedModelsMatchGoldenDigests) {
+  struct Case {
+    const char* name;
+    AdderNetlist (*build)(int);
+    double tclk_cp;  ///< clock period as a fraction of the critical path
+    double vdd_v;
+    std::uint64_t one_segment;
+    std::uint64_t three_segments;
+  };
+  const Case cases[] = {
+      {"rca16", [](int w) { return build_rca(w); }, 0.7, 0.7,
+       0x9c6565c9748f6c5bULL, 0xc7e19da45ba5db05ULL},
+      {"bka16", build_brent_kung, 0.8, 0.9, 0xc0ea9e2bf952ac6cULL,
+       0xdf02ae0f744368b0ULL},
+      {"ksa16", build_kogge_stone, 0.9, 1.0, 0x99907fb39d000dadULL,
+       0x2a36234ea2d87ddcULL},
+  };
+  for (const Case& c : cases) {
+    const DutNetlist dut = to_dut(c.build(16));
+    const double cp =
+        analyze_timing(dut.netlist, lib(), {1, 1.0, 0.0}).critical_path_ps *
+        1e-3;
+    const OperatingTriad deep{c.tclk_cp * cp, c.vdd_v, 0.0};
+    TrainerConfig cfg;
+    cfg.num_patterns = 4000;
+
+    VosDutSim one_sim(dut, lib(), deep);
+    const HardwareOracle one_oracle = [&](std::uint64_t a, std::uint64_t b) {
+      return one_sim.apply(a, b).sampled;
+    };
+    const VosAdderModel one = train_vos_model(16, deep, one_oracle, cfg);
+    ASSERT_FALSE(one.is_exact()) << c.name;
+    ModelDigest d1;
+    d1.add(one.table());
+    d1.add_outputs(one);
+    EXPECT_EQ(d1.h, c.one_segment) << c.name << " 1 segment";
+
+    VosDutSim three_sim(dut, lib(), deep);
+    const HardwareOracle three_oracle = [&](std::uint64_t a,
+                                            std::uint64_t b) {
+      return three_sim.apply(a, b).sampled;
+    };
+    const SegmentedVosModel three =
+        train_segmented_model(16, deep, three_oracle, 3, cfg);
+    ModelDigest d3;
+    for (int s = 0; s < three.num_segments(); ++s) d3.add(three.table(s));
+    d3.add_outputs(three);
+    EXPECT_EQ(d3.h, c.three_segments) << c.name << " 3 segments";
   }
 }
 
