@@ -9,7 +9,7 @@
 
 #include "bench/bench_common.hpp"
 #include "src/characterize/metrics.hpp"
-#include "src/model/segmented_model.hpp"
+#include "src/model/evaluation.hpp"
 #include "src/model/vos_model.hpp"
 #include "src/sim/vos_dut.hpp"
 #include "src/util/parallel.hpp"
@@ -38,45 +38,30 @@ int main() {
       const OperatingTriad& triad = b.triads[ti];
       TrainerConfig cfg;
       cfg.num_patterns = budget;
+      FidelityConfig fcfg;
+      fcfg.num_patterns = budget;
+      fcfg.pattern_seed = 1729;
+      fcfg.model_rng_seed = 9;
 
-      VosDutSim train_base(b.dut, lib, triad);
-      const HardwareOracle obase = [&](std::uint64_t x, std::uint64_t y) {
-        return train_base.apply(x, y).sampled;
+      // Each model trains and is scored against its own fresh
+      // simulators, so both see the same stimuli from the same state.
+      auto fidelity = [&](int num_segments) {
+        VosDutSim train(b.dut, lib, triad);
+        const VosAdderModel model = train_vos_model(
+            b.width, triad, sampled_batch_oracle(train), num_segments, cfg);
+        VosDutSim eval(b.dut, lib, triad);
+        const HardwareOracle oracle = [&](std::uint64_t x, std::uint64_t y) {
+          return eval.apply(x, y).sampled;
+        };
+        return evaluate_fidelity(model, oracle, fcfg);
       };
-      const VosAdderModel base =
-          train_vos_model(b.width, triad, obase, cfg);
-
-      VosDutSim train_seg(b.dut, lib, triad);
-      const HardwareOracle oseg = [&](std::uint64_t x, std::uint64_t y) {
-        return train_seg.apply(x, y).sampled;
-      };
-      const SegmentedVosModel seg =
-          train_segmented_model(b.width, triad, oseg, segments, cfg);
-
-      VosDutSim eval_base(b.dut, lib, triad);
-      VosDutSim eval_seg(b.dut, lib, triad);
-      PatternStream pat_base(PatternPolicy::kCarryBalanced, b.width, 1729);
-      PatternStream pat_seg(PatternPolicy::kCarryBalanced, b.width, 1729);
-      Rng rng_base(9);
-      Rng rng_seg(9);
-      ErrorAccumulator acc_base(b.width + 1);
-      ErrorAccumulator acc_seg(b.width + 1);
-      bool oracle_errs = false;
-      for (std::size_t i = 0; i < budget; ++i) {
-        const OperandPair pb = pat_base.next();
-        const std::uint64_t hwb = eval_base.apply(pb.a, pb.b).sampled;
-        oracle_errs |= hwb != pb.a + pb.b;
-        acc_base.add(hwb, base.add(pb.a, pb.b, rng_base));
-        const OperandPair ps = pat_seg.next();
-        acc_seg.add(eval_seg.apply(ps.a, ps.b).sampled,
-                    seg.add(ps.a, ps.b, rng_seg));
-      }
-      if (!oracle_errs) return;
+      const FidelityResult base = fidelity(1);
+      const FidelityResult seg = fidelity(segments);
+      if (base.oracle_ber == 0.0) return;
       informative[ti] = 1;
-      rows[ti] = {std::min(acc_base.snr_db(), snr_display_cap_db),
-                  std::min(acc_seg.snr_db(), snr_display_cap_db),
-                  acc_base.normalized_hamming(),
-                  acc_seg.normalized_hamming()};
+      rows[ti] = {std::min(base.snr_db, snr_display_cap_db),
+                  std::min(seg.snr_db, snr_display_cap_db),
+                  base.normalized_hamming, seg.normalized_hamming};
     });
 
     RunningStats base_snr;

@@ -33,7 +33,8 @@ int main() {
   };
   TrainerConfig cfg;
   cfg.num_patterns = pattern_budget();
-  const CarryChainProbTable table = train_carry_table(4, oracle, cfg);
+  const CarryChainProbTable table =
+      train_vos_model(4, triad, oracle, cfg).table();
 
   const TextTable t = table.to_table(3);
   t.print(std::cout);

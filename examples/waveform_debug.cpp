@@ -22,12 +22,12 @@ int main() {
   std::cout << "wrote rca8.v (" << adder.netlist.num_gates()
             << " cell instances)\n";
 
-  // 2. One worst-case operation at a VOS triad, with a VcdObserver
+  // 2. One worst-case operation at a VOS triad, with a TraceRecorder
   //    attached: 0x00+0x00 -> 0xFF+0x01 excites the full carry ripple.
   const OperatingTriad triad{rep.critical_path_ns, 0.7, 0.0};
   TimingSimulator sim(adder.netlist, lib, triad);
-  VcdObserver vcd;
-  sim.attach_observer(&vcd);
+  TraceRecorder rec;
+  sim.attach_observer(&rec);
   std::vector<std::uint8_t> zeros(adder.netlist.primary_inputs().size(), 0);
   sim.settle(zeros);
   std::vector<std::uint8_t> stim(adder.netlist.primary_inputs().size(), 0);
@@ -37,7 +37,8 @@ int main() {
 
   {
     std::ofstream f("rca8_vos.vcd");
-    vcd.write(f);
+    write_vcd(adder.netlist, triad.tclk_ns * 1e3, rec.initial_values(),
+              rec.trace(), f);
   }
   const std::uint64_t sampled = pack_word(sim.sampled_values(), adder.sum);
   std::cout << "wrote rca8_vos.vcd: " << r.toggles_total

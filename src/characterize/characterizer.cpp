@@ -508,8 +508,7 @@ std::vector<TriadResult> characterize_dut(
 
   // Provenance needs observer dispatch, which the multi-threshold
   // sweep pass does not do — route those sweeps to the per-triad loop.
-  if (config.engine == EngineKind::kLevelized && config.streaming_state &&
-      !config.provenance)
+  if (config.engine == EngineKind::kLevelized && !config.provenance)
     return characterize_levelized_sweep(dut, lib, triads, config, pats);
 
   std::vector<TriadResult> results(triads.size());
@@ -539,18 +538,14 @@ std::vector<TriadResult> characterize_dut(
         // Establish a settled initial state from the first pattern.
         sim.reset({pats.data(), nops});
 
-        const std::size_t batch = config.streaming_state ? kBatch : 1;
-        std::vector<VosOpResult> r_buf(batch);
+        std::vector<VosOpResult> r_buf(kBatch);
 
         std::size_t done = 0;
         while (done < config.num_patterns) {
           const std::size_t n =
-              std::min(batch, config.num_patterns - done);
+              std::min(kBatch, config.num_patterns - done);
           const std::span<const std::uint64_t> ops_flat{
               pats.data() + (1 + done) * nops, n * nops};
-          // Non-streaming: op i starts from the settled pattern i - 1.
-          if (!config.streaming_state)
-            sim.reset({pats.data() + done * nops, nops});
           sim.apply_batch(ops_flat, n, {r_buf.data(), n});
           for (std::size_t i = 0; i < n; ++i) {
             const VosOpResult& r = r_buf[i];
@@ -609,12 +604,10 @@ std::vector<TriadResult> characterize_seq_dut(
       generate_patterns(config, seq.operand_widths(), config.num_patterns);
 
   // Levelized grids ride the normalized fast path (one die, sliding
-  // capture threshold); streaming_state = false forces the per-triad
-  // reference loop below — the fast path's conformance baseline.
-  // Provenance also forces the per-triad loop: the normalized replay
-  // retargets one shared pipeline and never dispatches observers.
-  if (config.engine == EngineKind::kLevelized && config.streaming_state &&
-      !config.provenance)
+  // capture threshold). Provenance forces the per-triad loop below: the
+  // normalized replay retargets one shared pipeline and never
+  // dispatches observers.
+  if (config.engine == EngineKind::kLevelized && !config.provenance)
     return characterize_seq_levelized_norm(seq, lib, triads, config,
                                            pats);
 

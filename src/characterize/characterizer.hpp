@@ -35,10 +35,6 @@ struct CharacterizeConfig {
   double variation_sigma = 0.03;     ///< per-gate process variation
   std::uint64_t variation_seed = 7;  ///< "one die" across all triads
   unsigned threads = 0;              ///< 0 = hardware default
-  /// Keep circuit state between operations (pipeline semantics). When
-  /// false every operation starts from the settled previous pattern:
-  /// op i is measured as the transition p[i-1] -> p[i] from a reset.
-  bool streaming_state = true;
   /// Simulation backend: the event-driven reference (default) or the
   /// bit-parallel levelized engine (same stimuli, ~10x+ faster sweeps;
   /// see DESIGN.md §7 for where the two diverge).
@@ -124,8 +120,7 @@ struct SeqDut;
 /// corrupt later cycles are charged to the pattern that suffered them.
 /// Per-op energy is per *cycle*: stage window dynamic + stage leakage +
 /// register clock/latch energy. config.golden is ignored (the reference
-/// is always the pipeline's own settled composition);
-/// config.streaming_state is inherent (registers carry state).
+/// is always the pipeline's own settled composition).
 /// Results are bit-identical at every config.threads: the levelized
 /// fast path splits its reference run into warm-started segments only
 /// where that provably reproduces the serial run, and no segment or

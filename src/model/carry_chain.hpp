@@ -7,9 +7,16 @@
 #define VOSIM_MODEL_CARRY_CHAIN_HPP
 
 #include <cstdint>
-#include <vector>
 
 namespace vosim {
+
+/// Longest distance a carry travels into output bits [lo, hi) of a+b
+/// (0 when no carry reaches them); hi may be width+1 to include the
+/// carry-out. The whole word [0, width+1) gives Cth_max, one segment's
+/// bits that segment's Cth (windowed_add.hpp), and [i, i+1) the
+/// distance the carry entering bit i has travelled.
+int max_carry_chain(std::uint64_t a, std::uint64_t b, int width, int lo,
+                    int hi);
 
 /// Theoretical maximal carry chain Cth_max of the addition a+b on `width`
 /// bits: the largest number of positions any single carry travels. A
@@ -17,12 +24,10 @@ namespace vosim {
 /// the run of propagate positions (a^b) above it and dies one past the
 /// run, so its length is 1 + run(p, j+1), capped by the carry-out stage.
 /// Range: 0 (no carry at all) .. width (carry crosses into cout).
-int theoretical_max_carry_chain(std::uint64_t a, std::uint64_t b, int width);
-
-/// Distance the carry entering bit position i has travelled (0 when no
-/// carry enters bit i). Exposed for tests and bit-level analyses.
-std::vector<int> carry_travel_distances(std::uint64_t a, std::uint64_t b,
-                                        int width);
+inline int theoretical_max_carry_chain(std::uint64_t a, std::uint64_t b,
+                                       int width) {
+  return max_carry_chain(a, b, width, 0, width + 1);
+}
 
 }  // namespace vosim
 

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "src/characterize/patterns.hpp"
 #include "src/model/distance.hpp"
@@ -29,7 +30,7 @@ using BatchHardwareOracle =
                        std::span<const std::uint64_t> b,
                        std::span<std::uint64_t> observed)>;
 
-/// Longest batch train_carry_table hands a BatchHardwareOracle: one
+/// Longest batch train_carry_tables hands a BatchHardwareOracle: one
 /// levelized lane word, which already fills every lane of a packed pass
 /// while keeping the oracle's per-call buffers (one set per training
 /// thread) to a few KB.
@@ -43,22 +44,23 @@ struct TrainerConfig {
   std::uint64_t pattern_seed = 42;
 };
 
-/// Runs Algorithm 1 and returns the normalized probability table. The
-/// training stream never depends on the observed outputs, so it is
-/// handed to the oracle in batches of at most kTrainBatch patterns.
-CarryChainProbTable train_carry_table(int width,
-                                      const BatchHardwareOracle& oracle,
-                                      const TrainerConfig& config = {});
-/// Same table from a one-pair oracle (called once per pattern, in
-/// stream order).
-CarryChainProbTable train_carry_table(int width, const HardwareOracle& oracle,
-                                      const TrainerConfig& config = {});
+/// Runs Algorithm 1 once per segment of `bounds` (windowed_add.hpp) and
+/// returns one normalized probability table per segment: each pattern
+/// scores each segment's bits from that segment's own Cth, so one
+/// segment {0, width+1} gives the paper's table. The training stream
+/// never depends on the observed outputs, so it is handed to the oracle
+/// in batches of at most kTrainBatch patterns.
+std::vector<CarryChainProbTable> train_carry_tables(
+    int width, std::span<const int> bounds,
+    const BatchHardwareOracle& oracle, const TrainerConfig& config);
 
-/// Single-pair inner step of Algorithm 1 (exposed for tests): the
-/// smallest window whose modified addition minimizes the distance to the
-/// observed output.
+/// Single-pair inner step of Algorithm 1 over output bits [lo, hi)
+/// (exposed for tests): the smallest window, from the Cth of those bits
+/// down to 0, whose modified addition minimizes the distance to the
+/// observed output on those bits. [0, width+1) is the whole word.
 int best_window(std::uint64_t a, std::uint64_t b, int width,
-                std::uint64_t observed, DistanceMetric metric);
+                std::uint64_t observed, DistanceMetric metric, int lo,
+                int hi);
 
 }  // namespace vosim
 

@@ -23,21 +23,35 @@ namespace vosim {
 ///
 /// add(): extract Cth_max of the operands, sample the achieved chain
 /// Cmax from the trained table, and return the window-limited sum
-/// (the three inference steps of Section IV).
+/// (the three inference steps of Section IV). Segments (windowed_add.hpp)
+/// each get a table conditioned on the longest carry into their bits,
+/// sampled in segment order: the per-region extension for prefix adders,
+/// whose output regions fail at different depths. One segment, bits
+/// [0, width+1), is the paper's model.
 class VosAdderModel {
  public:
+  /// The paper's one-segment model.
   VosAdderModel(int width, OperatingTriad triad, DistanceMetric metric,
                 CarryChainProbTable table);
+  /// One table per segment of `bounds`.
+  VosAdderModel(int width, OperatingTriad triad, DistanceMetric metric,
+                std::vector<int> bounds,
+                std::vector<CarryChainProbTable> tables);
 
   std::uint64_t add(std::uint64_t a, std::uint64_t b, Rng& rng) const;
 
   int width() const noexcept { return width_; }
   const OperatingTriad& triad() const noexcept { return triad_; }
   DistanceMetric metric() const noexcept { return metric_; }
-  const CarryChainProbTable& table() const noexcept { return table_; }
+  int num_segments() const noexcept { return static_cast<int>(tables_.size()); }
+  const std::vector<int>& bounds() const noexcept { return bounds_; }
+  const CarryChainProbTable& table(int segment = 0) const;
   /// True when the model degenerates to an exact adder.
-  bool is_exact() const { return table_.is_identity(); }
+  bool is_exact() const;
 
+  /// Plain text: a `vos_adder_model v1` header line and the table; more
+  /// segments write `v2`, the bounds ending the header line, and one
+  /// table per segment.
   void save(std::ostream& os) const;
   static VosAdderModel load(std::istream& is);
 
@@ -45,10 +59,20 @@ class VosAdderModel {
   int width_;
   OperatingTriad triad_;
   DistanceMetric metric_;
-  CarryChainProbTable table_;
+  std::vector<int> bounds_;
+  std::vector<CarryChainProbTable> tables_;
 };
 
-/// Trains a model against a hardware oracle at one triad.
+/// Trains a model against a hardware oracle at one triad, with
+/// `num_segments` equal segments (equal_segments()).
+VosAdderModel train_vos_model(int width, const OperatingTriad& triad,
+                              const BatchHardwareOracle& oracle,
+                              int num_segments,
+                              const TrainerConfig& config = {});
+VosAdderModel train_vos_model(int width, const OperatingTriad& triad,
+                              const HardwareOracle& oracle, int num_segments,
+                              const TrainerConfig& config = {});
+/// The paper's one-segment model.
 VosAdderModel train_vos_model(int width, const OperatingTriad& triad,
                               const HardwareOracle& oracle,
                               const TrainerConfig& config = {});

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "src/obs/metrics.hpp"
-#include "src/sim/vcd.hpp"
 #include "src/util/contracts.hpp"
 
 namespace vosim {
@@ -20,28 +19,6 @@ void TraceRecorder::on_step_begin(const SimEngine&,
 
 void TraceRecorder::on_transition(const SimEngine&, const TraceEvent& ev) {
   trace_.push_back(ev);
-}
-
-// -------------------------------------------------------- VcdObserver
-
-void VcdObserver::on_step_begin(const SimEngine& engine,
-                                std::span<const std::uint8_t> initial) {
-  engine_ = &engine;
-  trace_.clear();
-  initial_.assign(initial.begin(), initial.end());
-}
-
-void VcdObserver::on_transition(const SimEngine&, const TraceEvent& ev) {
-  trace_.push_back(ev);
-}
-
-void VcdObserver::write(std::ostream& os) const {
-  if (engine_ == nullptr)
-    throw ContractViolation(
-        "VcdObserver::write: no step observed yet (attach the observer "
-        "to an event engine and run step() first)");
-  write_vcd(engine_->netlist(), engine_->triad().tclk_ns * 1e3, initial_,
-            trace_, os);
 }
 
 // -------------------------------------------------- ProvenanceSummary

@@ -1,10 +1,11 @@
 // Simulation introspection: the SimObserver callback interface both
 // SimEngine backends dispatch into, plus the bundled observers —
 // TraceRecorder (per-step transition capture, the replacement for the
-// old TimingSimulator::take_trace() plumbing), VcdObserver (single-step
-// waveform export) and ErrorProvenance (per-net culprit attribution of
-// erroneous output bits, per-bit-position BER from attribution, and
-// slack-consumption statistics). DESIGN.md §13.
+// old TimingSimulator::take_trace() plumbing; write_vcd in
+// src/sim/vcd.hpp turns one step into a waveform) and ErrorProvenance
+// (per-net culprit attribution of erroneous output bits,
+// per-bit-position BER from attribution, and slack-consumption
+// statistics). DESIGN.md §13.
 //
 // Observers are borrowed raw pointers attached with
 // SimEngine::attach_observer(); with none attached the engines pay
@@ -142,26 +143,6 @@ class TraceRecorder final : public SimObserver {
   }
 
  private:
-  std::vector<TraceEvent> trace_;
-  std::vector<std::uint8_t> initial_;
-};
-
-/// Bundled observer: captures one step's trace and writes it as a VCD
-/// waveform (all nets declared, baseline at #0, every transition at
-/// 1 ps resolution, a clk_sample marker at Tclk). The replacement for
-/// the old write_vcd(TimingSimulator&) entry point. Event engine only.
-class VcdObserver final : public SimObserver {
- public:
-  void on_step_begin(const SimEngine& engine,
-                     std::span<const std::uint8_t> initial) override;
-  void on_transition(const SimEngine& engine, const TraceEvent& ev) override;
-
-  /// Writes the last observed step as a VCD dump. Throws
-  /// ContractViolation when no step has been observed yet.
-  void write(std::ostream& os) const;
-
- private:
-  const SimEngine* engine_ = nullptr;
   std::vector<TraceEvent> trace_;
   std::vector<std::uint8_t> initial_;
 };

@@ -84,9 +84,9 @@ class TimingSimulator final : public SimEngine {
   /// Assigned delay of a gate (after variation), ps.
   double gate_delay(GateId gid) const { return gate_delay_ps_.at(gid); }
 
-  // Transition traces: attach a TraceRecorder or VcdObserver
-  // (src/obs/probe.hpp) — the engine emits every committed transition
-  // through SimObserver::on_transition and the step baseline through
+  // Transition traces: attach a TraceRecorder (src/obs/probe.hpp) —
+  // the engine emits every committed transition through
+  // SimObserver::on_transition and the step baseline through
   // on_step_begin; the old in-engine record_trace/take_trace plumbing
   // is gone.
 

@@ -66,8 +66,8 @@ struct TimingSimConfig {
   /// TraceRecorder observers for waveform export (src/sim/vcd.hpp,
   /// src/seq/seq_vcd.hpp). Off by default: tracing allocates per
   /// event. Event engine only. For a bare engine, attach a
-  /// TraceRecorder or VcdObserver (src/obs/probe.hpp) yourself — the
-  /// engines themselves no longer record ad-hoc traces.
+  /// TraceRecorder (src/obs/probe.hpp) yourself — the engines
+  /// themselves no longer record ad-hoc traces.
   bool record_trace = false;
   /// Backend built by make_engine() and the engine-generic wrappers
   /// (VosDutSim, characterize_dut, SeqSim, ClosedLoopSeqUnit).

@@ -1,7 +1,6 @@
 // VCD (Value Change Dump) waveform export — for inspecting how timing
 // errors form in a waveform viewer (GTKWave etc.). Traces come from a
-// TraceRecorder / VcdObserver (src/obs/probe.hpp) attached to an event
-// engine.
+// TraceRecorder (src/obs/probe.hpp) attached to an event engine.
 //
 // write_vcd dumps one combinational step(); VcdWriter generalizes to
 // multi-cycle (pipelined) runs: several net scopes (one per pipeline

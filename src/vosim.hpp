@@ -8,7 +8,8 @@
 //   2. synthesize a report       (src/sta/synthesis_report.hpp)
 //   3. derive the triad sweep    (src/characterize/triads.hpp)
 //   4. characterize under VOS    (src/characterize/characterizer.hpp)
-//   5. train statistical models  (src/model/vos_model.hpp)
+//   5. train statistical models  (src/model/vos_model.hpp — one
+//                                 carry window, or one per segment)
 //   6. run applications on them  (src/apps/*.hpp)
 //   7. pipeline + close the loop (src/seq/*.hpp,
 //                                 src/runtime/closed_loop.hpp — adapt
@@ -40,7 +41,6 @@
 #include "src/model/energy_model.hpp"
 #include "src/model/evaluation.hpp"
 #include "src/model/prob_table.hpp"
-#include "src/model/segmented_model.hpp"
 #include "src/model/trainer.hpp"
 #include "src/model/vos_model.hpp"
 #include "src/model/windowed_add.hpp"

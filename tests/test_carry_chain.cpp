@@ -2,6 +2,9 @@
 // the relationship to real carries of the addition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/model/carry_chain.hpp"
 #include "src/util/bits.hpp"
 #include "src/util/contracts.hpp"
@@ -79,6 +82,16 @@ TEST(CarryChain, BoundsRespected) {
   }
   EXPECT_THROW(theoretical_max_carry_chain(0x10, 0, 4), ContractViolation);
   EXPECT_THROW(theoretical_max_carry_chain(0, 0, 0), ContractViolation);
+}
+
+/// Distance the carry entering each bit 0..width has travelled (0 when
+/// none enters): the longest chain into that one bit.
+std::vector<int> carry_travel_distances(std::uint64_t a, std::uint64_t b,
+                                        int width) {
+  std::vector<int> dist;
+  for (int i = 0; i <= width; ++i)
+    dist.push_back(max_carry_chain(a, b, width, i, i + 1));
+  return dist;
 }
 
 TEST(CarryTravelDistances, MatchRealCarries) {

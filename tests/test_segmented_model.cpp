@@ -1,13 +1,13 @@
-// Segmented statistical model tests: arithmetic of per-segment windows,
-// training behaviour, serialization and the fidelity gain on the
-// parallel-prefix adder it was designed for.
+// Segmented statistical model tests (VosAdderModel with more than one
+// segment): arithmetic of per-segment windows, training behaviour,
+// serialization and the fidelity gain on the parallel-prefix adder it
+// was designed for.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "src/characterize/metrics.hpp"
 #include "src/model/carry_chain.hpp"
-#include "src/model/segmented_model.hpp"
+#include "src/model/evaluation.hpp"
 #include "src/model/vos_model.hpp"
 #include "src/model/windowed_add.hpp"
 #include "src/netlist/dut.hpp"
@@ -31,14 +31,14 @@ TEST(SegmentedAdd, EqualSegmentsCoverWord) {
   EXPECT_THROW(equal_segments(8, 0), ContractViolation);
 }
 
-TEST(SegmentedAdd, SingleSegmentEqualsWindowedAdd) {
-  const std::vector<int> bounds = equal_segments(8, 1);
+TEST(SegmentedAdd, EqualWindowsEqualOneWindow) {
+  const std::vector<int> bounds = equal_segments(8, 3);
   Rng rng(1);
   for (int t = 0; t < 3000; ++t) {
     const std::uint64_t a = rng.bits(8);
     const std::uint64_t b = rng.bits(8);
     for (int c = 0; c <= 8; ++c)
-      ASSERT_EQ(segmented_windowed_add(a, b, 8, bounds, {c}),
+      ASSERT_EQ(windowed_add(a, b, 8, bounds, std::vector<int>{c, c, c}),
                 windowed_add(a, b, 8, c))
           << a << "+" << b << " C=" << c;
   }
@@ -51,7 +51,7 @@ TEST(SegmentedAdd, FullWindowsAreExact) {
     const std::uint64_t a = rng.bits(16);
     const std::uint64_t b = rng.bits(16);
     ASSERT_EQ(
-        segmented_windowed_add(a, b, 16, bounds, {16, 16, 16, 16}),
+        windowed_add(a, b, 16, bounds, std::vector<int>{16, 16, 16, 16}),
         a + b);
   }
 }
@@ -62,13 +62,13 @@ TEST(SegmentedAdd, WindowsActPerSegment) {
   const std::vector<int> bounds{0, 4, 9};
   const std::uint64_t exact = 0x100;
   const std::uint64_t got =
-      segmented_windowed_add(0xFF, 0x01, 8, bounds, {8, 0});
+      windowed_add(0xFF, 0x01, 8, bounds, std::vector<int>{8, 0});
   // Lower segment (bits 0..3) matches the exact sum; upper differs.
   EXPECT_EQ(got & mask_n(4), exact & mask_n(4));
   EXPECT_NE(got >> 4, exact >> 4);
   // And the mirror case: upper window full, lower truncated.
   const std::uint64_t got2 =
-      segmented_windowed_add(0xFF, 0x01, 8, bounds, {0, 8});
+      windowed_add(0xFF, 0x01, 8, bounds, std::vector<int>{0, 8});
   EXPECT_NE(got2 & mask_n(4), exact & mask_n(4));
   EXPECT_EQ(got2 >> 4, exact >> 4);
 }
@@ -84,28 +84,27 @@ TEST(SegmentedAdd, MatchesBruteForcePerBitRule) {
     const std::vector<int> windows{static_cast<int>(rng.below(9)),
                                    static_cast<int>(rng.below(9)),
                                    static_cast<int>(rng.below(9))};
-    const auto dist = carry_travel_distances(a, b, 8);
     const std::uint64_t p = a ^ b;
     std::uint64_t expect = 0;
     for (int i = 0; i <= 8; ++i) {
       std::size_t seg = 0;
       while (i >= bounds[seg + 1]) ++seg;
-      const bool carry = dist[static_cast<std::size_t>(i)] > 0 &&
-                         dist[static_cast<std::size_t>(i)] <= windows[seg];
+      const int dist = max_carry_chain(a, b, 8, i, i + 1);
+      const bool carry = dist > 0 && dist <= windows[seg];
       const bool bit =
           (i == 8) ? carry : ((bit_of(p, i) != 0) != carry);
       if (bit) expect |= (1ULL << i);
     }
-    ASSERT_EQ(segmented_windowed_add(a, b, 8, bounds, windows), expect)
+    ASSERT_EQ(windowed_add(a, b, 8, bounds, windows), expect)
         << a << "+" << b;
   }
 }
 
-TEST(SegmentedModel, MaxChainIntoSegment) {
+TEST(SegmentedModel, MaxCarryChainIntoSegment) {
   // 0xFF+0x01: distances rise 1..8 across the bits.
-  EXPECT_EQ(max_chain_into_segment(0xFF, 0x01, 8, 0, 4), 3);
-  EXPECT_EQ(max_chain_into_segment(0xFF, 0x01, 8, 4, 9), 8);
-  EXPECT_EQ(max_chain_into_segment(0x00, 0x00, 8, 0, 9), 0);
+  EXPECT_EQ(max_carry_chain(0xFF, 0x01, 8, 0, 4), 3);
+  EXPECT_EQ(max_carry_chain(0xFF, 0x01, 8, 4, 9), 8);
+  EXPECT_EQ(max_carry_chain(0x00, 0x00, 8, 0, 9), 0);
 }
 
 TEST(SegmentedModel, TrainOnExactOracleIsExact) {
@@ -114,8 +113,10 @@ TEST(SegmentedModel, TrainOnExactOracleIsExact) {
   };
   TrainerConfig cfg;
   cfg.num_patterns = 3000;
-  const SegmentedVosModel model =
-      train_segmented_model(8, {1.0, 1.0, 0.0}, exact, 3, cfg);
+  const VosAdderModel model =
+      train_vos_model(8, {1.0, 1.0, 0.0}, exact, 3, cfg);
+  EXPECT_EQ(model.num_segments(), 3);
+  EXPECT_TRUE(model.is_exact());
   Rng rng(4);
   PatternStream patterns(PatternPolicy::kCarryBalanced, 8, 777);
   for (int t = 0; t < 3000; ++t) {
@@ -124,22 +125,30 @@ TEST(SegmentedModel, TrainOnExactOracleIsExact) {
   }
 }
 
+// A triad that is not a short decimal must survive save/load bit for
+// bit, so ModelLibrary::find() still matches after a reload.
 TEST(SegmentedModel, SaveLoadRoundTrip) {
   const HardwareOracle trunc = [](std::uint64_t a, std::uint64_t b) {
     return windowed_add(a, b, 8, 4);
   };
   TrainerConfig cfg;
   cfg.num_patterns = 1500;
-  const SegmentedVosModel model =
-      train_segmented_model(8, {0.3, 0.6, 0.0}, trunc, 2, cfg);
+  cfg.metric = DistanceMetric::kHamming;
+  const OperatingTriad triad{0.16419752386414999, 0.6, 0.0};
+  const VosAdderModel model = train_vos_model(8, triad, trunc, 2, cfg);
+  EXPECT_FALSE(model.is_exact());
   std::stringstream ss;
   model.save(ss);
-  const SegmentedVosModel back = SegmentedVosModel::load(ss);
+  const VosAdderModel back = VosAdderModel::load(ss);
   EXPECT_EQ(back.width(), 8);
   EXPECT_EQ(back.num_segments(), 2);
   EXPECT_EQ(back.bounds(), model.bounds());
   EXPECT_EQ(back.triad(), model.triad());
+  EXPECT_EQ(back.metric(), DistanceMetric::kHamming);
   for (int s = 0; s < 2; ++s) EXPECT_EQ(back.table(s), model.table(s));
+  std::stringstream again;
+  back.save(again);
+  EXPECT_EQ(again.str(), ss.str());
 }
 
 TEST(SegmentedModel, ImprovesBrentKungFidelity) {
@@ -150,53 +159,50 @@ TEST(SegmentedModel, ImprovesBrentKungFidelity) {
       analyze_timing(bka.netlist, lib(), {1, 1.0, 0.0}).critical_path_ps *
       1e-3;
   const OperatingTriad triad{cp_ns, 0.68, 0.0};
-
-  auto oracle_for = [&](VosDutSim& sim) {
-    return [&sim](std::uint64_t a, std::uint64_t b) {
-      return sim.apply(a, b).sampled;
-    };
-  };
   TrainerConfig cfg;
   cfg.num_patterns = 8000;
+  FidelityConfig fcfg;
+  fcfg.num_patterns = 8000;
+  fcfg.model_rng_seed = 5;
 
-  VosDutSim train_base(bka, lib(), triad);
-  const VosAdderModel base =
-      train_vos_model(8, triad, oracle_for(train_base), cfg);
-  VosDutSim train_seg(bka, lib(), triad);
-  const SegmentedVosModel seg =
-      train_segmented_model(8, triad, oracle_for(train_seg), 3, cfg);
-
-  // Evaluate both on held-out patterns against fresh simulators.
-  VosDutSim eval_base(bka, lib(), triad);
-  VosDutSim eval_seg(bka, lib(), triad);
-  PatternStream pat_base(PatternPolicy::kCarryBalanced, 8, 1729);
-  PatternStream pat_seg(PatternPolicy::kCarryBalanced, 8, 1729);
-  Rng rng_base(5);
-  Rng rng_seg(5);
-  ErrorAccumulator acc_base(9);
-  ErrorAccumulator acc_seg(9);
-  for (int t = 0; t < 8000; ++t) {
-    const OperandPair pb = pat_base.next();
-    acc_base.add(eval_base.apply(pb.a, pb.b).sampled,
-                 base.add(pb.a, pb.b, rng_base));
-    const OperandPair ps = pat_seg.next();
-    acc_seg.add(eval_seg.apply(ps.a, ps.b).sampled,
-                seg.add(ps.a, ps.b, rng_seg));
-  }
+  // Train and evaluate each model on held-out patterns against fresh
+  // simulators.
+  auto fidelity = [&](int num_segments) {
+    VosDutSim train(bka, lib(), triad);
+    const VosAdderModel model = train_vos_model(
+        8, triad, sampled_batch_oracle(train), num_segments, cfg);
+    VosDutSim eval(bka, lib(), triad);
+    const HardwareOracle oracle = [&](std::uint64_t a, std::uint64_t b) {
+      return eval.apply(a, b).sampled;
+    };
+    return evaluate_fidelity(model, oracle, fcfg);
+  };
+  const FidelityResult base = fidelity(1);
+  const FidelityResult seg = fidelity(3);
   // Oracle must actually err for this comparison to mean anything.
-  ASSERT_GT(acc_base.ops(), 0u);
-  EXPECT_GT(acc_seg.snr_db(), acc_base.snr_db() - 0.5);
-  EXPECT_LT(acc_seg.normalized_hamming(),
-            acc_base.normalized_hamming() * 1.05);
+  ASSERT_GT(base.oracle_ber, 0.0);
+  EXPECT_GT(seg.snr_db, base.snr_db - 0.5);
+  EXPECT_LT(seg.normalized_hamming, base.normalized_hamming * 1.05);
 }
 
 TEST(SegmentedModel, Validation) {
-  EXPECT_THROW(
-      SegmentedVosModel(8, {1, 1, 0}, {0, 5}, {}),  // no tables
-      ContractViolation);
-  EXPECT_THROW(segmented_windowed_add(0, 0, 8, {0, 4, 9}, {1}),
+  EXPECT_THROW(VosAdderModel(8, {1, 1, 0}, DistanceMetric::kMse, {0, 5},
+                             {}),  // no tables
                ContractViolation);
-  EXPECT_THROW(segmented_windowed_add(0, 0, 8, {1, 9}, {1}),
+  EXPECT_THROW(VosAdderModel(8, {1, 1, 0}, DistanceMetric::kMse, {0, 5},
+                             {CarryChainProbTable(8)}),  // bits 5..8 unowned
+               ContractViolation);
+  EXPECT_THROW(windowed_add(0, 0, 8, std::vector<int>{0, 4, 9},
+                            std::vector<int>{1}),
+               ContractViolation);
+  EXPECT_THROW(windowed_add(0, 0, 8, std::vector<int>{1, 9},
+                            std::vector<int>{1}),
+               ContractViolation);
+  EXPECT_THROW(train_vos_model(8, {1, 1, 0},
+                               [](std::uint64_t a, std::uint64_t b) {
+                                 return a + b;
+                               },
+                               10),  // more segments than output bits
                ContractViolation);
 }
 

@@ -792,8 +792,8 @@ TEST(SimEngine, SweepFastPathMatchesPerTriadLevelized) {
   }
 }
 
-// Non-streaming (reset-per-op) characterization works on both engines.
-TEST(SimEngine, NonStreamingCharacterizeBothEngines) {
+// A relaxed triad characterizes error-free on both engines.
+TEST(SimEngine, RelaxedCharacterizeBothEngines) {
   const DutNetlist rca = to_dut(build_rca(8));
   const double cp = critical_path_ns(rca.netlist, {1.0, 1.0, 0.0});
   const std::vector<OperatingTriad> relaxed{{2.0 * cp, 1.0, 0.0}};
@@ -801,7 +801,6 @@ TEST(SimEngine, NonStreamingCharacterizeBothEngines) {
        {EngineKind::kEvent, EngineKind::kLevelized}) {
     CharacterizeConfig cfg;
     cfg.num_patterns = 300;
-    cfg.streaming_state = false;
     cfg.engine = kind;
     const auto res = characterize_dut(rca, lib(), relaxed, cfg);
     EXPECT_EQ(res[0].ber, 0.0) << engine_kind_name(kind);
@@ -809,49 +808,47 @@ TEST(SimEngine, NonStreamingCharacterizeBothEngines) {
   }
 }
 
-// A non-streaming sweep measures op i as the transition from the
-// settled previous pattern p[i-1] to p[i]: exactly a hand loop of
-// reset(p[i-1]) + apply(p[i]) on one simulator, at an over-scaled
-// triad where the starting state decides which ops fail.
+// A combinational step always ends settled, so a streamed sweep already
+// measures op i as the transition from the settled previous pattern
+// p[i-1] to p[i]: exactly a hand loop of reset(p[i-1]) + apply(p[i])
+// on one simulator, at an over-scaled triad where the starting state
+// decides which ops fail.
 TEST(SimEngine, NonStreamingStartsFromPreviousPattern) {
   const DutNetlist rca = to_dut(build_rca(8));
   const double cp = critical_path_ns(rca.netlist, {1.0, 0.7, 0.0});
   const std::vector<OperatingTriad> deep{{0.6 * cp, 0.7, 0.0}};
-  for (const EngineKind kind :
-       {EngineKind::kEvent, EngineKind::kLevelized}) {
-    CharacterizeConfig cfg;
-    cfg.num_patterns = 400;
-    cfg.streaming_state = false;
-    cfg.engine = kind;
-    const TriadResult res = characterize_dut(rca, lib(), deep, cfg)[0];
+  CharacterizeConfig cfg;
+  cfg.num_patterns = 400;
+  ASSERT_EQ(cfg.engine, EngineKind::kEvent);
+  const TriadResult res = characterize_dut(rca, lib(), deep, cfg)[0];
 
-    const std::size_t nops = rca.num_operands();
-    std::vector<std::uint64_t> pats((cfg.num_patterns + 1) * nops);
-    DutPatternStream stream(cfg.policy, rca.operand_widths(),
-                            cfg.pattern_seed);
-    for (std::size_t p = 0; p <= cfg.num_patterns; ++p)
-      stream.next({pats.data() + p * nops, nops});
-    TimingSimConfig sim_cfg;
-    sim_cfg.variation_sigma = cfg.variation_sigma;
-    sim_cfg.variation_seed = cfg.variation_seed;
-    sim_cfg.engine = kind;
-    VosDutSim sim(rca, lib(), deep[0], sim_cfg);
-    ErrorAccumulator acc(sim.output_width());
-    double energy = 0.0;
-    for (std::size_t i = 1; i <= cfg.num_patterns; ++i) {
-      sim.reset({pats.data() + (i - 1) * nops, nops});
-      const VosOpResult r = sim.apply({pats.data() + i * nops, nops});
-      acc.add(r.settled, r.sampled);
-      energy += r.energy_fj;
-    }
-    ASSERT_GT(acc.op_error_rate(), 0.0) << engine_kind_name(kind);
-    EXPECT_EQ(res.ber, acc.ber()) << engine_kind_name(kind);
-    EXPECT_EQ(res.op_error_rate, acc.op_error_rate())
-        << engine_kind_name(kind);
-    EXPECT_EQ(res.energy_per_op_fj,
-              energy / static_cast<double>(cfg.num_patterns))
-        << engine_kind_name(kind);
+  const std::size_t nops = rca.num_operands();
+  std::vector<std::uint64_t> pats((cfg.num_patterns + 1) * nops);
+  DutPatternStream stream(cfg.policy, rca.operand_widths(),
+                          cfg.pattern_seed);
+  for (std::size_t p = 0; p <= cfg.num_patterns; ++p)
+    stream.next({pats.data() + p * nops, nops});
+  TimingSimConfig sim_cfg;
+  sim_cfg.variation_sigma = cfg.variation_sigma;
+  sim_cfg.variation_seed = cfg.variation_seed;
+  VosDutSim sim(rca, lib(), deep[0], sim_cfg);
+  ErrorAccumulator acc(sim.output_width());
+  double energy = 0.0;
+  double settle = 0.0;
+  for (std::size_t i = 1; i <= cfg.num_patterns; ++i) {
+    sim.reset({pats.data() + (i - 1) * nops, nops});
+    const VosOpResult r = sim.apply({pats.data() + i * nops, nops});
+    acc.add(r.settled, r.sampled);
+    energy += r.energy_fj;
+    settle += r.settle_time_ps;
   }
+  ASSERT_GT(acc.op_error_rate(), 0.0);
+  const auto n = static_cast<double>(cfg.num_patterns);
+  EXPECT_EQ(res.ber, acc.ber());
+  EXPECT_EQ(res.op_error_rate, acc.op_error_rate());
+  EXPECT_EQ(res.mse, acc.mse());
+  EXPECT_EQ(res.energy_per_op_fj, energy / n);
+  EXPECT_EQ(res.mean_settle_ps, settle / n);
 }
 
 // The levelized arrival model must reproduce STA: its per-net arrivals

@@ -4,11 +4,18 @@
 
 #include "src/model/carry_chain.hpp"
 #include "src/model/trainer.hpp"
+#include "src/model/vos_model.hpp"
 #include "src/model/windowed_add.hpp"
 #include "src/util/bits.hpp"
 
 namespace vosim {
 namespace {
+
+/// Algorithm 1's one-segment table for an 8-bit oracle.
+CarryChainProbTable train_table(const HardwareOracle& oracle,
+                                const TrainerConfig& cfg) {
+  return train_vos_model(8, {}, oracle, cfg).table();
+}
 
 TEST(BestWindow, ExactOutputPrefersSmallestConsistentWindow) {
   // Observed output equals the exact sum: every window >= Cth fits with
@@ -18,7 +25,7 @@ TEST(BestWindow, ExactOutputPrefersSmallestConsistentWindow) {
   const std::uint64_t a = 0xFF;
   const std::uint64_t b = 0x01;  // full 8-long chain, truncation visible
   const int c =
-      best_window(a, b, 8, a + b, DistanceMetric::kMse);
+      best_window(a, b, 8, a + b, DistanceMetric::kMse, 0, 9);
   EXPECT_EQ(c, theoretical_max_carry_chain(a, b, 8));
 }
 
@@ -30,7 +37,7 @@ TEST(BestWindow, TruncatedOutputRecoversWindow) {
     for (const DistanceMetric m :
          {DistanceMetric::kMse, DistanceMetric::kHamming,
           DistanceMetric::kWeightedHamming}) {
-      const int c = best_window(a, b, 8, observed, m);
+      const int c = best_window(a, b, 8, observed, m, 0, 9);
       // The recovered window must regenerate the observation.
       EXPECT_EQ(windowed_add(a, b, 8, c), observed)
           << "target " << target << " metric "
@@ -45,7 +52,7 @@ TEST(Trainer, ExactOracleGivesNearIdentityBehaviour) {
   const HardwareOracle exact = [](std::uint64_t a, std::uint64_t b) {
     return a + b;
   };
-  const CarryChainProbTable t = train_carry_table(8, exact, cfg);
+  const CarryChainProbTable t = train_table(exact, cfg);
   // The trained table must reproduce exact addition: for every column,
   // sampled windows always regenerate the exact sum. Sufficient check:
   // expected window may sit below l only where truncation is invisible,
@@ -71,7 +78,7 @@ TEST(Trainer, WindowedOracleConcentratesAtWindow) {
   };
   TrainerConfig cfg;
   cfg.num_patterns = 8000;
-  const CarryChainProbTable t = train_carry_table(8, oracle, cfg);
+  const CarryChainProbTable t = train_table(oracle, cfg);
   for (int l = cstar + 1; l <= 8; ++l) {
     // Mass at or below cstar (ties can pick smaller equivalent windows).
     double mass_le = 0.0;
@@ -96,7 +103,7 @@ TEST(Trainer, MetricsProduceValidTables) {
        {DistanceMetric::kMse, DistanceMetric::kHamming,
         DistanceMetric::kWeightedHamming}) {
     cfg.metric = m;
-    const CarryChainProbTable t = train_carry_table(8, noisy_oracle, cfg);
+    const CarryChainProbTable t = train_table(noisy_oracle, cfg);
     for (int l = 0; l <= 8; ++l) {
       double sum = 0.0;
       for (int k = 0; k <= 8; ++k) {
@@ -114,8 +121,8 @@ TEST(Trainer, DeterministicPerSeed) {
   };
   TrainerConfig cfg;
   cfg.num_patterns = 1500;
-  const CarryChainProbTable t1 = train_carry_table(8, oracle, cfg);
-  const CarryChainProbTable t2 = train_carry_table(8, oracle, cfg);
+  const CarryChainProbTable t1 = train_table(oracle, cfg);
+  const CarryChainProbTable t2 = train_table(oracle, cfg);
   EXPECT_EQ(t1, t2);
 }
 

@@ -30,14 +30,14 @@ int count_occurrences(const std::string& text, const std::string& needle) {
 TEST(Vcd, HeaderDeclaresEveryNet) {
   const AdderNetlist rca = build_rca(4);
   TimingSimulator sim(rca.netlist, lib(), {1.0, 1.0, 0.0});
-  VcdObserver obs;
-  sim.attach_observer(&obs);
+  TraceRecorder rec;
+  sim.attach_observer(&rec);
   std::vector<std::uint8_t> in(rca.netlist.primary_inputs().size(), 0);
   in[0] = 1;
   sim.step(in);
 
   std::ostringstream os;
-  obs.write(os);
+  write_vcd(rca.netlist, 1000.0, rec.initial_values(), rec.trace(), os);
   const std::string vcd = os.str();
   EXPECT_EQ(count_occurrences(vcd, "$var wire 1 "),
             static_cast<int>(rca.netlist.num_nets()) + 1);  // + clk marker
@@ -68,11 +68,14 @@ TEST(Vcd, TraceMatchesToggleCount) {
   }
 }
 
-TEST(Vcd, VcdObserverRequiresObservedStep) {
-  // A VcdObserver that never saw a step has no baseline to dump.
-  VcdObserver obs;
+TEST(Vcd, WriteVcdRequiresObservedStep) {
+  // A TraceRecorder that never saw a step has no baseline to dump.
+  const AdderNetlist rca = build_rca(4);
+  TraceRecorder rec;
   std::ostringstream os;
-  EXPECT_THROW(obs.write(os), ContractViolation);
+  EXPECT_THROW(write_vcd(rca.netlist, 1000.0, rec.initial_values(),
+                         rec.trace(), os),
+               ContractViolation);
 }
 
 TEST(Vcd, TakeTraceTransfersOwnership) {
