@@ -6,7 +6,6 @@
 // suite (DESIGN.md §7/§8).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "src/sta/synthesis_report.hpp"
 #include "src/tech/library.hpp"
 #include "src/util/bits.hpp"
+#include "tests/fnv_digest.hpp"
 
 namespace vosim {
 namespace {
@@ -249,44 +249,6 @@ TEST(DutEngines, GoldenOverrideMatchesSettledOnExactCircuit) {
   }
 }
 
-/// FNV-1a over every TriadResult field, doubles by their bit patterns.
-struct TriadDigest {
-  std::uint64_t h = 1469598103934665603ULL;
-  void add(std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xffu;
-      h *= 1099511628211ULL;
-    }
-  }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-  void add(const TriadResult& r) {
-    add(r.triad.tclk_ns);
-    add(r.triad.vdd_v);
-    add(r.triad.vbb_v);
-    add(r.ber);
-    add(static_cast<std::uint64_t>(r.bitwise_ber.size()));
-    for (const double p : r.bitwise_ber) add(p);
-    add(r.op_error_rate);
-    add(r.mse);
-    add(r.mred);
-    add(r.energy_per_op_fj);
-    add(r.dynamic_energy_fj);
-    add(r.leakage_energy_fj);
-    add(r.mean_settle_ps);
-    add(static_cast<std::uint64_t>(r.patterns));
-    const ProvenanceSummary& pv = r.provenance;
-    add(pv.ops);
-    add(pv.erroneous_ops);
-    add(pv.attributed_bits);
-    add(pv.lane_words);
-    add(static_cast<std::uint64_t>(pv.bitwise_ber.size()));
-    add(static_cast<std::uint64_t>(pv.culprits.size()));
-    add(pv.slack_p50_ps);
-    add(pv.slack_p95_ps);
-    add(pv.slack_max_ps);
-  }
-};
-
 // Golden digests of the levelized grid sweep (characterize_dut on the
 // multi-threshold pass): a change to the sweep's engine pass, its
 // scoring or its accumulator must leave every TriadResult bit
@@ -329,7 +291,7 @@ TEST(Characterize, LevelizedSweepMatchesGoldenDigests) {
     cfg.golden = want.golden;
     for (const unsigned threads : {1u, 4u}) {
       cfg.threads = threads;
-      TriadDigest d;
+      FnvDigest d;
       for (const TriadResult& r : characterize_dut(dut, lib(), triads, cfg))
         d.add(r);
       const std::uint64_t expect = threads == 1 ? want.threads1

@@ -22,6 +22,7 @@
 #include "src/tech/library.hpp"
 #include "src/util/bits.hpp"
 #include "src/util/rng.hpp"
+#include "tests/fnv_digest.hpp"
 
 namespace vosim {
 namespace {
@@ -359,6 +360,35 @@ TEST(CharacterizeSeq, NormalizedSweepBitIdenticalAcrossThreadCounts) {
             one, characterize_seq_dut(seq, lib(), *grid, cfg),
             std::string(spec) + name + " threads=" + std::to_string(threads));
       }
+    }
+  }
+}
+
+// Golden digests of the normalized pipeline sweep: every TriadResult
+// field of the full grid at 2,000 patterns on the three registry
+// pipelines. The sweep is bit-identical at every thread count, so one
+// digest per pipeline holds at 1 and 4 threads. A change to the
+// reference run, the saturation probe, the sparse replays or their
+// scheduling must leave every bit unchanged.
+TEST(CharacterizeSeq, NormalizedSweepMatchesGoldenDigests) {
+  const std::pair<const char*, std::uint64_t> golden[] = {
+      {"pipe2-mul8", 0x46de1a234f57b52fULL},
+      {"pipe3-mac4x8", 0xe4579dffc221cbceULL},
+      {"fir4-pipe", 0x8993427b57c33390ULL}};
+  for (const auto& [spec, want] : golden) {
+    const SeqDut seq = build_seq_circuit(spec);
+    CharacterizeConfig cfg;
+    cfg.num_patterns = 2000;
+    cfg.engine = EngineKind::kLevelized;
+    const std::vector<OperatingTriad> triads =
+        make_dut_triads(seq_critical_path_ns(seq, lib()));
+    for (const unsigned threads : {1u, 4u}) {
+      cfg.threads = threads;
+      FnvDigest d;
+      for (const TriadResult& r : characterize_seq_dut(seq, lib(), triads, cfg))
+        d.add(r);
+      EXPECT_EQ(d.h, want) << spec << " threads " << threads << ": 0x"
+                           << std::hex << d.h;
     }
   }
 }
