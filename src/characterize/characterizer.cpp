@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "src/obs/trace.hpp"
 #include "src/seq/seq_dut.hpp"
@@ -26,12 +29,15 @@ namespace {
 std::vector<std::uint64_t> generate_patterns(const CharacterizeConfig& config,
                                              std::vector<int> widths,
                                              std::size_t count) {
+  obs::ScopedSpan span("characterize.patterns", "characterize");
   const std::size_t nops = widths.size();
   std::vector<std::uint64_t> pats(count * nops);
   DutPatternStream stream(config.policy, std::move(widths),
                           config.pattern_seed);
   for (std::size_t p = 0; p < count; ++p)
     stream.next({pats.data() + p * nops, nops});
+  span.arg("patterns", static_cast<std::uint64_t>(count))
+      .arg("operands", static_cast<std::uint64_t>(nops));
   return pats;
 }
 
@@ -229,6 +235,77 @@ std::vector<TriadResult> characterize_levelized_sweep(
   return results;
 }
 
+/// Cycles per piece when the pipeline sweep splits a stream of
+/// `cycles` (its reference run and its replays): about kSeqPieces
+/// pieces of whole lane words, a function of the stream length alone.
+std::size_t seq_piece_cycles(std::size_t cycles) {
+  constexpr std::size_t kSeqPieces = 8;
+  constexpr std::size_t kWord = LevelizedSimulator::kLanes;
+  return std::max<std::size_t>(
+             1, (cycles + kSeqPieces * kWord - 1) / (kSeqPieces * kWord)) *
+         kWord;
+}
+
+/// Normalized pipelines shared by the tasks of one sweep: a task takes
+/// one (built on first demand) and puts it back, so a job of many short
+/// tasks builds about one per worker, not one per task. Every task
+/// resets or warm-starts what it takes.
+class SeqSimShelf {
+ public:
+  SeqSimShelf(const SeqDut& seq, const CellLibrary& lib,
+              const OperatingTriad& op, const TimingSimConfig& config)
+      : seq_(seq), lib_(lib), op_(op), config_(config) {}
+
+  std::unique_ptr<SeqSim> take() {
+    {
+      const std::lock_guard lk(m_);
+      if (!free_.empty()) {
+        std::unique_ptr<SeqSim> sim = std::move(free_.back());
+        free_.pop_back();
+        return sim;
+      }
+    }
+    return std::make_unique<SeqSim>(seq_, lib_, op_, config_);
+  }
+
+  void put(std::unique_ptr<SeqSim> sim) {
+    const std::lock_guard lk(m_);
+    free_.push_back(std::move(sim));
+  }
+
+ private:
+  const SeqDut& seq_;
+  const CellLibrary& lib_;
+  OperatingTriad op_;
+  TimingSimConfig config_;
+  std::mutex m_;
+  std::vector<std::unique_ptr<SeqSim>> free_;
+};
+
+/// Running sums of one triad's scored cycles, added in cycle order
+/// (piece after piece adds in the same order as one whole buffer).
+struct SeqTally {
+  ErrorAccumulator acc;
+  double dyn = 0.0;
+  double settle = 0.0;
+  double worst = 0.0;  ///< worst normalized settle time
+  std::size_t cycles = 0;
+
+  explicit SeqTally(int width) : acc(width) {}
+
+  /// const_fj: the normalized pipeline's per-cycle leakage + clock
+  /// energy at the triad's threshold.
+  void add(std::span<const SeqCycleResult> rs, double const_fj) {
+    for (const SeqCycleResult& r : rs) {
+      dyn += r.energy_fj - const_fj;
+      settle += r.max_settle_ps;
+      worst = std::max(worst, r.max_settle_ps);
+      if (r.output_valid) acc.add(r.expected, r.captured);
+    }
+    cycles += rs.size();
+  }
+};
+
 /// Sequential grid fast path for the levelized engine — the clocked
 /// analogue of characterize_levelized_sweep. Supply and body bias scale
 /// every gate delay by one common factor, so the whole Tclk/Vdd/Vbb
@@ -243,17 +320,19 @@ std::vector<TriadResult> characterize_levelized_sweep(
 /// truncates (by induction over cycles its trajectory IS the reference
 /// one), so its result is synthesized from the reference aggregates —
 /// BER exactly 0, dynamic energy and settle rescaled. The remaining
-/// (error-onset and beyond) triads replay longest-first, one pool task
-/// and one normalized pipeline each. A replay past the saturation
-/// probe is sparse (SeqSim::replay_sparse): it copies every cycle the
-/// edge at tau[t] does not cut from the reference run and steps only
-/// the dirty stretches, bit-identical to stepping every cycle. The
-/// reference run is split into warm-started segments, and replays copy
-/// from it, only when its threshold is cycle-safe (DESIGN.md §10);
-/// otherwise it runs serially and every replay steps its full budget.
-/// No segment, stretch or task boundary enters a sum, so results are
-/// bit-identical at every thread count. Error counts match the
-/// per-triad path up to
+/// (error-onset and beyond) triads first run their saturation probes,
+/// all of them as one pool job. When the reference threshold is
+/// cycle-safe (DESIGN.md §10) the reference run and every unsaturated
+/// replay are cut into pieces of seq_piece_cycles(): a reference piece
+/// warm-starts, a replay piece starts in sync with the reference run
+/// (SeqSim::replay_piece, sparse: it copies every cycle the edge at
+/// tau[t] does not cut and steps only the dirty stretches), and a
+/// triad's pieces are stitched in cycle order into its serial replay
+/// (SparseReplayStitch) and scored as they arrive. Otherwise the
+/// reference runs serially and an unsaturated replay resumes from its
+/// probe in the same task, stepping its full budget. Every sum walks
+/// the cycles in order, so results are bit-identical at every thread
+/// count. Error counts match the per-triad path up to
 /// delay-product rounding at the window boundary and energies to FP
 /// rescaling — the same caveats the combinational fast path carries.
 std::vector<TriadResult> characterize_seq_levelized_norm(
@@ -263,6 +342,7 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
     std::span<const std::uint64_t> pats) {
   const std::size_t nthr = triads.size();
   const std::size_t nops = seq.num_operands();
+  const int width = seq.output_width();
   const TransistorModel& tm = lib.transistor_model();
   const double scale_ref = tm.delay_scale(1.0, 0.0);
   const double setup_ns = lib.dff_setup_ps() * 1e-3;
@@ -294,12 +374,14 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
       config.variation_sigma, config.variation_seed, EngineKind::kLevelized);
   // Constructed above the largest threshold, then pinned exactly.
   const OperatingTriad norm{tau[ref_t] * 1e-3 + setup_ns, 1.0, 0.0};
+  SeqSimShelf shelf(seq, lib, norm, sim_cfg);
 
   std::vector<TriadResult> results(nthr);
   const std::size_t latency = seq.latency_cycles();
   const std::size_t cycles = config.num_patterns + latency - 1;
   std::vector<std::uint64_t> ops(cycles * nops, 0);
   std::copy(pats.begin(), pats.end(), ops.begin());
+  const std::size_t piece = seq_piece_cycles(cycles);
 
   // A saturated threshold is recognizable from its first probe word:
   // past the onset cliff the op-error rate is high enough that 62-odd
@@ -315,36 +397,19 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
     sim.retarget_capture_ps(tau[t]);
   };
 
-  // Scores the first n_cycles of rs into results[t] and returns the
-  // worst normalized settle time. Aggregates are in the ref time/energy
-  // base and rescaled into the triad's own units; const_fj is the
-  // normalized pipeline's per-cycle leakage + clock energy at tau[t].
-  const auto score = [&](std::span<const SeqCycleResult> rs,
-                         std::size_t n_cycles, std::size_t t,
-                         double const_fj) {
-    ErrorAccumulator acc(seq.output_width());
-    double dyn = 0.0;
-    double settle = 0.0;
-    double worst = 0.0;
-    for (std::size_t c = 0; c < n_cycles; ++c) {
-      const SeqCycleResult& r = rs[c];
-      dyn += r.energy_fj - const_fj;
-      settle += r.max_settle_ps;
-      worst = std::max(worst, r.max_settle_ps);
-      if (r.output_valid) acc.add(r.expected, r.captured);
-    }
-
+  // Writes triad t's result from its tally. Aggregates are in the ref
+  // time/energy base and rescaled into the triad's own units.
+  const auto finish = [&](const SeqTally& tally, std::size_t t) {
     TriadResult& res = results[t];
     res.triad = triads[t];
-    set_error_metrics(res, acc);
-    const auto n = static_cast<double>(n_cycles);
+    set_error_metrics(res, tally.acc);
+    const auto n = static_cast<double>(tally.cycles);
     res.energy_per_op_fj =
-        dyn * escale[t] / n + leak_fj[t] + clock_fj[t];
-    res.dynamic_energy_fj = dyn * escale[t] / n + clock_fj[t];
+        tally.dyn * escale[t] / n + leak_fj[t] + clock_fj[t];
+    res.dynamic_energy_fj = tally.dyn * escale[t] / n + clock_fj[t];
     res.leakage_energy_fj = leak_fj[t];
-    res.mean_settle_ps = settle * sscale[t] / n;
-    res.patterns = n_cycles - latency + 1;
-    return worst;
+    res.mean_settle_ps = tally.settle * sscale[t] / n;
+    res.patterns = tally.cycles - latency + 1;
   };
   const auto const_fj_of = [](const SeqSim& sim) {
     return sim.leakage_energy_fj_per_cycle() +
@@ -356,45 +421,48 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
   // synthesized triad and every sparse replay, so each stage's
   // per-cycle window energy is kept with it). At a cycle-safe
   // reference (SeqSim::cycle_safe: every commit of every stage lands
-  // before the edge) a segment that warm-starts latency cycles early
+  // before the edge) a piece that warm-starts latency cycles early
   // reaches the serial run's exact state, so the run splits into
-  // segments on the pool, each stepping its own cycles into shared
-  // buffers; they are scored once, in cycle order, whatever the
-  // segment count. Otherwise one segment runs the whole stream.
+  // pieces on the pool, each stepping its own cycles into shared
+  // buffers; they are scored once, in cycle order. Otherwise one piece
+  // runs the whole stream.
   const std::size_t stages = seq.num_stages();
   std::vector<SeqCycleResult> ref_rs(cycles);
   std::vector<double> ref_win(cycles * stages);
   double worst_norm = 0.0;
+  bool safe = false;
   {
     obs::ScopedSpan span("characterize.seq.reference", "characterize");
-    bool safe = false;
     double const_fj = 0.0;
     {
-      SeqSim sim(seq, lib, norm, sim_cfg);
-      start_at(sim, ref_t);
-      safe = sim.cycle_safe();
-      const_fj = const_fj_of(sim);
+      std::unique_ptr<SeqSim> sim = shelf.take();
+      start_at(*sim, ref_t);
+      safe = sim->cycle_safe();
+      const_fj = const_fj_of(*sim);
+      shelf.put(std::move(sim));
     }
-    // No segment boundary enters a result here, so a segment need only
-    // fill one lane word past its latency warm-up.
-    const std::size_t nseg =
-        safe ? segment_count(config, cycles, LevelizedSimulator::kLanes) : 1;
+    const std::size_t len = safe ? piece : cycles;
+    const std::size_t npieces = (cycles + len - 1) / len;
     shared_thread_pool().parallel(
-        nseg,
+        npieces,
         [&](std::size_t s) {
-          const std::size_t b = s * cycles / nseg;
-          const std::size_t e = (s + 1) * cycles / nseg;
-          SeqSim sim(seq, lib, norm, sim_cfg);
-          sim.retarget_capture_ps(tau[ref_t]);
-          sim.warm_start(ops, b);
-          sim.step_cycle_batch(
-              {ops.data() + b * nops, (e - b) * nops}, e - b,
-              std::span(ref_rs).subspan(b, e - b),
-              std::span(ref_win).subspan(b * stages, (e - b) * stages));
+          const std::size_t b = s * len;
+          const std::size_t n = std::min(len, cycles - b);
+          std::unique_ptr<SeqSim> sim = shelf.take();
+          sim->retarget_capture_ps(tau[ref_t]);
+          sim->warm_start(ops, b);
+          sim->step_cycle_batch(
+              {ops.data() + b * nops, n * nops}, n,
+              std::span(ref_rs).subspan(b, n),
+              std::span(ref_win).subspan(b * stages, n * stages));
+          shelf.put(std::move(sim));
         },
         config.threads);
-    worst_norm = score(ref_rs, cycles, ref_t, const_fj);
-    span.arg("segments", static_cast<std::uint64_t>(nseg))
+    SeqTally tally(width);
+    tally.add(ref_rs, const_fj);
+    finish(tally, ref_t);
+    worst_norm = tally.worst;
+    span.arg("pieces", static_cast<std::uint64_t>(npieces))
         .arg("cycles", static_cast<std::uint64_t>(cycles))
         .arg("cycle_safe", std::string(safe ? "true" : "false"));
   }
@@ -402,8 +470,7 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
 
   // Phase 2: classify. Provably truncation-free triads reuse the
   // reference trajectory's aggregates (their own run would retrace it
-  // commit for commit); the rest replay on the pool, one task and one
-  // normalized pipeline per triad.
+  // commit for commit); the rest are active.
   std::vector<std::size_t> active;
   for (std::size_t t = 0; t < nthr; ++t) {
     if (t == ref_t) continue;
@@ -426,66 +493,155 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
     }
   }
 
-  // Steps one replay at threshold tau[t] into rs and returns the
-  // cycles it scored: a replay whose first probe word is saturated
-  // stops there; any other resumes from the probe sparsely against the
-  // reference run (SeqSim::replay_sparse), bit-identical to stepping
-  // every cycle.
+  // Phase 3: every active triad's saturation probe, as one pool job.
+  // A saturated probe is the triad's sample. An unsaturated triad
+  // replays in pieces (phase 4) at a cycle-safe reference; otherwise it
+  // resumes from its probe in the same task, stepping every cycle.
   const SeqReference reference{tau[ref_t], ref_rs, ref_win};
-  const auto replay = [&](SeqSim& sim, std::span<SeqCycleResult> rs,
-                          std::size_t t, SparseReplayStats& stats) {
-    std::size_t probed = 0;
-    if (probe_enabled) {
-      start_at(sim, t);
-      probed = probe_cycles;
-      sim.step_cycle_batch({ops.data(), probed * nops}, probed,
-                           rs.first(probed));
-      ErrorAccumulator probe_acc(seq.output_width());
-      for (std::size_t c = 0; c < probed; ++c)
-        if (rs[c].output_valid)
-          probe_acc.add(rs[c].expected, rs[c].captured);
-      if (probe_acc.op_error_rate() >= config.seq_saturation_threshold) {
-        stats.simulated = probed;
-        return probed;  // saturated: the probe IS the sample
-      }
-    }
-    stats = sim.replay_sparse(ops, cycles, reference, tau[t], rs, probed);
-    stats.simulated += probed;
-    return cycles;
-  };
-
-  // Longest first: a sparse replay steps at least the reference cycles
-  // its edge cuts, so the active triads sort by that count, descending,
-  // and the pool, which claims one index at a time, ends on short
-  // tasks. Saturated triads (the most cut cycles) sort early but stop
-  // at their probe. Every replay resets and retargets its own
-  // pipeline, so the order cannot change a result.
-  std::vector<std::size_t> cut(nthr, 0);
-  for (const std::size_t t : active)
-    cut[t] = static_cast<std::size_t>(
-        std::count_if(ref_rs.begin(), ref_rs.end(),
-                      [&](const SeqCycleResult& r) {
-                        return r.max_settle_ps >= tau[t];
-                      }));
-  std::stable_sort(active.begin(), active.end(),
-                   [&](std::size_t x, std::size_t y) {
-                     return cut[x] > cut[y];
-                   });
-  shared_thread_pool().parallel(
-      active.size(),
-      [&](std::size_t i) {
-        const std::size_t t = active[i];
-        obs::ScopedSpan span("characterize.seq.replay", "characterize");
-        SeqSim sim(seq, lib, norm, sim_cfg);
-        std::vector<SeqCycleResult> rs(cycles);
-        SparseReplayStats stats;
-        const std::size_t n = replay(sim, rs, t, stats);
-        score(rs, n, t, const_fj_of(sim));
+  std::vector<std::size_t> split;  // triads replayed in pieces
+  if (safe && !probe_enabled) {
+    split = active;
+  } else {
+    std::vector<std::uint8_t> unsaturated(nthr, 0);
+    const auto probe = [&](SeqSim& sim, std::size_t t) {
+      std::vector<SeqCycleResult> rs(safe ? probe_cycles : cycles);
+      std::size_t probed = 0;
+      if (probe_enabled) {
+        obs::ScopedSpan span("characterize.seq.probe", "characterize");
+        start_at(sim, t);
+        probed = probe_cycles;
+        sim.step_cycle_batch({ops.data(), probed * nops}, probed,
+                             std::span(rs).first(probed));
+        ErrorAccumulator acc(width);
+        for (std::size_t c = 0; c < probed; ++c)
+          if (rs[c].output_valid) acc.add(rs[c].expected, rs[c].captured);
+        const bool saturated =
+            acc.op_error_rate() >= config.seq_saturation_threshold;
         span.arg("triad", static_cast<std::uint64_t>(t))
-            .arg("cycles", static_cast<std::uint64_t>(n))
-            .arg("saturated", std::string(n < cycles ? "true" : "false"))
-            .arg("simulated", static_cast<std::uint64_t>(stats.simulated))
-            .arg("stretches", static_cast<std::uint64_t>(stats.stretches));
+            .arg("saturated", std::string(saturated ? "true" : "false"));
+        if (saturated) {
+          SeqTally tally(width);
+          tally.add(std::span(rs).first(probed), const_fj_of(sim));
+          finish(tally, t);
+          return;
+        }
+      }
+      if (safe) {
+        unsaturated[t] = 1;
+        return;
+      }
+      obs::ScopedSpan span("characterize.seq.replay", "characterize");
+      const SparseReplayStats stats =
+          sim.replay_sparse(ops, cycles, reference, tau[t], rs, probed);
+      SeqTally tally(width);
+      tally.add(rs, const_fj_of(sim));
+      finish(tally, t);
+      span.arg("triad", static_cast<std::uint64_t>(t))
+          .arg("first", std::uint64_t{0})
+          .arg("cycles", static_cast<std::uint64_t>(cycles))
+          .arg("simulated",
+               static_cast<std::uint64_t>(stats.simulated + probed))
+          .arg("stretches", static_cast<std::uint64_t>(stats.stretches));
+    };
+    shared_thread_pool().parallel(
+        active.size(),
+        [&](std::size_t i) {
+          std::unique_ptr<SeqSim> sim = shelf.take();
+          probe(*sim, active[i]);
+          shelf.put(std::move(sim));
+        },
+        config.threads);
+    for (const std::size_t t : active)
+      if (unsaturated[t]) split.push_back(t);
+  }
+
+  // Phase 4: the unsaturated replays, cut into pieces that each start
+  // in sync with the reference run — one pool job over every (triad,
+  // piece), triad-major. Whichever task completes the next piece of a
+  // triad in cycle order stitches it into the triad's serial replay
+  // (SparseReplayStitch, which re-steps from the last resync point
+  // where the trajectory is not at one at the piece's first cycle),
+  // adds it to the triad's tally and frees it, so only the pieces that
+  // finished ahead of their turn stay alive. Pipelines come from the
+  // shelf and go back to it, save one that holds a re-step carried over
+  // to the triad's next piece.
+  const std::size_t npieces = (cycles + piece - 1) / piece;
+  struct Fold {
+    std::mutex m;
+    std::vector<std::vector<SeqCycleResult>> ready;  // by piece
+    std::vector<std::size_t> simulated;              // by piece
+    std::size_t next = 0;  // next piece to stitch
+    bool busy = false;     // a task is stitching
+    std::optional<SparseReplayStitch> stitch;
+    std::unique_ptr<SeqSim> sim;  // a re-step carried to the next piece
+    std::optional<SeqTally> tally;
+    double const_fj = 0.0;
+  };
+  std::vector<Fold> folds(split.size());
+  for (std::size_t k = 0; k < split.size(); ++k) {
+    Fold& f = folds[k];
+    f.ready.resize(npieces);
+    f.simulated.resize(npieces);
+    f.stitch.emplace(ops, reference, tau[split[k]]);
+    f.tally.emplace(width);
+  }
+  shared_thread_pool().parallel(
+      split.size() * npieces,
+      [&](std::size_t i) {
+        const std::size_t k = i / npieces;
+        const std::size_t j = i % npieces;
+        const std::size_t t = split[k];
+        const std::size_t b = j * piece;
+        std::unique_ptr<SeqSim> sim = shelf.take();
+        std::vector<SeqCycleResult> rs(std::min(piece, cycles - b));
+        SparseReplayStats stats;
+        {
+          obs::ScopedSpan span("characterize.seq.replay", "characterize");
+          stats = sim->replay_piece(ops, reference, tau[t], b, rs);
+          span.arg("triad", static_cast<std::uint64_t>(t))
+              .arg("first", static_cast<std::uint64_t>(b))
+              .arg("cycles", static_cast<std::uint64_t>(rs.size()))
+              .arg("simulated", static_cast<std::uint64_t>(stats.simulated))
+              .arg("stretches", static_cast<std::uint64_t>(stats.stretches));
+        }
+        Fold& f = folds[k];
+        std::unique_lock lk(f.m);
+        if (j == 0) f.const_fj = const_fj_of(*sim);
+        f.ready[j] = std::move(rs);
+        f.simulated[j] = stats.simulated;
+        if (!f.busy) {
+          f.busy = true;
+          while (f.next < npieces && !f.ready[f.next].empty()) {
+            std::vector<SeqCycleResult> p =
+                std::exchange(f.ready[f.next], {});
+            const std::size_t first = f.next * piece;
+            const std::size_t simulated = f.simulated[f.next];
+            lk.unlock();
+            {
+              obs::ScopedSpan span("characterize.seq.stitch",
+                                   "characterize");
+              // A re-step carried over from the last piece continues on
+              // its pipeline; any other runs on this task's.
+              if (!f.sim) f.sim = std::move(sim);
+              const std::size_t restepped = f.stitch->stitch(p, *f.sim);
+              if (!f.stitch->stepping()) {
+                if (sim) shelf.put(std::move(f.sim));
+                else sim = std::move(f.sim);
+              }
+              f.tally->add(p, f.const_fj);
+              span.arg("triad", static_cast<std::uint64_t>(t))
+                  .arg("first", static_cast<std::uint64_t>(first))
+                  .arg("simulated", static_cast<std::uint64_t>(simulated))
+                  .arg("restepped", static_cast<std::uint64_t>(restepped));
+            }
+            lk.lock();
+            ++f.next;
+          }
+          f.busy = false;
+          if (f.next == npieces) finish(*f.tally, t);
+        }
+        lk.unlock();
+        if (sim) shelf.put(std::move(sim));
       },
       config.threads);
   return results;

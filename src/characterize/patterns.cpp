@@ -28,20 +28,18 @@ OperandPair PatternStream::next_carry_balanced() {
   // Draw a per-pattern propagate density q, then classify each bit as
   // propagate (a^b = 1), generate (a = b = 1) or kill (a = b = 0).
   // Sweeping q in [0.2, 0.95] makes long and short carry chains equally
-  // well represented in the stimulus set.
+  // well represented in the stimulus set. Every bit takes two draws,
+  // p = flip(q) then h = flip(0.5): a carries h, b carries h ^ p, so a
+  // propagate bit lands in a or b by h and a non-propagate bit is
+  // generate or kill by h — branch-free.
   const double q = 0.2 + 0.75 * rng_.uniform();
   std::uint64_t a = 0;
   std::uint64_t b = 0;
   for (int i = 0; i < width_; ++i) {
-    if (rng_.flip(q)) {
-      // Propagate: exactly one operand carries the bit.
-      if (rng_.flip(0.5)) a |= (1ULL << i);
-      else b |= (1ULL << i);
-    } else if (rng_.flip(0.5)) {
-      a |= (1ULL << i);  // generate
-      b |= (1ULL << i);
-    }
-    // else: kill (both zero)
+    const std::uint64_t p = rng_.uniform() < q ? 1 : 0;
+    const std::uint64_t h = rng_.uniform() < 0.5 ? 1 : 0;
+    a |= h << i;
+    b |= (h ^ p) << i;
   }
   return OperandPair{a, b};
 }

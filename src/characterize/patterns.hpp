@@ -4,7 +4,10 @@
 // way that all the input bits carry equal probability to propagate carry
 // in the chain" (Section IV). kCarryBalanced implements that intent by
 // stratifying the per-pattern propagate density, which spreads the
-// theoretical carry-chain length over its whole range.
+// theoretical carry-chain length over its whole range. A carry-balanced
+// pair takes one draw for its density and exactly two per bit (propagate
+// or not, then which operand or generate-vs-kill), so a stream's draws
+// do not depend on its words and the per-bit body is branch-free.
 #ifndef VOSIM_CHARACTERIZE_PATTERNS_HPP
 #define VOSIM_CHARACTERIZE_PATTERNS_HPP
 

@@ -354,49 +354,69 @@ SparseReplayStats SeqSim::replay_sparse(
     std::span<const std::uint64_t> operands, std::size_t count,
     const SeqReference& ref, double capture_ps,
     std::span<SeqCycleResult> results, std::size_t stepped) {
+  VOSIM_EXPECTS(operands.size() == count * seq_.num_operands());
+  VOSIM_EXPECTS(results.size() >= count && stepped <= count);
+  VOSIM_EXPECTS(capture_tclk_ps_ == capture_ps || stepped == 0);
+  // The replay is either in sync with the reference — the reset state
+  // is the reference's at cycle 0 — or inside a dirty stretch, which
+  // the cycles already stepped form when resuming.
+  std::size_t clean = 0;  // trailing settled cycles of the stretch
+  for (std::size_t i = 0; i < stepped; ++i)
+    clean = results[i].settled ? clean + 1 : 0;
+  return replay_cycles(operands, ref, capture_ps, stepped,
+                       results.subspan(stepped, count - stepped),
+                       stepped == 0, clean);
+}
+
+SparseReplayStats SeqSim::replay_piece(std::span<const std::uint64_t> operands,
+                                       const SeqReference& ref,
+                                       double capture_ps, std::size_t first,
+                                       std::span<SeqCycleResult> results) {
+  VOSIM_EXPECTS(operands.size() >=
+                (first + results.size()) * seq_.num_operands());
+  return replay_cycles(operands, ref, capture_ps, first, results, true, 0);
+}
+
+SparseReplayStats SeqSim::replay_cycles(
+    std::span<const std::uint64_t> operands, const SeqReference& ref,
+    double capture_ps, std::size_t first, std::span<SeqCycleResult> out,
+    bool in_sync, std::size_t clean) {
   const std::size_t nops = seq_.num_operands();
   const std::size_t stages = engines_.size();
   const std::size_t lat = latency_cycles();
-  VOSIM_EXPECTS(operands.size() == count * nops);
-  VOSIM_EXPECTS(results.size() >= count && stepped <= count);
-  VOSIM_EXPECTS(capture_tclk_ps_ == capture_ps || stepped == 0);
+  const std::size_t end = first + out.size();
   const bool levelized = retarget_capture_ps(ref.capture_ps);
   VOSIM_EXPECTS(levelized);
   // The gate: only a cycle-safe reference state is the settled
   // function of the stream, the state warm_start reaches and a settled
-  // stretch returns to.
+  // stretch returns to. Starting in sync anywhere but cycle 0 needs it.
   const bool copy = cycle_safe();
-  VOSIM_EXPECTS(!copy || (ref.cycles.size() >= count &&
-                          ref.stage_window_fj.size() >= count * stages));
+  VOSIM_EXPECTS(copy || !in_sync || first == 0);
+  VOSIM_EXPECTS(!copy || (ref.cycles.size() >= end &&
+                          ref.stage_window_fj.size() >= end * stages));
   retarget_capture_ps(capture_ps);
 
   // Copyable reference cycles from cycle b on, counted up to
-  // kMinCopyRun (the end of the stream counts as an endless run).
+  // kMinCopyRun (the end of the range counts as an endless run).
   const auto copy_run = [&](std::size_t b) {
     std::size_t e = b;
-    while (e < count && e - b < kMinCopyRun &&
+    while (e < end && e - b < kMinCopyRun &&
            ref.cycles[e].max_settle_ps < capture_ps)
       ++e;
-    return e == count ? kMinCopyRun : e - b;
+    return e == end ? kMinCopyRun : e - b;
   };
 
-  // The replay is either in sync with the reference — the reset state
-  // is the reference's at cycle 0 — or inside a dirty stretch, which
-  // the cycles already stepped form when resuming.
   SparseReplayStats stats;
-  std::size_t c = stepped;
-  bool in_sync = stepped == 0;
-  std::size_t clean = 0;  // trailing settled cycles of the stretch
-  for (std::size_t i = 0; i < stepped; ++i)
-    clean = results[i].settled ? clean + 1 : 0;
+  std::size_t c = first;
   std::size_t chunk = lat + 1;
-  while (c < count) {
+  while (c < end) {
     if (in_sync) {
       if (copy && ref.cycles[c].max_settle_ps < capture_ps) {
         // Every commit of the reference's cycle lands before this edge
         // too: the cycle is the reference's, recomposed at capture_ps.
-        results[c] = ref.cycles[c];
-        results[c].energy_fj =
+        SeqCycleResult& r = out[c - first];
+        r = ref.cycles[c];
+        r.energy_fj =
             cycle_energy_fj(ref.stage_window_fj.subspan(c * stages, stages));
         ++c;
         continue;
@@ -419,16 +439,83 @@ SparseReplayStats SeqSim::replay_sparse(
       in_sync = true;
       continue;
     }
-    const std::size_t n = std::min(chunk, count - c);
+    const std::size_t n = std::min(chunk, end - c);
     step_cycle_batch(operands.subspan(c * nops, n * nops), n,
-                     results.subspan(c, n));
+                     out.subspan(c - first, n));
     for (std::size_t i = c; i < c + n; ++i)
-      clean = results[i].settled ? clean + 1 : 0;
+      clean = out[i - first].settled ? clean + 1 : 0;
     c += n;
     stats.simulated += n;
     chunk = std::min(2 * chunk, lanes::kWordLanes);
   }
   return stats;
+}
+
+SparseReplayStitch::SparseReplayStitch(std::span<const std::uint64_t> operands,
+                                       const SeqReference& ref,
+                                       double capture_ps)
+    : operands_(operands), ref_(ref), capture_ps_(capture_ps) {}
+
+std::size_t SparseReplayStitch::stitch(std::span<SeqCycleResult> piece,
+                                       SeqSim& sim) {
+  const std::size_t nops = sim.num_operands();
+  if (next_ == 0) lat_ = clean_ = sim.latency_cycles();
+  VOSIM_EXPECTS(sim.latency_cycles() == lat_);
+  const std::size_t b = next_;
+  const std::size_t e = b + piece.size();
+  VOSIM_EXPECTS(operands_.size() >= e * nops);
+  std::size_t restepped = 0;
+  // Steps the serial trajectory's cycles [c, c + n) into scratch_.
+  const auto step = [&](std::size_t c, std::size_t n) {
+    scratch_.resize(n);
+    sim.step_cycle_batch(operands_.subspan(c * nops, n * nops), n,
+                         scratch_);
+    restepped += n;
+  };
+  if (!stepping_ && clean_ < lat_) {
+    // The piece started in the reference state, the serial trajectory
+    // is not in it: re-enter the serial trajectory at its last resync
+    // point and step it up to the piece.
+    const bool levelized = sim.retarget_capture_ps(ref_.capture_ps);
+    VOSIM_EXPECTS(levelized && sim.cycle_safe());
+    sim.warm_start(operands_, resync_);
+    sim.retarget_capture_ps(capture_ps_);
+    restepped += std::min(resync_, lat_);
+    for (std::size_t c = resync_; c < b; c += lanes::kWordLanes)
+      step(c, std::min(lanes::kWordLanes, b - c));
+    stepping_ = true;
+    chunk_ = lat_ + 1;
+  }
+
+  std::size_t c = b;
+  if (stepping_) {
+    // Step both on until they sit at a resync point at one cycle; the
+    // piece's start counts as one (its trajectory is in the reference
+    // state there). Every cycle before that is the serial trajectory's.
+    std::size_t piece_clean = lat_;
+    std::size_t used = scratch_.size();
+    while (c < e && !(clean_ >= lat_ && piece_clean >= lat_)) {
+      if (used == scratch_.size()) {
+        step(c, std::min(chunk_, e - c));
+        chunk_ = std::min(2 * chunk_, lanes::kWordLanes);
+        used = 0;
+      }
+      SeqCycleResult& r = piece[c - b];
+      piece_clean = r.settled ? piece_clean + 1 : 0;
+      r = scratch_[used++];
+      clean_ = r.settled ? clean_ + 1 : 0;
+      if (clean_ >= lat_) resync_ = c + 1;
+      ++c;
+    }
+    // A re-step that outlasts the piece carries into the next one.
+    stepping_ = c == e && !(clean_ >= lat_ && piece_clean >= lat_);
+  }
+  for (; c < e; ++c) {
+    clean_ = piece[c - b].settled ? clean_ + 1 : 0;
+    if (clean_ >= lat_) resync_ = c + 1;
+  }
+  next_ = e;
+  return restepped;
 }
 
 }  // namespace vosim

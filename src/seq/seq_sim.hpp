@@ -171,6 +171,20 @@ class SeqSim {
                                   std::span<SeqCycleResult> results,
                                   std::size_t stepped = 0);
 
+  /// One piece of a split sparse replay: replay_sparse's copy / step /
+  /// resync loop over cycles [first, first + results.size()) of the
+  /// stream `operands` (results[i] is cycle first + i), started in sync
+  /// with `ref` at cycle `first` — the state a replay is in at cycle 0
+  /// and at every resync point. The piece is the serial replay's
+  /// wherever that replay is in the reference state at `first`;
+  /// SparseReplayStitch mends it where it is not. Needs a cycle-safe
+  /// ref.capture_ps (the reference state is then the stream's settled
+  /// function).
+  SparseReplayStats replay_piece(std::span<const std::uint64_t> operands,
+                                 const SeqReference& ref, double capture_ps,
+                                 std::size_t first,
+                                 std::span<SeqCycleResult> results);
+
   const SeqDut& seq() const noexcept { return seq_; }
   std::size_t num_stages() const noexcept { return engines_.size(); }
   std::size_t num_operands() const noexcept { return seq_.num_operands(); }
@@ -252,6 +266,16 @@ class SeqSim {
   void clear_traces() { traces_.clear(); }
 
  private:
+  /// The loop behind replay_sparse and replay_piece: cycles [first,
+  /// first + out.size()) into out (out[i] is cycle first + i), starting
+  /// in sync with ref or, when resuming, inside a dirty stretch whose
+  /// last `clean` stepped cycles were settled.
+  SparseReplayStats replay_cycles(std::span<const std::uint64_t> operands,
+                                  const SeqReference& ref, double capture_ps,
+                                  std::size_t first,
+                                  std::span<SeqCycleResult> out,
+                                  bool in_sync, std::size_t clean);
+
   /// Lane-parallel golden: out[c] = seq_settled_output(cycle c's
   /// operands) for up to lanes::kWordLanes cycles, one packed
   /// evaluate_logic pass per stage on the cached pin maps.
@@ -299,6 +323,60 @@ class SeqSim {
   std::vector<std::uint64_t> golden_values_;    ///< per-net lane words
   std::vector<double> stage_window_;  ///< per-cycle windows, cycle-major
   std::vector<SeqCycleResult> warm_results_;  ///< warm_start scratch
+};
+
+/// Joins the pieces of a split sparse replay (SeqSim::replay_piece), in
+/// cycle order, into the serial replay's cycles — bit-identical to one
+/// replay_sparse over the whole stream. A trajectory is at a resync
+/// point at cycle c when the latency_cycles() cycles before c were all
+/// settled (or c is 0): it is then in the reference state, the state
+/// every piece starts from. A piece is therefore exact when the stitched
+/// trajectory is at a resync point at its first cycle. Otherwise the
+/// stitch re-steps the serial trajectory from its last resync point
+/// until, at one cycle, it and the piece are both at a resync point —
+/// from there they run from one state — and overwrites the piece's
+/// cycles before that; a re-step that outlasts the piece carries into
+/// the next one. A trajectory that never resyncs (a saturated capture)
+/// is re-stepped whole, which is correct but serial.
+class SparseReplayStitch {
+ public:
+  /// `operands` (the whole stream) and the reference's buffers must
+  /// outlive the stitch.
+  SparseReplayStitch(std::span<const std::uint64_t> operands,
+                     const SeqReference& ref, double capture_ps);
+
+  /// Takes the piece that starts at cycle stitched() (replay_piece's
+  /// results for it), rewrites it in place into the serial replay's
+  /// cycles and returns the cycles re-stepped for it, warm starts
+  /// included. Re-steps run on `sim`: a pipeline on the pieces' die
+  /// (ref.capture_ps cycle-safe on it), in any state unless stepping().
+  std::size_t stitch(std::span<SeqCycleResult> piece, SeqSim& sim);
+
+  /// A re-step outlasted the last piece: the next stitch() must get the
+  /// same pipeline, untouched since.
+  bool stepping() const noexcept { return stepping_; }
+
+  /// Cycles joined so far: the next piece's first cycle.
+  std::size_t stitched() const noexcept { return next_; }
+
+ private:
+  std::span<const std::uint64_t> operands_;
+  SeqReference ref_;
+  double capture_ps_;
+  std::size_t lat_ = 0;
+  std::size_t next_ = 0;
+  /// Trailing settled cycles of the stitched trajectory (cycle 0 is a
+  /// resync point; set from the first pipeline's latency), and its last
+  /// resync point.
+  std::size_t clean_ = 0;
+  std::size_t resync_ = 0;
+  /// The last stitch()'s pipeline holds the serial trajectory at cycle
+  /// next_ (a re-step that has not met its piece yet).
+  bool stepping_ = false;
+  /// The re-step's next chunk: latency + 1 cycles doubling to a lane
+  /// word, like a dirty stretch's, and kept across pieces.
+  std::size_t chunk_ = 0;
+  std::vector<SeqCycleResult> scratch_;  ///< re-stepped cycles
 };
 
 }  // namespace vosim

@@ -7,10 +7,6 @@ namespace vosim {
 
 namespace {
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
   std::uint64_t z = x;
@@ -28,18 +24,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
 }
 
-std::uint64_t Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
 std::uint64_t Rng::below(std::uint64_t bound) {
   VOSIM_EXPECTS(bound > 0);
   // Lemire-style rejection to avoid modulo bias.
@@ -55,11 +39,6 @@ std::uint64_t Rng::in_range(std::uint64_t lo, std::uint64_t hi) {
   const std::uint64_t span = hi - lo;
   if (span == ~0ULL) return (*this)();
   return lo + below(span + 1);
-}
-
-double Rng::uniform() noexcept {
-  // 53 high-quality bits into [0,1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 bool Rng::flip(double p) noexcept { return uniform() < p; }

@@ -3,7 +3,8 @@
 // Characterization sweeps fan out one Rng per (triad, worker) derived from a
 // master seed, so multi-threaded runs are bit-reproducible (DESIGN.md §6.4).
 // xoshiro256** is used instead of std::mt19937_64 because pattern generation
-// sits on the hot path of million-operation sweeps.
+// sits on the hot path of million-operation sweeps; the draw and uniform()
+// are defined here so those loops inline them.
 #ifndef VOSIM_UTIL_RNG_HPP
 #define VOSIM_UTIL_RNG_HPP
 
@@ -29,7 +30,17 @@ class Rng {
   static constexpr result_type max() noexcept { return ~0ULL; }
 
   /// Next 64 uniformly random bits.
-  std::uint64_t operator()() noexcept;
+  std::uint64_t operator()() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). Precondition: bound > 0.
   std::uint64_t below(std::uint64_t bound);
@@ -37,8 +48,10 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.
   std::uint64_t in_range(std::uint64_t lo, std::uint64_t hi);
 
-  /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  /// Uniform double in [0, 1): the 53 high bits of one draw.
+  double uniform() noexcept {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial with probability p (clamped to [0, 1]).
   bool flip(double p) noexcept;
@@ -55,6 +68,10 @@ class Rng {
   Rng split() noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
 };
 

@@ -170,7 +170,9 @@ std::vector<std::string> span_arg(const std::string& doc,
 TEST(Trace, SeqSweepRecordsReferenceAndReplaySpans) {
   // A traced pipeline sweep shows its critical path: one reference
   // span (the full grid's reference is cycle-safe, so its 601 cycles
-  // split into one segment per thread) and one span per replayed triad.
+  // split into five 128-cycle pieces, whatever the thread count), one
+  // probe span per active triad, and one replay span and one stitch
+  // span per piece of every unsaturated triad.
   const CellLibrary& lib = make_fdsoi28_lvt();
   const SeqDut seq = build_seq_circuit("pipe2-mul8");
   CharacterizeConfig cfg;
@@ -185,45 +187,48 @@ TEST(Trace, SeqSweepRecordsReferenceAndReplaySpans) {
       characterize_seq_dut(seq, lib, triads, cfg);
   const std::string doc = obs::stop_trace_json();
   EXPECT_EQ(count_of(doc, "\"name\":\"characterize.seq.reference\""), 1u);
-  EXPECT_NE(doc.find("\"args\":{\"segments\":\"2\",\"cycles\":\"601\","
+  EXPECT_NE(doc.find("\"args\":{\"pieces\":\"5\",\"cycles\":\"601\","
                      "\"cycle_safe\":\"true\"}"),
             std::string::npos);
   std::size_t saturated = 0;
   for (const TriadResult& r : results) saturated += r.patterns < 600;
-  const std::size_t replays =
-      count_of(doc, "\"name\":\"characterize.seq.replay\"");
+  const std::size_t probes =
+      count_of(doc, "\"name\":\"characterize.seq.probe\"");
   EXPECT_GT(saturated, 0u);
-  EXPECT_GT(replays, saturated);  // onset triads replay in full
-  EXPECT_LT(replays, triads.size());  // error-free triads reuse the reference
+  EXPECT_GT(probes, saturated);        // onset triads replay in full
+  EXPECT_LT(probes, triads.size());    // error-free triads reuse the reference
   EXPECT_EQ(count_of(doc, "\"saturated\":\"true\""), saturated);
-  EXPECT_EQ(count_of(doc, "\"saturated\":\"false\""), replays - saturated);
-  // Every replay says what it stepped: its cycles and dirty stretches.
+  EXPECT_EQ(count_of(doc, "\"saturated\":\"false\""), probes - saturated);
+  // Every piece of every unsaturated replay says what it stepped, and
+  // its stitch what it re-stepped.
   const std::string replay = "characterize.seq.replay";
-  EXPECT_EQ(span_arg(doc, replay, "simulated").size(), replays);
-  EXPECT_EQ(span_arg(doc, replay, "stretches").size(), replays);
+  const std::string stitch = "characterize.seq.stitch";
+  const std::size_t pieces = (probes - saturated) * 5;
+  EXPECT_EQ(count_of(doc, "\"name\":\"" + replay + "\""), pieces);
+  EXPECT_EQ(span_arg(doc, replay, "simulated").size(), pieces);
+  EXPECT_EQ(span_arg(doc, replay, "stretches").size(), pieces);
+  EXPECT_EQ(span_arg(doc, stitch, "restepped").size(), pieces);
+  // Both sweeps record their pattern generation.
+  EXPECT_EQ(count_of(doc, "\"name\":\"characterize.patterns\""), 1u);
 
   // Sparse replays: on pipe3-mac4x8 the unsaturated (error-onset)
-  // replays step under a tenth of the cycles they score — the rest are
-  // copied from the cycle-safe reference run.
+  // replays step under a tenth of the cycles they score, re-steps at
+  // piece boundaries included — the rest are copied from the
+  // cycle-safe reference run.
   const SeqDut mac = build_seq_circuit("pipe3-mac4x8");
   cfg.num_patterns = 2000;
   obs::start_trace();
   characterize_seq_dut(
       mac, lib, make_dut_triads(seq_critical_path_ns(mac, lib)), cfg);
   const std::string mac_doc = obs::stop_trace_json();
-  const std::vector<std::string> sat = span_arg(mac_doc, replay, "saturated");
-  const std::vector<std::string> cycles = span_arg(mac_doc, replay, "cycles");
-  const std::vector<std::string> simulated =
-      span_arg(mac_doc, replay, "simulated");
-  ASSERT_EQ(cycles.size(), sat.size());
-  ASSERT_EQ(simulated.size(), sat.size());
   std::uint64_t sum_cycles = 0;
   std::uint64_t sum_simulated = 0;
-  for (std::size_t i = 0; i < sat.size(); ++i) {
-    if (sat[i] != "false") continue;
-    sum_cycles += std::stoull(cycles[i]);
-    sum_simulated += std::stoull(simulated[i]);
-  }
+  for (const std::string& c : span_arg(mac_doc, replay, "cycles"))
+    sum_cycles += std::stoull(c);
+  for (const std::string& c : span_arg(mac_doc, replay, "simulated"))
+    sum_simulated += std::stoull(c);
+  for (const std::string& c : span_arg(mac_doc, stitch, "restepped"))
+    sum_simulated += std::stoull(c);
   EXPECT_GT(sum_cycles, 0u);
   EXPECT_LT(sum_simulated * 10, sum_cycles)
       << sum_simulated << " of " << sum_cycles << " cycles stepped";

@@ -512,6 +512,68 @@ TEST(SeqSimTest, SparseReplayMatchesSerialReplay) {
                                taus[r], taus, "fir4-pipe unsafe reference");
 }
 
+TEST(SeqSimTest, StitchedReplayPiecesMatchSerialReplay) {
+  // A split replay: pieces that each start in sync with the reference,
+  // one every 97 cycles (off the lane-word grid, so boundaries land
+  // inside dirty stretches), joined in cycle order by
+  // SparseReplayStitch. The stitched cycles must equal a serial
+  // step_cycle_batch field for field at every grid capture below the
+  // full grid's cycle-safe reference. In the onset band (op-error rate
+  // under the sweep's saturation threshold) the boundaries must include
+  // both kinds: exact ones and ones the stitch re-stepped to a resync.
+  constexpr std::size_t kPiece = 97;
+  const CharacterizeConfig cfg;
+  std::size_t exact = 0;
+  std::size_t restepped = 0;
+  for (const char* spec : {"pipe2-mul8", "pipe3-mac4x8", "fir4-pipe"}) {
+    const SeqDut seq = build_seq_circuit(spec);
+    std::vector<double> taus = normalized_captures(
+        make_dut_triads(seq_critical_path_ns(seq, lib())));
+    std::sort(taus.begin(), taus.end());
+    taus.erase(std::unique(taus.begin(), taus.end()), taus.end());
+    const double ref_tau = taus.back();
+    const std::size_t cycles = 1000 + seq.latency_cycles() - 1;
+    const std::vector<std::uint64_t> ops = random_stream(seq, cycles, 47);
+    SeqSim ref_sim = normalized_sim(seq, ref_tau, cfg);
+    ASSERT_TRUE(ref_sim.cycle_safe()) << spec;
+    std::vector<SeqCycleResult> ref_rs(cycles);
+    std::vector<double> ref_win(cycles * seq.num_stages());
+    ref_sim.step_cycle_batch(ops, cycles, ref_rs, ref_win);
+    const SeqReference ref{ref_tau, ref_rs, ref_win};
+
+    SeqSim serial = normalized_sim(seq, ref_tau, cfg);
+    SeqSim pieces = normalized_sim(seq, ref_tau, cfg);
+    SeqSim restep = normalized_sim(seq, ref_tau, cfg);
+    std::vector<SeqCycleResult> want(cycles);
+    std::vector<SeqCycleResult> got;
+    for (const double tau : taus) {
+      if (tau >= ref_tau) continue;
+      const std::string at =
+          std::string(spec) + " @ " + std::to_string(tau) + " ps";
+      serial.reset();
+      EXPECT_TRUE(serial.retarget_capture_ps(tau));
+      serial.step_cycle_batch(ops, cycles, want);
+      ErrorAccumulator acc(seq.output_width());
+      for (const SeqCycleResult& r : want)
+        if (r.output_valid) acc.add(r.expected, r.captured);
+      const bool onset = acc.op_error_rate() < cfg.seq_saturation_threshold;
+      SparseReplayStitch stitch(ops, ref, tau);
+      for (std::size_t b = 0; b < cycles; b += kPiece) {
+        got.assign(std::min(kPiece, cycles - b), SeqCycleResult{});
+        pieces.replay_piece(ops, ref, tau, b, got);
+        const std::size_t n = stitch.stitch(got, restep);
+        if (onset && b > 0) ++(n > 0 ? restepped : exact);
+        for (std::size_t i = 0; i < got.size(); ++i)
+          expect_same_cycle(want[b + i], got[i],
+                            at + " cycle " + std::to_string(b + i));
+      }
+      EXPECT_EQ(stitch.stitched(), cycles) << at;
+    }
+  }
+  EXPECT_GT(exact, 0u);
+  EXPECT_GT(restepped, 0u);
+}
+
 TEST(CharacterizeSeq, CrossEngineWithinTwoPointsOnOverscaledGrid) {
   // The acceptance gate: event vs levelized step_cycle BER within 2pp
   // over the over-scaled grid, judged in the error-onset band (event
