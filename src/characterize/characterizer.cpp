@@ -57,14 +57,13 @@ constexpr std::size_t kBatch = 256;
 /// long enough to amortize the segment's simulator construction.
 constexpr std::size_t kMinSegment = 256;
 
-/// Segments for a stream of `n` patterns (or cycles): one per worker,
-/// none shorter than `min_segment`, at most 64.
-std::size_t segment_count(const CharacterizeConfig& config, std::size_t n,
-                          std::size_t min_segment = kMinSegment) {
+/// Segments for a stream of `n` patterns: one per worker, none shorter
+/// than kMinSegment, at most 64.
+std::size_t segment_count(const CharacterizeConfig& config, std::size_t n) {
   const unsigned workers =
       config.threads == 0 ? hardware_parallelism() : config.threads;
   return std::clamp<std::size_t>(
-      std::min<std::size_t>(workers, n / min_segment), 1, 64);
+      std::min<std::size_t>(workers, n / kMinSegment), 1, 64);
 }
 
 /// Grid fast path for the levelized engine: supply and body bias scale

@@ -11,15 +11,24 @@
 //
 // Span phases used across the stack: "campaign.synth",
 // "campaign.characterize", "campaign.train", "campaign.execute",
-// "campaign.cell", "characterize.seq.reference",
-// "characterize.seq.replay", "fleet.ladder", "fleet.serve",
+// "campaign.cell", "characterize.patterns", "characterize.seq.reference",
+// "characterize.seq.probe", "characterize.seq.replay",
+// "characterize.seq.stitch", "fleet.ladder", "fleet.serve",
 // "fleet.chip", "serve.request".
 //
-// Pipeline-sweep span args: "characterize.seq.reference" carries
-// segments, cycles and cycle_safe; "characterize.seq.replay" carries
-// triad, cycles (scored), saturated, simulated (cycles stepped, probe
-// and warm starts included — the rest were copied from the reference
-// run) and stretches (dirty stretches the sparse replay stepped).
+// Characterization span args: "characterize.patterns" (both sweeps'
+// stimulus generation) carries patterns and operands;
+// "characterize.seq.reference" carries pieces, cycles and cycle_safe;
+// "characterize.seq.probe" (one per active triad) carries triad and
+// saturated; "characterize.seq.replay" (one per piece of an unsaturated
+// replay, or one whole replay below a reference that is not cycle-safe)
+// carries triad, first (its first cycle), cycles, simulated (cycles
+// stepped, warm starts included, and the probe on a whole replay — the
+// rest were copied from the reference run) and stretches (dirty
+// stretches stepped); "characterize.seq.stitch" (one per piece, as it
+// joins its triad's serial replay) carries triad, first, simulated (the
+// piece's) and restepped (cycles the stitch stepped again where the
+// piece's first cycle was not a resync point).
 #ifndef VOSIM_OBS_TRACE_HPP
 #define VOSIM_OBS_TRACE_HPP
 

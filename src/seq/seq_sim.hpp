@@ -163,8 +163,9 @@ class SeqSim {
   /// `stepped` resumes a run this pipeline already stepped from
   /// reset() at capture_ps: results[0, stepped) hold its cycles and
   /// the pipeline sits at cycle `stepped` (the characterizer's
-  /// saturation probe). Levelized stages only. Monitors and cycles()
-  /// see the stepped cycles only.
+  /// saturation probe, below a reference that is not cycle-safe).
+  /// Levelized stages only. Monitors and cycles() see the stepped
+  /// cycles only.
   SparseReplayStats replay_sparse(std::span<const std::uint64_t> operands,
                                   std::size_t count, const SeqReference& ref,
                                   double capture_ps,
@@ -240,7 +241,7 @@ class SeqSim {
   /// that starts latency_cycles() cycles before cycle b from reset()
   /// reaches the state (and golden queue) a run from cycle 0 has at b,
   /// and every cycle from b on is bit-identical to that run's. The
-  /// characterizer's segmented reference run rests on this.
+  /// characterizer's reference pieces rest on this.
   bool cycle_safe() const;
 
   /// Stage k's Razor monitor (shadow-vs-main statistics from the
