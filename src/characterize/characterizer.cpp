@@ -240,9 +240,7 @@ std::vector<TriadResult> characterize_levelized_sweep(
 std::size_t seq_piece_cycles(std::size_t cycles) {
   constexpr std::size_t kSeqPieces = 8;
   constexpr std::size_t kWord = LevelizedSimulator::kLanes;
-  return std::max<std::size_t>(
-             1, (cycles + kSeqPieces * kWord - 1) / (kSeqPieces * kWord)) *
-         kWord;
+  return (cycles + kSeqPieces * kWord - 1) / (kSeqPieces * kWord) * kWord;
 }
 
 /// Normalized pipelines shared by the tasks of one sweep: a task takes
@@ -581,7 +579,7 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
     Fold& f = folds[k];
     f.ready.resize(npieces);
     f.simulated.resize(npieces);
-    f.stitch.emplace(ops, reference, tau[split[k]]);
+    f.stitch.emplace(ops, reference, tau[split[k]], latency);
     f.tally.emplace(width);
   }
   shared_thread_pool().parallel(

@@ -453,13 +453,16 @@ SparseReplayStats SeqSim::replay_cycles(
 
 SparseReplayStitch::SparseReplayStitch(std::span<const std::uint64_t> operands,
                                        const SeqReference& ref,
-                                       double capture_ps)
-    : operands_(operands), ref_(ref), capture_ps_(capture_ps) {}
+                                       double capture_ps, std::size_t latency)
+    : operands_(operands),
+      ref_(ref),
+      capture_ps_(capture_ps),
+      lat_(latency),
+      clean_(latency) {}
 
 std::size_t SparseReplayStitch::stitch(std::span<SeqCycleResult> piece,
                                        SeqSim& sim) {
   const std::size_t nops = sim.num_operands();
-  if (next_ == 0) lat_ = clean_ = sim.latency_cycles();
   VOSIM_EXPECTS(sim.latency_cycles() == lat_);
   const std::size_t b = next_;
   const std::size_t e = b + piece.size();

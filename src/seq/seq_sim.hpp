@@ -342,9 +342,10 @@ class SeqSim {
 class SparseReplayStitch {
  public:
   /// `operands` (the whole stream) and the reference's buffers must
-  /// outlive the stitch.
+  /// outlive the stitch; `latency` is the pipeline's latency_cycles().
   SparseReplayStitch(std::span<const std::uint64_t> operands,
-                     const SeqReference& ref, double capture_ps);
+                     const SeqReference& ref, double capture_ps,
+                     std::size_t latency);
 
   /// Takes the piece that starts at cycle stitched() (replay_piece's
   /// results for it), rewrites it in place into the serial replay's
@@ -364,12 +365,11 @@ class SparseReplayStitch {
   std::span<const std::uint64_t> operands_;
   SeqReference ref_;
   double capture_ps_;
-  std::size_t lat_ = 0;
+  std::size_t lat_;
   std::size_t next_ = 0;
   /// Trailing settled cycles of the stitched trajectory (cycle 0 is a
-  /// resync point; set from the first pipeline's latency), and its last
-  /// resync point.
-  std::size_t clean_ = 0;
+  /// resync point), and its last resync point.
+  std::size_t clean_;
   std::size_t resync_ = 0;
   /// The last stitch()'s pipeline holds the serial trajectory at cycle
   /// next_ (a re-step that has not met its piece yet).

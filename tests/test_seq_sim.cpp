@@ -557,7 +557,7 @@ TEST(SeqSimTest, StitchedReplayPiecesMatchSerialReplay) {
       for (const SeqCycleResult& r : want)
         if (r.output_valid) acc.add(r.expected, r.captured);
       const bool onset = acc.op_error_rate() < cfg.seq_saturation_threshold;
-      SparseReplayStitch stitch(ops, ref, tau);
+      SparseReplayStitch stitch(ops, ref, tau, seq.latency_cycles());
       for (std::size_t b = 0; b < cycles; b += kPiece) {
         got.assign(std::min(kPiece, cycles - b), SeqCycleResult{});
         pieces.replay_piece(ops, ref, tau, b, got);
