@@ -527,18 +527,20 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
         unsaturated[t] = 1;
         return;
       }
+      // Nothing is copyable below a reference that is not cycle-safe:
+      // step on from the probe through the full budget.
       obs::ScopedSpan span("characterize.seq.replay", "characterize");
-      const SparseReplayStats stats =
-          sim.replay_sparse(ops, cycles, reference, tau[t], rs, probed);
+      if (probed == 0) start_at(sim, t);
+      sim.step_cycle_batch({ops.data() + probed * nops, (cycles - probed) * nops},
+                           cycles - probed, std::span(rs).subspan(probed));
       SeqTally tally(width);
       tally.add(rs, const_fj_of(sim));
       finish(tally, t);
       span.arg("triad", static_cast<std::uint64_t>(t))
           .arg("first", std::uint64_t{0})
           .arg("cycles", static_cast<std::uint64_t>(cycles))
-          .arg("simulated",
-               static_cast<std::uint64_t>(stats.simulated + probed))
-          .arg("stretches", static_cast<std::uint64_t>(stats.stretches));
+          .arg("simulated", static_cast<std::uint64_t>(cycles))
+          .arg("stretches", std::uint64_t{1});
     };
     shared_thread_pool().parallel(
         active.size(),
@@ -635,7 +637,11 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
             ++f.next;
           }
           f.busy = false;
-          if (f.next == npieces) finish(*f.tally, t);
+          if (f.next == npieces) {
+            finish(*f.tally, t);
+            // A capture that never resynced leaves its stitch stepping.
+            if (f.sim) shelf.put(std::move(f.sim));
+          }
         }
         lk.unlock();
         if (sim) shelf.put(std::move(sim));

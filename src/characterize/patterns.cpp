@@ -36,8 +36,8 @@ OperandPair PatternStream::next_carry_balanced() {
   std::uint64_t a = 0;
   std::uint64_t b = 0;
   for (int i = 0; i < width_; ++i) {
-    const std::uint64_t p = rng_.uniform() < q ? 1 : 0;
-    const std::uint64_t h = rng_.uniform() < 0.5 ? 1 : 0;
+    const std::uint64_t p = rng_.flip(q) ? 1 : 0;
+    const std::uint64_t h = rng_.flip(0.5) ? 1 : 0;
     a |= h << i;
     b |= (h ^ p) << i;
   }

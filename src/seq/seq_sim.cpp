@@ -350,48 +350,22 @@ void SeqSim::warm_start(std::span<const std::uint64_t> operands,
                    warm_results_);
 }
 
-SparseReplayStats SeqSim::replay_sparse(
-    std::span<const std::uint64_t> operands, std::size_t count,
-    const SeqReference& ref, double capture_ps,
-    std::span<SeqCycleResult> results, std::size_t stepped) {
-  VOSIM_EXPECTS(operands.size() == count * seq_.num_operands());
-  VOSIM_EXPECTS(results.size() >= count && stepped <= count);
-  VOSIM_EXPECTS(capture_tclk_ps_ == capture_ps || stepped == 0);
-  // The replay is either in sync with the reference — the reset state
-  // is the reference's at cycle 0 — or inside a dirty stretch, which
-  // the cycles already stepped form when resuming.
-  std::size_t clean = 0;  // trailing settled cycles of the stretch
-  for (std::size_t i = 0; i < stepped; ++i)
-    clean = results[i].settled ? clean + 1 : 0;
-  return replay_cycles(operands, ref, capture_ps, stepped,
-                       results.subspan(stepped, count - stepped),
-                       stepped == 0, clean);
-}
-
 SparseReplayStats SeqSim::replay_piece(std::span<const std::uint64_t> operands,
                                        const SeqReference& ref,
                                        double capture_ps, std::size_t first,
-                                       std::span<SeqCycleResult> results) {
-  VOSIM_EXPECTS(operands.size() >=
-                (first + results.size()) * seq_.num_operands());
-  return replay_cycles(operands, ref, capture_ps, first, results, true, 0);
-}
-
-SparseReplayStats SeqSim::replay_cycles(
-    std::span<const std::uint64_t> operands, const SeqReference& ref,
-    double capture_ps, std::size_t first, std::span<SeqCycleResult> out,
-    bool in_sync, std::size_t clean) {
+                                       std::span<SeqCycleResult> out) {
   const std::size_t nops = seq_.num_operands();
   const std::size_t stages = engines_.size();
   const std::size_t lat = latency_cycles();
   const std::size_t end = first + out.size();
+  VOSIM_EXPECTS(operands.size() >= end * nops);
   const bool levelized = retarget_capture_ps(ref.capture_ps);
   VOSIM_EXPECTS(levelized);
   // The gate: only a cycle-safe reference state is the settled
   // function of the stream, the state warm_start reaches and a settled
   // stretch returns to. Starting in sync anywhere but cycle 0 needs it.
   const bool copy = cycle_safe();
-  VOSIM_EXPECTS(copy || !in_sync || first == 0);
+  VOSIM_EXPECTS(copy || first == 0);
   VOSIM_EXPECTS(!copy || (ref.cycles.size() >= end &&
                           ref.stage_window_fj.size() >= end * stages));
   retarget_capture_ps(capture_ps);
@@ -407,6 +381,8 @@ SparseReplayStats SeqSim::replay_cycles(
   };
 
   SparseReplayStats stats;
+  bool in_sync = true;
+  std::size_t clean = 0;  // trailing settled cycles of the stretch
   std::size_t c = first;
   std::size_t chunk = lat + 1;
   while (c < end) {

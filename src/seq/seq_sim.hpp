@@ -59,7 +59,7 @@ struct SeqCycleResult {
 /// An error-free run a sparse replay copies from: every cycle of one
 /// stream stepped from reset() at a capture threshold, with each
 /// stage's per-cycle window energy. Copying is sound only when that
-/// threshold is cycle-safe; SeqSim::replay_sparse checks it.
+/// threshold is cycle-safe; SeqSim::replay_piece checks it.
 struct SeqReference {
   double capture_ps = 0.0;                ///< the run's capture threshold
   std::span<const SeqCycleResult> cycles;  ///< one per stream cycle
@@ -137,11 +137,13 @@ class SeqSim {
   /// cycle_safe), so stepping on from cycle b is bit-identical to it.
   void warm_start(std::span<const std::uint64_t> operands, std::size_t b);
 
-  /// Replays `count` cycles of the stream `operands` at `capture_ps`
-  /// from reset() into results — bit-identical to reset(),
-  /// retarget_capture_ps(capture_ps) and step_cycle_batch over all of
-  /// them — stepping only the cycles it cannot copy from `ref`, a run
-  /// of the same stream at a larger threshold:
+  /// Replays cycles [first, first + results.size()) of the stream
+  /// `operands` at `capture_ps` into results (results[i] is cycle
+  /// first + i), started in sync with `ref`, a run of the same stream
+  /// at a larger threshold, at cycle `first`. From first = 0 this is
+  /// bit-identical to reset(), retarget_capture_ps(capture_ps) and
+  /// step_cycle_batch over the same cycles, but steps only the cycles
+  /// it cannot copy from `ref`:
   ///   - Copy: while the replay is in the reference state, cycle c is
   ///     the reference's cycle exactly when its max_settle_ps is below
   ///     capture_ps (commit times do not depend on the threshold, so
@@ -159,28 +161,12 @@ class SeqSim {
   ///     gap is cheaper to step through than to re-enter.
   /// Copying needs the reference state to be a function of the
   /// stream alone, so it happens only when ref.capture_ps is
-  /// cycle-safe; otherwise every cycle is stepped. A non-zero
-  /// `stepped` resumes a run this pipeline already stepped from
-  /// reset() at capture_ps: results[0, stepped) hold its cycles and
-  /// the pipeline sits at cycle `stepped` (the characterizer's
-  /// saturation probe, below a reference that is not cycle-safe).
-  /// Levelized stages only. Monitors and cycles() see the stepped
-  /// cycles only.
-  SparseReplayStats replay_sparse(std::span<const std::uint64_t> operands,
-                                  std::size_t count, const SeqReference& ref,
-                                  double capture_ps,
-                                  std::span<SeqCycleResult> results,
-                                  std::size_t stepped = 0);
-
-  /// One piece of a split sparse replay: replay_sparse's copy / step /
-  /// resync loop over cycles [first, first + results.size()) of the
-  /// stream `operands` (results[i] is cycle first + i), started in sync
-  /// with `ref` at cycle `first` — the state a replay is in at cycle 0
-  /// and at every resync point. The piece is the serial replay's
-  /// wherever that replay is in the reference state at `first`;
-  /// SparseReplayStitch mends it where it is not. Needs a cycle-safe
-  /// ref.capture_ps (the reference state is then the stream's settled
-  /// function).
+  /// cycle-safe; otherwise every cycle is stepped, and the piece must
+  /// start at cycle 0. A piece from a later cycle — the state a replay
+  /// is in at cycle 0 and at every resync point — is the serial
+  /// replay's wherever that replay is in the reference state at
+  /// `first`; SparseReplayStitch mends it where it is not. Levelized
+  /// stages only. Monitors and cycles() see the stepped cycles only.
   SparseReplayStats replay_piece(std::span<const std::uint64_t> operands,
                                  const SeqReference& ref, double capture_ps,
                                  std::size_t first,
@@ -230,7 +216,7 @@ class SeqSim {
   /// normalized pipeline by sliding the threshold (energies rescaled
   /// by the caller); triad() keeps reporting the constructed triad.
   /// Carried state is kept, so a retarget may fall between two cycles
-  /// of one stream (replay_sparse warm-starts that way); the next
+  /// of one stream (replay_piece warm-starts that way); the next
   /// cycle launches from the current state at the new threshold.
   bool retarget_capture_ps(double capture_ps);
 
@@ -267,16 +253,6 @@ class SeqSim {
   void clear_traces() { traces_.clear(); }
 
  private:
-  /// The loop behind replay_sparse and replay_piece: cycles [first,
-  /// first + out.size()) into out (out[i] is cycle first + i), starting
-  /// in sync with ref or, when resuming, inside a dirty stretch whose
-  /// last `clean` stepped cycles were settled.
-  SparseReplayStats replay_cycles(std::span<const std::uint64_t> operands,
-                                  const SeqReference& ref, double capture_ps,
-                                  std::size_t first,
-                                  std::span<SeqCycleResult> out,
-                                  bool in_sync, std::size_t clean);
-
   /// Lane-parallel golden: out[c] = seq_settled_output(cycle c's
   /// operands) for up to lanes::kWordLanes cycles, one packed
   /// evaluate_logic pass per stage on the cached pin maps.
@@ -328,7 +304,7 @@ class SeqSim {
 
 /// Joins the pieces of a split sparse replay (SeqSim::replay_piece), in
 /// cycle order, into the serial replay's cycles — bit-identical to one
-/// replay_sparse over the whole stream. A trajectory is at a resync
+/// replay_piece over the whole stream. A trajectory is at a resync
 /// point at cycle c when the latency_cycles() cycles before c were all
 /// settled (or c is 0): it is then in the reference state, the state
 /// every piece starts from. A piece is therefore exact when the stitched

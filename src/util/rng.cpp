@@ -41,8 +41,6 @@ std::uint64_t Rng::in_range(std::uint64_t lo, std::uint64_t hi) {
   return lo + below(span + 1);
 }
 
-bool Rng::flip(double p) noexcept { return uniform() < p; }
-
 double Rng::gaussian() noexcept {
   // Box-Muller; draws two uniforms per variate (simple and branch-free
   // enough for the variation model, which is not on the innermost loop).

@@ -3,8 +3,8 @@
 // Characterization sweeps fan out one Rng per (triad, worker) derived from a
 // master seed, so multi-threaded runs are bit-reproducible (DESIGN.md §6.4).
 // xoshiro256** is used instead of std::mt19937_64 because pattern generation
-// sits on the hot path of million-operation sweeps; the draw and uniform()
-// are defined here so those loops inline them.
+// sits on the hot path of million-operation sweeps; the draw, uniform() and
+// flip() are defined here so those loops inline them.
 #ifndef VOSIM_UTIL_RNG_HPP
 #define VOSIM_UTIL_RNG_HPP
 
@@ -54,7 +54,7 @@ class Rng {
   }
 
   /// Bernoulli trial with probability p (clamped to [0, 1]).
-  bool flip(double p) noexcept;
+  bool flip(double p) noexcept { return uniform() < p; }
 
   /// Standard normal variate (Box-Muller, stateless variant).
   double gaussian() noexcept;

@@ -195,7 +195,7 @@ TEST(Trace, SeqSweepRecordsReferenceAndReplaySpans) {
   const std::size_t probes =
       count_of(doc, "\"name\":\"characterize.seq.probe\"");
   EXPECT_GT(saturated, 0u);
-  EXPECT_GT(probes, saturated);        // onset triads replay in full
+  EXPECT_GT(probes, saturated);        // every triad with errors probes
   EXPECT_LT(probes, triads.size());    // error-free triads reuse the reference
   EXPECT_EQ(count_of(doc, "\"saturated\":\"true\""), saturated);
   EXPECT_EQ(count_of(doc, "\"saturated\":\"false\""), probes - saturated);

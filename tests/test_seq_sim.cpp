@@ -327,13 +327,19 @@ void expect_bit_identical(const std::vector<TriadResult>& a,
 }
 
 TEST(CharacterizeSeq, NormalizedSweepBitIdenticalAcrossThreadCounts) {
-  // The segmented reference run and the longest-first sparse replays
-  // must not let the thread count into any result: the full grid's
-  // reference is cycle-safe and splits into segments, the deep grid's
+  // The pieced reference run and the stitched sparse replays must not
+  // let the thread count into any result: the full grid's reference
+  // is cycle-safe and splits into pieces, the deep grid's
   // is not and runs serially — both bit-identical at 1, 2 and 4
   // threads. The deep grid runs once more with the saturation probe
-  // off, so every replay takes the full-budget fallback.
-  for (const char* spec : {"pipe2-mul8", "pipe3-mac4x8", "fir4-pipe"}) {
+  // off, so every replay takes the full-budget fallback from reset.
+  // Its results at both probe settings are pinned by golden digests
+  // (the full grid's are in NormalizedSweepMatchesGoldenDigests).
+  const std::tuple<const char*, std::uint64_t, std::uint64_t> golden[] = {
+      {"pipe2-mul8", 0x691724b64578562bULL, 0x69385f3141ef57faULL},
+      {"pipe3-mac4x8", 0x7f291086a6c796eeULL, 0xffc10fc3c5235499ULL},
+      {"fir4-pipe", 0x36f67e79cb323145ULL, 0x809cdf2b88131e71ULL}};
+  for (const auto& [spec, deep_probed, deep_unprobed] : golden) {
     const SeqDut seq = build_seq_circuit(spec);
     const double cp = seq_critical_path_ns(seq, lib());
     CharacterizeConfig cfg;
@@ -354,6 +360,12 @@ TEST(CharacterizeSeq, NormalizedSweepBitIdenticalAcrossThreadCounts) {
       cfg.seq_saturation_threshold = saturation;
       cfg.threads = 1;
       const auto one = characterize_seq_dut(seq, lib(), *grid, cfg);
+      if (grid == &deep) {
+        FnvDigest d;
+        for (const TriadResult& r : one) d.add(r);
+        EXPECT_EQ(d.h, saturation <= 1.0 ? deep_probed : deep_unprobed)
+            << spec << name << ": 0x" << std::hex << d.h;
+      }
       for (const unsigned threads : {2u, 4u}) {
         cfg.threads = threads;
         expect_bit_identical(
@@ -420,8 +432,7 @@ std::vector<std::uint64_t> random_stream(const SeqDut& seq,
 
 /// Sparse replays against a reference run at `ref_tau` must equal a
 /// serial step_cycle_batch over every cycle, field for field, at every
-/// capture in `taus` below the reference — from reset and resumed
-/// after a stepped prefix. Returns {cycles stepped,
+/// capture in `taus` below the reference. Returns {cycles stepped,
 /// full budget} summed over the captures whose serial op-error rate
 /// stays under the sweep's saturation threshold (the onset band).
 std::pair<std::size_t, std::size_t> expect_sparse_matches_serial(
@@ -450,7 +461,7 @@ std::pair<std::size_t, std::size_t> expect_sparse_matches_serial(
     EXPECT_TRUE(serial.retarget_capture_ps(tau));
     serial.step_cycle_batch(ops, cycles, want);
     const SparseReplayStats stats =
-        sparse.replay_sparse(ops, cycles, ref, tau, got);
+        sparse.replay_piece(ops, ref, tau, 0, got);
     for (std::size_t c = 0; c < cycles; ++c)
       expect_same_cycle(want[c], got[c], at + " cycle " + std::to_string(c));
     ErrorAccumulator acc(seq.output_width());
@@ -459,21 +470,12 @@ std::pair<std::size_t, std::size_t> expect_sparse_matches_serial(
     if (acc.op_error_rate() >= cfg.seq_saturation_threshold) continue;
     onset_stepped += stats.simulated;
     onset_budget += cycles;
-    // In the onset band the characterizer resumes after its 64-cycle
-    // saturation probe.
-    sparse.reset();
-    EXPECT_TRUE(sparse.retarget_capture_ps(tau));
-    sparse.step_cycle_batch(ops.first(64 * seq.num_operands()), 64, got);
-    sparse.replay_sparse(ops, cycles, ref, tau, got, 64);
-    for (std::size_t c = 0; c < cycles; ++c)
-      expect_same_cycle(want[c], got[c],
-                        at + " resumed, cycle " + std::to_string(c));
   }
   return {onset_stepped, onset_budget};
 }
 
 TEST(SeqSimTest, SparseReplayMatchesSerialReplay) {
-  // replay_sparse copies every cycle the reference run shares with the
+  // replay_piece copies every cycle the reference run shares with the
   // replay and steps only the rest; the result must not show which.
   // Every grid capture below the full grid's (cycle-safe) reference is
   // covered, and on pipe3-mac4x8 the onset captures must step fewer
